@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure
-(failed audit, CFL rejection, or non-convergent linear solve).
+(failed audit, CFL rejection, or non-finite state).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .io import (
     write_rei_csv,
     write_vtk,
 )
-from .solver import CFLError, SolverError
+from .solver import NumericalError
 
 AUDIT_TOL = 1e-6
 REI_SLACK_TOL = 1e-3
@@ -130,8 +130,6 @@ def _cmd_perturb(run: _Run) -> int:
 
 def _cmd_rei_check(run: _Run) -> int:
     report = run_wsu(run.cfg)
-    worst = 0.0
-    code = 0
     for lv in report.levels[:-1]:
         write_rei_csv(lv.rei, run.path(f"rei_{lv.n}.csv"))
     lv = report.levels[-2]  # finest genuine weak/strong pair
@@ -143,8 +141,8 @@ def _cmd_rei_check(run: _Run) -> int:
     if worst > 0:
         print("error: relative entropy inequality violated beyond tolerance",
               file=sys.stderr)
-        code = 2
-    return code
+        return 2
+    return 0
 
 
 def _cmd_mms(run: _Run) -> int:
@@ -218,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CFLError, SolverError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run.finish()

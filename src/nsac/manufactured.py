@@ -53,11 +53,15 @@ class ManufacturedSolution:
             )
             s_u.append(expr)
 
-        args = (x, y, t)
-        self._U = [sp.lambdify(args, sp.simplify(u), "numpy") for u in U]
-        self._C = sp.lambdify(args, sp.simplify(C), "numpy")
-        self._s_c = sp.lambdify(args, sp.simplify(s_c), "numpy")
-        self._s_u = [sp.lambdify(args, sp.simplify(s), "numpy") for s in s_u]
+        # cse keeps the unsimplified expressions cheap to evaluate;
+        # sp.simplify would cost about 15 s per construction
+        def to_numpy(expr):
+            return sp.lambdify((x, y, t), expr, "numpy", cse=True)
+
+        self._U = [to_numpy(u) for u in U]
+        self._C = to_numpy(C)
+        self._s_c = to_numpy(s_c)
+        self._s_u = [to_numpy(s) for s in s_u]
 
     # -- sampling -----------------------------------------------------------
 

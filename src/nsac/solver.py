@@ -33,14 +33,13 @@ from .grid import (
 from .potential import DoubleWell
 
 CFL_LIMIT = 0.9
-CG_TOL = 1e-10
 
 
-class SolverError(RuntimeError):
-    """Linear solver failed to converge."""
+class NumericalError(RuntimeError):
+    """The state stopped being finite, or a step was rejected as unstable."""
 
 
-class CFLError(RuntimeError):
+class CFLError(NumericalError):
     """Advective CFL guard tripped; the step was rejected."""
 
     def __init__(self, cfl: float):
@@ -85,7 +84,6 @@ class StepReport:
 
     dt: float
     material_derivative: ScalarField
-    poisson_iterations: int
     cfl: float
 
 
@@ -97,39 +95,6 @@ def make_state(grid: Grid, t: float = 0.0, u=None, c=None, p=None) -> State:
     if p is None:
         p = ScalarField(grid, np.zeros(grid.n), "none")
     return State(t=t, u=u, c=c, p=p)
-
-
-def conjugate_gradient(apply_op, b, x0, tol=CG_TOL, max_iter=None):
-    """Matrix-free CG; converges to relative residual ``tol``.
-
-    Returns (x, iterations). Raises SolverError on non-convergence.
-    """
-    if max_iter is None:
-        max_iter = 10 * b.size
-    x = x0.copy()
-    r = b - apply_op(x)
-    bnorm = float(np.sqrt(np.sum(b * b)))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    target = tol * bnorm
-    rr = float(np.sum(r * r))
-    if np.sqrt(rr) <= target:
-        return x, 0
-    p = r.copy()
-    for it in range(1, max_iter + 1):
-        ap = apply_op(p)
-        alpha = rr / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rr_new = float(np.sum(r * r))
-        if np.sqrt(rr_new) <= target:
-            return x, it
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise SolverError(
-        f"CG failed to reach relative residual {tol} in {max_iter} iterations "
-        f"(residual {np.sqrt(rr) / bnorm:.3e})"
-    )
 
 
 def advect_scalar(u: FaceVectorField, c: ScalarField) -> ScalarField:
@@ -149,36 +114,61 @@ def advect_scalar(u: FaceVectorField, c: ScalarField) -> ScalarField:
     return ScalarField(grid, out, "none")
 
 
-@lru_cache(maxsize=8)
-def _neumann_eigenvalues(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Per-axis eigenvalues of the Neumann laplacian in the DCT-II basis."""
-    out = []
-    for a in range(grid.dim):
-        k = np.arange(grid.n[a])
-        out.append((2.0 * np.cos(np.pi * k / grid.n[a]) - 2.0) / grid.h[a] ** 2)
-    return tuple(out)
+# boundary kind -> (forward transform, inverse, transform type, wavenumbers
+# for an axis of n cells). The second difference with reflected ghosts is
+# diagonal in DCT-II, with pinned end values (the n-1 interior faces) in
+# DST-I, and with antisymmetric half-cell ghosts in DST-II; each has the 1-D
+# eigenvalues (2 cos(pi k / n) - 2) / h^2.
+_BASES = {
+    "neumann": (scipy.fft.dct, scipy.fft.idct, 2, lambda n: np.arange(0, n)),
+    "wall": (scipy.fft.dst, scipy.fft.idst, 1, lambda n: np.arange(1, n)),
+    "ghost": (scipy.fft.dst, scipy.fft.idst, 2, lambda n: np.arange(1, n + 1)),
+}
+
+
+@lru_cache(maxsize=16)
+def _inverse_symbol(grid: Grid, kinds: tuple[str, ...], shift: float, coef: float) -> np.ndarray:
+    """Reciprocal eigenvalues of (shift - coef lap) in the ``kinds`` basis.
+
+    A zero eigenvalue (the constant mode of the pure Neumann laplacian at
+    shift 0) gets reciprocal 0, so that mode is pinned to zero.
+    """
+    lam = np.full((1,) * grid.dim, float(shift))
+    for a, kind in enumerate(kinds):
+        k = _BASES[kind][3](grid.n[a])
+        shape = [1] * grid.dim
+        shape[a] = -1
+        eig = (2.0 * np.cos(np.pi * k / grid.n[a]) - 2.0) / grid.h[a] ** 2
+        lam = lam - coef * eig.reshape(shape)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
+    inv.flags.writeable = False
+    return inv
+
+
+def _spectral_solve(grid: Grid, rhs: np.ndarray, kinds: tuple[str, ...], shift: float, coef: float) -> np.ndarray:
+    """Exact solve of (shift - coef lap) x = rhs, one transform per axis.
+
+    ``kinds[a]`` names the boundary treatment of axis ``a`` (see ``_BASES``);
+    a ``"wall"`` axis carries only the interior faces.
+    """
+    hat = rhs
+    for a, kind in enumerate(kinds):
+        forward, _, kind_type, _ = _BASES[kind]
+        hat = forward(hat, type=kind_type, axis=a, norm="ortho")
+    hat *= _inverse_symbol(grid, kinds, shift, coef)
+    for a, kind in enumerate(kinds):
+        _, inverse, kind_type, _ = _BASES[kind]
+        hat = inverse(hat, type=kind_type, axis=a, norm="ortho")
+    return hat
 
 
 def solve_neumann_poisson(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of lap(p) = rhs with homogeneous Neumann walls.
 
-    The reflection-ghost laplacian is diagonal in the DCT-II basis, so the
-    solve is exact up to roundoff. The rhs must have zero mean (solvability);
-    the returned p has zero mean.
+    The rhs must have zero mean (solvability); the constant mode of p is
+    pinned, so the returned p has zero mean up to roundoff.
     """
-    eig = _neumann_eigenvalues(grid)
-    lam = eig[0].reshape([-1] + [1] * (grid.dim - 1)).copy()
-    for a in range(1, grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = -1
-        lam = lam + eig[a].reshape(shape)
-    hat = scipy.fft.dctn(rhs, type=2, norm="ortho")
-    flat = lam.ravel()
-    flat[0] = 1.0  # constant mode: pinned to zero below
-    hat = hat / lam
-    hat[(0,) * grid.dim] = 0.0
-    p = scipy.fft.idctn(hat, type=2, norm="ortho")
-    return p - p.mean()
+    return _spectral_solve(grid, -rhs, ("neumann",) * grid.dim, 0.0, 1.0)
 
 
 def capillary_force(c: ScalarField, eps: float) -> FaceVectorField:
@@ -319,7 +309,8 @@ def allen_cahn_step(
     Solves (1/dt + sigma - eps lap) c_new = c/dt - u.grad c - F'(c)/eps
     + sigma c with sigma = L / (2 eps), then reports the material derivative
     (c_new - c)/dt + u.grad c. ``source`` adds an explicit forcing term
-    (manufactured-solution runs).
+    (manufactured-solution runs). The solve is for the increment c_new - c,
+    whose roundoff scales with the change rather than with c/dt.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -328,22 +319,12 @@ def allen_cahn_step(
     eps = params.eps
     sigma = well.lipschitz_constant() / (2.0 * eps)
     adv = advect_scalar(state.u, c)
-    rhs = (
-        c.values / dt
-        - adv.values
-        - well.eval_Fprime(c.values) / eps
-        + sigma * c.values
-    )
+    rhs = eps * laplacian(c).values - adv.values - well.eval_Fprime(c.values) / eps
     if source is not None:
         rhs = rhs + source.values
-
-    def apply_helmholtz(x):
-        xf = ScalarField(grid, x, NEUMANN_ZERO)
-        return (1.0 / dt + sigma) * x - eps * laplacian(xf).values
-
-    c_new_vals, _ = conjugate_gradient(apply_helmholtz, rhs, c.values)
-    c_new = ScalarField(grid, c_new_vals, NEUMANN_ZERO)
-    material = ScalarField(grid, (c_new_vals - c.values) / dt + adv.values, "none")
+    delta = _spectral_solve(grid, rhs, ("neumann",) * grid.dim, 1.0 / dt + sigma, eps)
+    c_new = ScalarField(grid, c.values + delta, NEUMANN_ZERO)
+    material = ScalarField(grid, (c_new.values - c.values) / dt + adv.values, "none")
     return c_new, material
 
 
@@ -353,18 +334,18 @@ def momentum_step(
     params: FluidParams,
     dt: float,
     source: FaceVectorField | None = None,
-) -> tuple[State, int, float]:
+) -> tuple[State, float]:
     """Advection + implicit viscosity + capillary force, then projection.
 
-    Returns the new state (with t unchanged; ``step`` advances it), the
-    pressure-solve iteration count, and the realized advective CFL.
+    Returns the new state (with t unchanged; ``step`` advances it) and the
+    realized advective CFL.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
     dim = grid.dim
     cfl = advective_cfl(state.u, dt)
-    if cfl > CFL_LIMIT:
+    if not (cfl <= CFL_LIMIT):
         raise CFLError(cfl)
 
     adv = advection_term(state.u)
@@ -376,16 +357,11 @@ def momentum_step(
         rhs = state.u.components[a] / dt - adv.components[a] + force.components[a]
         if source is not None:
             rhs = rhs + source.components[a]
-        rhs[_axslice(dim, a, 0)] = 0.0
-        rhs[_axslice(dim, a, -1)] = 0.0
-
-        def apply_visc(x, _a=a):
-            out = x / dt - half_nu * _component_laplacian(x, grid, _a)
-            out[_axslice(dim, _a, 0)] = 0.0
-            out[_axslice(dim, _a, -1)] = 0.0
-            return out
-
-        sol, _ = conjugate_gradient(apply_visc, rhs, state.u.components[a])
+        # the wall faces stay pinned at zero
+        interior = _axslice(dim, a, slice(1, -1))
+        kinds = tuple("wall" if b == a else "ghost" for b in range(dim))
+        sol = np.zeros_like(rhs)
+        sol[interior] = _spectral_solve(grid, rhs[interior], kinds, 1.0 / dt, half_nu)
         star_comps.append(sol)
     u_star = FaceVectorField(grid, star_comps, DIRICHLET_ZERO)
 
@@ -394,13 +370,12 @@ def momentum_step(
     rhs_p = div_star / dt
     rhs_p = rhs_p - rhs_p.mean()
     p_vals = solve_neumann_poisson(grid, rhs_p)
-    pits = 0
     p = ScalarField(grid, p_vals, "none")
 
     gp = gradient(ScalarField(grid, p_vals, NEUMANN_ZERO))
     new_comps = [u_star.components[a] - dt * gp.components[a] for a in range(dim)]
     u_new = FaceVectorField(grid, new_comps, DIRICHLET_ZERO)
-    return State(t=state.t, u=u_new, c=c_new, p=p), pits, cfl
+    return State(t=state.t, u=u_new, c=c_new, p=p), cfl
 
 
 def step(
@@ -411,9 +386,19 @@ def step(
     source_c: ScalarField | None = None,
     source_u: FaceVectorField | None = None,
 ) -> tuple[State, StepReport]:
-    """Advance the coupled system by one time step."""
+    """Advance the coupled system by one time step.
+
+    Raises NumericalError if the new c or any velocity component is not
+    finite.
+    """
     c_new, material = allen_cahn_step(state, well, params, dt, source=source_c)
-    new_state, pits, cfl = momentum_step(state, c_new, params, dt, source=source_u)
+    new_state, cfl = momentum_step(state, c_new, params, dt, source=source_u)
     new_state.t = state.t + dt
-    report = StepReport(dt=dt, material_derivative=material, poisson_iterations=pits, cfl=cfl)
+    fields = [("c", new_state.c.values)]
+    fields += [(f"u[{a}]", comp) for a, comp in enumerate(new_state.u.components)]
+    for name, values in fields:
+        if not np.isfinite(values).all():
+            index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+            raise NumericalError(f"non-finite {name} at t={new_state.t:.6g}, index {index}")
+    report = StepReport(dt=dt, material_derivative=material, cfl=cfl)
     return new_state, report

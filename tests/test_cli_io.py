@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nsac.diagnostics import EnergyReport, REITrace, RelEntropyTrace
-from nsac.experiments import ExperimentConfig
+from nsac.experiments import ExperimentConfig, initial_state
 from nsac.io import (
     ConfigError,
     SchemaError,
@@ -283,6 +283,23 @@ def test_cli_cfl_violation_exit_2(tmp_path):
     r = _run_cli(["simulate", "--config", cfg], str(tmp_path / "out"))
     assert r.returncode == 2
     assert "CFL" in r.stderr
+
+
+def test_cli_non_finite_state_exit_2(tmp_path, capsys, monkeypatch):
+    import nsac.cli
+
+    def nan_state(cfg, grid):
+        state = initial_state(cfg, grid)
+        state.c.values[3, 5] = np.nan
+        return state
+
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    monkeypatch.setattr(nsac.cli, "initial_state", nan_state)
+    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
+                               "init.kind = bubble\n")
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert "non-finite c" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand_exit_1(tmp_path):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsac.grid import (
     DIRICHLET_ZERO,
     NEUMANN_ZERO,
     FaceVectorField,
     ScalarField,
+    _axslice,
     divergence,
     laplacian,
     make_grid,
@@ -16,11 +19,15 @@ from nsac.potential import quartic_well
 from nsac.solver import (
     CFLError,
     FluidParams,
+    NumericalError,
+    _component_laplacian,
+    _spectral_solve,
     advection_term,
     allen_cahn_step,
     capillary_force,
     make_state,
     momentum_step,
+    solve_neumann_poisson,
     step,
 )
 
@@ -94,7 +101,7 @@ def test_allen_cahn_uniform_matches_scalar_update():
 
 
 def test_allen_cahn_step_consistency_residual():
-    # the implicit solve must satisfy its own equation to solver tolerance
+    # the implicit solve is exact: it satisfies its own equation to roundoff
     grid = make_grid(2, (24, 24), (1, 1))
     rng = np.random.default_rng(20)
     state = make_state(grid)
@@ -107,7 +114,7 @@ def test_allen_cahn_step_consistency_residual():
         - sigma * (c_new.values - state.c.values)
         - material.values
     )
-    assert np.max(np.abs(resid)) < 1e-6
+    assert np.max(np.abs(resid)) < 1e-12
 
 
 def test_allen_cahn_first_order_in_time():
@@ -136,7 +143,7 @@ def test_momentum_rest_state_stays_at_rest():
     grid = make_grid(2, (16, 16), (1, 1))
     state = make_state(grid)
     state.c.values[:] = 1.0
-    new_state, _, _ = momentum_step(state, state.c, PARAMS, DT)
+    new_state, _ = momentum_step(state, state.c, PARAMS, DT)
     assert all(np.all(c == 0.0) for c in new_state.u.components)
     assert np.allclose(new_state.p.values, 0.0, atol=1e-12)
 
@@ -147,7 +154,19 @@ def test_momentum_projection_divergence():
     comps = [0.3 * rng.standard_normal(grid.face_shape(a)) for a in range(2)]
     state = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
     state.c.values[:] = 1.0
-    new_state, _, _ = momentum_step(state, state.c, PARAMS, DT)
+    new_state, _ = momentum_step(state, state.c, PARAMS, DT)
+    umax = max(np.max(np.abs(c)) for c in new_state.u.components)
+    tol = 1e-8 * (1.0 + umax / min(grid.h))
+    assert np.max(np.abs(divergence(new_state.u).values)) <= tol
+
+
+def test_momentum_projection_divergence_3d():
+    grid = make_grid(3, (8, 10, 12), (1, 1, 1))
+    rng = np.random.default_rng(23)
+    comps = [0.3 * rng.standard_normal(grid.face_shape(a)) for a in range(3)]
+    state = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
+    state.c.values[:] = 1.0
+    new_state, _ = momentum_step(state, state.c, PARAMS, DT)
     umax = max(np.max(np.abs(c)) for c in new_state.u.components)
     tol = 1e-8 * (1.0 + umax / min(grid.h))
     assert np.max(np.abs(divergence(new_state.u).values)) <= tol
@@ -263,3 +282,61 @@ def test_three_dimensional_step_runs():
     assert np.ptp(state.c.values) == 0.0
     umax = max(np.max(np.abs(c)) for c in state.u.components)
     assert umax == 0.0
+
+
+def test_non_finite_concentration_stops_the_step():
+    grid = make_grid(2, (16, 16), (1, 1))
+    state = make_state(grid)
+    state.c.values[:] = 0.4
+    state.c.values[3, 5] = np.nan
+    # the spectral solve spreads the NaN over every cell, so the first is (0, 0)
+    with pytest.raises(NumericalError, match=r"non-finite c at t=0.00025, index \(0, 0\)"):
+        step(state, WELL, PARAMS, DT)
+
+
+def test_non_finite_velocity_stops_the_step():
+    grid = make_grid(2, (16, 16), (1, 1))
+    state = make_state(grid, u=stream_function_velocity(grid, 0.3))
+    state.u.components[1][4, 7] = np.nan
+    with pytest.raises(NumericalError):
+        step(state, WELL, PARAMS, DT)
+
+
+@st.composite
+def grids(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.lists(st.integers(4, 48), min_size=dim, max_size=dim))
+    return make_grid(dim, n, (1.0,) * dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+def test_spectral_solves_are_exact(grid, seed):
+    # all three implicit solves, checked against the operators they invert
+    rng = np.random.default_rng(seed)
+    dim = grid.dim
+
+    def rel(resid, rhs):
+        return np.max(np.abs(resid)) / np.max(np.abs(rhs))
+
+    shift = 1.0 / DT + WELL.lipschitz_constant() / (2 * PARAMS.eps)
+    rhs = rng.standard_normal(grid.n)
+    x = _spectral_solve(grid, rhs, ("neumann",) * dim, shift, PARAMS.eps)
+    resid = shift * x - PARAMS.eps * laplacian(ScalarField(grid, x, NEUMANN_ZERO)).values - rhs
+    assert rel(resid, rhs) <= 1e-13
+
+    for a in range(dim):
+        interior = _axslice(dim, a, slice(1, -1))
+        kinds = tuple("wall" if b == a else "ghost" for b in range(dim))
+        rhs = np.zeros(grid.face_shape(a))
+        rhs[interior] = rng.standard_normal(rhs[interior].shape)
+        x = np.zeros_like(rhs)
+        x[interior] = _spectral_solve(grid, rhs[interior], kinds, 1.0 / DT, PARAMS.nu / 2)
+        resid = x / DT - PARAMS.nu / 2 * _component_laplacian(x, grid, a) - rhs
+        assert rel(resid[interior], rhs) <= 1e-13
+
+    rhs = rng.standard_normal(grid.n)
+    rhs -= rhs.mean()
+    p = solve_neumann_poisson(grid, rhs)
+    resid = laplacian(ScalarField(grid, p, NEUMANN_ZERO)).values - rhs
+    assert rel(resid, rhs) <= 1e-13
