@@ -22,6 +22,7 @@ from .experiments import (
     run_perturbation,
     run_wsu,
     simulate,
+    step_count,
 )
 from .io import (
     ConfigError,
@@ -78,7 +79,7 @@ class _Run:
 def _cmd_simulate(run: _Run) -> int:
     cfg = run.cfg
     grid = cfg.grid()
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = step_count(cfg.t_end, cfg.dt)
     state = initial_state(cfg, grid)
     write_vtk(state, run.path("snapshot_000000.vtk"), f"t={state.t:.6f}")
     stride = max(1, n_steps // cfg.sample_count)
@@ -95,7 +96,7 @@ def _cmd_energy_audit(run: _Run) -> int:
     reports, violation = run_energy_audit(run.cfg)
     write_energy_csv(reports, run.path("energy.csv"))
     run.say(f"audit violation: {violation:.3e} (tolerance {AUDIT_TOL:.0e})")
-    if violation > AUDIT_TOL:
+    if not (violation <= AUDIT_TOL):
         print(f"error: energy audit failed ({violation:.3e} > {AUDIT_TOL:.0e})",
               file=sys.stderr)
         return 2
@@ -110,7 +111,7 @@ def _cmd_wsu(run: _Run) -> int:
         run.say(f"level {lv.n}: max entropy {lv.max_entropy:.6e}, fitted k {lv.fit.k:.4g}")
     run.say(f"refinement ratios: {[f'{r:.2f}' for r in report.refinement_ratios]}")
     maxima = [lv.max_entropy for lv in report.levels]
-    if any(b >= a for a, b in zip(maxima, maxima[1:])):
+    if not all(b < a for a, b in zip(maxima, maxima[1:])):
         print("error: relative entropy did not decrease under refinement",
               file=sys.stderr)
         return 2
@@ -138,7 +139,7 @@ def _cmd_rei_check(run: _Run) -> int:
     worst = float(np.max(deficit)) if len(deficit) else 0.0
     run.say(f"level {lv.n}: min slack {float(np.min(lv.rei.slack)):.3e}, "
             f"worst deficit beyond tolerance {worst:.3e}")
-    if worst > 0:
+    if not (worst <= 0):
         print("error: relative entropy inequality violated beyond tolerance",
               file=sys.stderr)
         return 2

@@ -152,8 +152,9 @@ def energy_audit(reports: list[EnergyReport]) -> float:
     scale = e0 if e0 > 0 else 1.0
     if len(reports) == 1:
         return 0.0
-    # the t = 0 row is identically zero; audit the later ones
-    return max((r.total + r.cumulative_diss - e0) / scale for r in reports[1:])
+    # the t = 0 row is identically zero; audit the later ones. np.max, unlike
+    # the builtin, propagates a NaN from any row.
+    return float(np.max([(r.total + r.cumulative_diss - e0) / scale for r in reports[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -521,5 +522,5 @@ def gronwall_fit(trace: RelEntropyTrace, lam: float = 0.5, rel_tol: float = 1e-6
     cum_omega = _cumtrapz(times, np.asarray(trace.omega))
     bound = E[0] * np.exp(np.minimum(k * cum_omega, 700.0))
     scale = np.maximum(bound, E[0] if E[0] > 0 else 1.0)
-    violated = bool(np.any(E > bound + rel_tol * scale))
+    violated = not np.all(E <= bound + rel_tol * scale)  # a NaN E fails
     return GronwallFit(k=k, lam=lam, bound_curve=bound, violated=violated)

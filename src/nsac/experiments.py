@@ -143,6 +143,23 @@ def initial_state(cfg: ExperimentConfig, grid: Grid | None = None) -> State:
 # simulation driver
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size ``dt`` that reach ``t_end`` exactly.
+
+    Raises ``ValueError`` unless ``t_end / dt`` is a whole number (to 1e-9
+    relative) of at least 1: a rounded schedule would end at the wrong time,
+    and a zero-step run would pass every audit with nothing checked.
+    """
+    ratio = t_end / dt
+    n = round(ratio) if np.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * ratio:
+        raise ValueError(
+            f"t_end = {t_end!r} is not a whole number of steps dt = {dt!r} "
+            f"(t_end / dt = {ratio!r}, need an integer >= 1)"
+        )
+    return n
+
+
 def simulate(
     state: State,
     well: DoubleWell,
@@ -150,26 +167,28 @@ def simulate(
     dt: float,
     n_steps: int,
     sample_every: int = 1,
+    energy: bool = True,
 ) -> tuple[Trajectory, list[EnergyReport]]:
     """Run ``n_steps`` steps, collecting samples and the full energy trace.
 
     Cumulative dissipation uses the per-step rates measured after each step
     (the quadrature consistent with the implicit character of the scheme).
+    With ``energy=False`` no energy is computed and the trace is ``[]``.
     """
     traj = Trajectory()
     traj.append(state.copy(), None)
-    report0 = total_energy(state, well, params)
-    reports = [report0]
+    reports = [total_energy(state, well, params)] if energy else []
     cum = 0.0
     for i in range(1, n_steps + 1):
         state, srep = step(state, well, params, dt)
-        visc, ac = dissipation_rates(state, srep, params)
-        cum += dt * (visc + ac)
-        erep = total_energy(state, well, params)
-        erep.viscous_diss = visc
-        erep.ac_diss = ac
-        erep.cumulative_diss = cum
-        reports.append(erep)
+        if energy:
+            visc, ac = dissipation_rates(state, srep, params)
+            cum += dt * (visc + ac)
+            erep = total_energy(state, well, params)
+            erep.viscous_diss = visc
+            erep.ac_diss = ac
+            erep.cumulative_diss = cum
+            reports.append(erep)
         if i % sample_every == 0 or i == n_steps:
             traj.append(state.copy(), srep.material_derivative)
     return traj.finalize(), reports
@@ -274,15 +293,14 @@ class WSUReport:
 
 
 def _steps_and_stride(cfg: ExperimentConfig, n: int) -> tuple[int, int]:
-    dt = cfg.dt_for(n)
-    n_steps = int(round(cfg.t_end / dt))
+    n_steps = step_count(cfg.t_end, cfg.dt_for(n))
     stride = max(1, n_steps // cfg.sample_count)
     return n_steps, stride
 
 
 def _wsu_schedule(cfg: ExperimentConfig, n: int, n_base: int) -> tuple[int, int]:
     """Steps and sample stride at level n, sharing sample times across levels."""
-    base_steps = int(round(cfg.t_end / cfg.dt_for(n_base)))
+    base_steps = step_count(cfg.t_end, cfg.dt_for(n_base))
     base_stride = max(1, base_steps // cfg.sample_count)
     if n % n_base != 0:
         raise ValueError(f"level {n} is not a multiple of the coarsest level {n_base}")
@@ -304,7 +322,8 @@ def run_wsu(cfg: ExperimentConfig) -> WSUReport:
     fine_steps, fine_stride = _wsu_schedule(cfg, n_fine, levels[0])
     fine_state = initial_state(cfg, fine_grid)
     fine_traj, _ = simulate(
-        fine_state, well, params, cfg.dt_for(n_fine), fine_steps, fine_stride
+        fine_state, well, params, cfg.dt_for(n_fine), fine_steps, fine_stride,
+        energy=False,
     )
 
     results = []
@@ -318,7 +337,9 @@ def run_wsu(cfg: ExperimentConfig) -> WSUReport:
             p=strong.states[0].p.copy(),
         )
         n_steps, stride = _wsu_schedule(cfg, n, levels[0])
-        weak, _ = simulate(coarse_state, well, params, cfg.dt_for(n), n_steps, stride)
+        weak, _ = simulate(
+            coarse_state, well, params, cfg.dt_for(n), n_steps, stride, energy=False
+        )
         _align(weak, strong)
         trace = rel_entropy_trace(weak, strong, params)
         rei = rei_terms(weak, strong, well, params)
@@ -366,7 +387,9 @@ def run_perturbation(
     n_steps, stride = _steps_and_stride(cfg, cfg.grid_n)
 
     strong0 = initial_state(cfg, grid)
-    strong, _ = simulate(strong0.copy(), well, params, cfg.dt, n_steps, stride)
+    strong, _ = simulate(
+        strong0.copy(), well, params, cfg.dt, n_steps, stride, energy=False
+    )
 
     v = perturbation_velocity(grid)
     weak0 = strong0.copy()
@@ -375,7 +398,7 @@ def run_perturbation(
         [weak0.u.components[a] + delta * v.components[a] for a in range(grid.dim)],
         DIRICHLET_ZERO,
     )
-    weak, _ = simulate(weak0, well, params, cfg.dt, n_steps, stride)
+    weak, _ = simulate(weak0, well, params, cfg.dt, n_steps, stride, energy=False)
 
     trace = rel_entropy_trace(weak, strong, params)
     fit = gronwall_fit(trace)
@@ -387,7 +410,7 @@ def run_energy_audit(cfg: ExperimentConfig) -> tuple[list[EnergyReport], float]:
     if cfg.init_kind == "manufactured":
         raise ValueError("energy audit applies to unforced runs only")
     grid = cfg.grid()
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = step_count(cfg.t_end, cfg.dt)
     state = initial_state(cfg, grid)
     _, reports = simulate(state, cfg.well, cfg.params, cfg.dt, n_steps, n_steps)
     return reports, energy_audit(reports)

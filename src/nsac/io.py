@@ -246,8 +246,10 @@ def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
 
     def scalars(fh, name, values):
         fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        for v in np.asarray(values).ravel(order="F"):
-            fh.write(FLOAT_FMT % v + "\n")
+        values = np.asarray(values)
+        # x fastest; one write per x-line keeps the formatted text small
+        for line in values.T.reshape(-1, values.shape[0]):
+            fh.write("\n".join(map(FLOAT_FMT.__mod__, line.tolist())) + "\n")
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

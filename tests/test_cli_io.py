@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from nsac.diagnostics import EnergyReport, REITrace, RelEntropyTrace
-from nsac.experiments import ExperimentConfig, initial_state
+from nsac.diagnostics import EnergyReport, REITrace, RelEntropyTrace, gronwall_fit
+from nsac.experiments import ExperimentConfig, LevelResult, WSUReport, initial_state
 from nsac.io import (
     ConfigError,
     SchemaError,
@@ -223,6 +223,34 @@ def test_vtk_constant_field(tmp_path):
     assert set(data) == {"c", "p", "u_x", "u_y"}
 
 
+@pytest.mark.parametrize("n", [(4, 5), (4, 5, 6)])
+def test_vtk_bytes_match_per_value_writes(tmp_path, n):
+    grid = make_grid(len(n), n, (1,) * len(n))
+    state = make_state(grid)
+    c = state.c.values
+    c[...] = np.linspace(-1.0, 1.0, c.size).reshape(n)
+    c[(slice(None),) + (0,) * (len(n) - 1)] = [-0.0, 5e-324, 1.0 / 3.0, 1e16]
+    state.p.values[...] = np.arange(c.size).reshape(n) / 7.0
+    state.u.components[0][1:-1] = 0.1
+    path = tmp_path / "snap.vtk"
+    write_vtk(state, str(path))
+    text = path.read_text()
+
+    # reference writer: one formatted value per line, x fastest
+    from nsac.grid import avg_to_cells
+    from nsac.io import FLOAT_FMT
+
+    fields = [("c", state.c.values), ("p", state.p.values)]
+    fields += [(f"u_{'xyz'[a]}", v) for a, v in enumerate(avg_to_cells(state.u))]
+    expected = text[: text.index("SCALARS")]
+    for name, values in fields:
+        expected += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+        for v in np.asarray(values).ravel(order="F"):
+            expected += FLOAT_FMT % v + "\n"
+    assert "\n-0\n" in text and "\n4.9406564584124654e-324\n" in text
+    assert text == expected
+
+
 def test_vtk_value_order_is_x_fastest(tmp_path):
     grid = make_grid(2, (5, 4), (1, 1))
     state = make_state(grid)
@@ -300,6 +328,60 @@ def test_cli_non_finite_state_exit_2(tmp_path, capsys, monkeypatch):
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
     assert "non-finite c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-audit", "perturb", "wsu"])
+@pytest.mark.parametrize("t_end", ["1e-5", "3e-4"])
+def test_cli_schedule_not_whole_steps_exit_1(tmp_path, capsys, monkeypatch, command, t_end):
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, f"grid.n = 16\ntime.t_end = {t_end}\ntime.dt = 2.5e-4\n"
+                               "init.kind = bubble\nwsu.levels = 8,16,32\n")
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "t_end" in err and "dt" in err
+
+
+def _fake_wsu_report(maxima, slack):
+    """Three levels whose max entropies are ``maxima``; every REI slack is ``slack``."""
+    times = np.array([0.0, 0.1, 0.2])
+    zero = np.zeros_like(times)
+    rei_cols = dict.fromkeys(["lhs_entropy_gap", "lhs_visc", "lhs_ac", "r_conv",
+                              "r_eps1", "r_eps2", "r_eps3", "r_eps4", "r_f"], zero)
+    levels = []
+    for n, m in zip((8, 16, 32), maxima):
+        trace = RelEntropyTrace(times=times, E=np.full_like(times, m), D=zero,
+                                omega=np.ones_like(times))
+        rei = REITrace(times=times, slack=np.array(slack), **rei_cols)
+        levels.append(LevelResult(n=n, trace=trace, rei=rei, fit=gronwall_fit(trace),
+                                  max_entropy=m))
+    return WSUReport(levels=levels, twin_entropy_max=maxima[-1])
+
+
+@pytest.mark.parametrize(
+    "command, maxima, slack",
+    [
+        ("wsu", [1e-3, np.nan, 0.0], [0.0, 0.0, 0.0]),
+        ("rei-check", [1e-3, 1e-4, 0.0], [0.0, np.nan, 0.0]),
+    ],
+)
+def test_cli_nan_certificate_fails_exit_2(tmp_path, monkeypatch, command, maxima, slack):
+    import nsac.cli
+
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    monkeypatch.setattr(nsac.cli, "run_wsu", lambda cfg: _fake_wsu_report(maxima, slack))
+    code = main([command, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+
+
+def test_cli_nan_audit_violation_exit_2(tmp_path, monkeypatch):
+    import nsac.cli
+
+    reports = [EnergyReport(t=0.0, kinetic=1.0, interfacial=0.0, potential=0.0)]
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    monkeypatch.setattr(nsac.cli, "run_energy_audit", lambda cfg: (reports, np.nan))
+    code = main(["energy-audit", "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
 
 
 def test_cli_unknown_subcommand_exit_1(tmp_path):

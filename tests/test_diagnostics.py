@@ -155,6 +155,17 @@ def test_energy_audit_synthetic():
         energy_audit([])
 
 
+def test_energy_audit_propagates_nan_from_any_row():
+    reports = [
+        EnergyReport(t=0.0, kinetic=1.0, interfacial=0.5, potential=0.5),
+        EnergyReport(t=0.1, kinetic=0.7, interfacial=0.5, potential=0.5,
+                     cumulative_diss=0.2),
+        EnergyReport(t=0.2, kinetic=np.nan, interfacial=0.5, potential=0.5,
+                     cumulative_diss=0.4),
+    ]
+    assert np.isnan(energy_audit(reports))
+
+
 # ---------------------------------------------------------------------------
 # maximum principle
 
@@ -350,6 +361,15 @@ def test_gronwall_zero_trace():
     fit = gronwall_fit(trace)
     assert fit.k == 0.0
     assert not fit.violated
+
+
+def test_gronwall_nan_entropy_is_a_violation():
+    times = np.linspace(0.0, 1.0, 11)
+    E = np.full_like(times, 0.1)
+    E[4] = np.nan
+    trace = RelEntropyTrace(times=times, E=E, D=np.zeros_like(times),
+                            omega=np.ones_like(times))
+    assert gronwall_fit(trace).violated
 
 
 def test_gronwall_lambda_share_reduces_k():

@@ -16,6 +16,7 @@ from nsac.experiments import (
     run_perturbation,
     run_wsu,
     simulate,
+    step_count,
     stream_function_velocity,
 )
 from nsac.grid import NEUMANN_ZERO, ScalarField, divergence, integrate, make_grid
@@ -137,6 +138,31 @@ def test_simulate_samples_and_cumulative_dissipation():
     cums = [r.cumulative_diss for r in reports]
     assert all(b >= a for a, b in zip(cums, cums[1:]))
     assert traj.materials[0] is not None  # backfilled at finalize
+
+
+def test_simulate_without_energy_matches_with_energy():
+    cfg = small_cfg(init_kind="bubble")
+    with_e, reports = simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6, 2)
+    without, none = simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6, 2,
+                             energy=False)
+    assert none == [] and len(reports) == 7
+    assert np.array_equal(with_e.times, without.times)
+    for a, b in zip(with_e.states, without.states):
+        assert a.t == b.t
+        assert np.array_equal(a.c.values, b.c.values)
+        assert np.array_equal(a.p.values, b.p.values)
+        for ua, ub in zip(a.u.components, b.u.components):
+            assert np.array_equal(ua, ub)
+    for a, b in zip(with_e.materials, without.materials):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_step_count_needs_a_whole_number_of_steps():
+    assert step_count(0.5, 2.5e-4) == 2000
+    assert step_count(0.3, 0.1) == 3  # 0.3 / 0.1 is 3 - 1 ulp
+    for t_end in (1e-5, 3e-4, 0.0, np.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            step_count(t_end, 2.5e-4)
 
 
 def test_simulate_trajectory_states_are_copies():

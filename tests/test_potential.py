@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsac.potential import DoubleWell, make_well, quartic_lipschitz_constant, quartic_well
 
@@ -95,3 +97,23 @@ def test_make_well_custom_interval():
     well = make_well("quartic", f1=-1.5, f2=1.5)
     assert well.f1 == -1.5
     assert well.lipschitz_constant() == pytest.approx(3 * 1.5**2 - 1)
+
+
+def _two_sided_Fprime(c, f1, f2):
+    """Reference: the extended quartic F' as the clipped F' plus one linear
+    term below f1 and one above f2."""
+    c = np.asarray(c, dtype=float)
+    mid = np.clip(c, f1, f2) ** 3 - np.clip(c, f1, f2)
+    Fpp1, Fpp2 = 3.0 * f1**2 - 1.0, 3.0 * f2**2 - 1.0
+    return mid + Fpp1 * np.minimum(c - f1, 0.0) + Fpp2 * np.maximum(c - f2, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.floats(-6.0, 4.5), min_size=1, max_size=8))
+def test_extended_Fprime_matches_two_sided_form(c):
+    # asymmetric well, so F''(f1) = 26 and F''(f2) = 5.75 cannot be confused
+    well = quartic_well(-3.0, 1.5)
+    c = np.array(c)
+    ref = _two_sided_Fprime(c, well.f1, well.f2)
+    got = well.eval_Fprime(c)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
