@@ -115,22 +115,6 @@ def viscous_dissipation(u: FaceVectorField, nu: float) -> float:
     return total
 
 
-def grad_norm_squared(u: FaceVectorField) -> float:
-    """Integral of |grad u|^2 (all dim^2 entries)."""
-    grid = u.grid
-    vol = grid.cell_volume
-    grads = velocity_gradient(u)
-    total = 0.0
-    for a in range(grid.dim):
-        for b in range(grid.dim):
-            if a == b:
-                total += float(np.sum(grads[(a, b)] ** 2)) * vol
-            else:
-                w = _edge_weights(grid, (a, b))
-                total += float(np.sum(w * grads[(a, b)] ** 2)) * vol
-    return total
-
-
 def dissipation_rates(
     state: State, report: StepReport, params: FluidParams
 ) -> tuple[float, float]:
@@ -300,21 +284,6 @@ def _check_aligned(weak: Trajectory, strong: Trajectory):
 
 
 @dataclass
-class REIReport:
-    t: float
-    lhs_entropy_gap: float
-    lhs_visc: float
-    lhs_ac: float
-    r_conv: float
-    r_eps1: float
-    r_eps2: float
-    r_eps3: float
-    r_eps4: float
-    r_f: float
-    slack: float
-
-
-@dataclass
 class REITrace:
     """Cumulative LHS/RHS entries of the inequality at every sample time."""
 
@@ -329,25 +298,6 @@ class REITrace:
     r_eps4: np.ndarray
     r_f: np.ndarray
     slack: np.ndarray
-
-    def row(self, k: int) -> REIReport:
-        return REIReport(
-            t=float(self.times[k]),
-            lhs_entropy_gap=float(self.lhs_entropy_gap[k]),
-            lhs_visc=float(self.lhs_visc[k]),
-            lhs_ac=float(self.lhs_ac[k]),
-            r_conv=float(self.r_conv[k]),
-            r_eps1=float(self.r_eps1[k]),
-            r_eps2=float(self.r_eps2[k]),
-            r_eps3=float(self.r_eps3[k]),
-            r_eps4=float(self.r_eps4[k]),
-            r_f=float(self.r_f[k]),
-            slack=float(self.slack[k]),
-        )
-
-    @property
-    def final(self) -> REIReport:
-        return self.row(len(self.times) - 1)
 
 
 def _cell_velocity_gradient(u: FaceVectorField) -> dict[tuple[int, int], np.ndarray]:

@@ -432,25 +432,29 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     Spatial: dt scaled with h^2 so the first-order time error refines at
     least as fast as the second-order space error. Temporal: fixed finest
     grid, successive dt halvings compared against each other so the fixed
-    spatial error cancels.
+    spatial error cancels. Needs at least two levels, so that at least one
+    spatial order is measured.
     """
     from .manufactured import ManufacturedSolution
 
+    levels = list(cfg.wsu_levels)
+    if len(levels) < 2:
+        raise ValueError(f"need at least 2 refinement levels, got {len(levels)}")
     well, params = cfg.well, cfg.params
     ms = ManufacturedSolution(params, well)
-    levels = list(cfg.wsu_levels)
 
     t_end = 6.4e-3
     base_n = levels[0]
     base_dt = 3.2e-4
-    spatial_errors = []
-    for n in levels:
-        dt = base_dt * (base_n / n) ** 2
-        n_steps = int(round(t_end / dt))
-        err = ms.run_error(cfg.grid(n), dt, n_steps)
-        spatial_errors.append(err)
+    spatial_dts = [base_dt * (base_n / n) ** 2 for n in levels]
+    spatial_steps = [step_count(t_end, dt) for dt in spatial_dts]
+    spatial_errors = [
+        ms.run_error(cfg.grid(n), dt, n_steps)
+        for n, dt, n_steps in zip(levels, spatial_dts, spatial_steps)
+    ]
     spatial_orders = [
-        float(np.log2(spatial_errors[i] / spatial_errors[i + 1]))
+        float(np.log(spatial_errors[i] / spatial_errors[i + 1])
+              / np.log(levels[i + 1] / levels[i]))
         for i in range(len(spatial_errors) - 1)
     ]
 
@@ -460,8 +464,7 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     dts = [5e-4, 2.5e-4, 1.25e-4]
     finals = []
     for dt in dts:
-        n_steps = int(round(t_end_t / dt))
-        finals.append(ms.run_final_state(grid, dt, n_steps))
+        finals.append(ms.run_final_state(grid, dt, step_count(t_end_t, dt)))
     diffs = [_state_distance(finals[i], finals[i + 1]) for i in range(len(finals) - 1)]
     temporal_orders = [
         float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1)

@@ -1,102 +1,139 @@
 """Forced analytic solution for convergence studies.
 
-The velocity comes from a time-modulated streamfunction, so it is exactly
-divergence-free and satisfies the no-slip walls; the concentration satisfies
-the homogeneous Neumann condition. Forcing terms are derived symbolically and
-sampled on the staggered grid, except for the nonlinear potential term which
-is evaluated through the same well object the solver uses.
+The exact fields on the unit square are U = g(t) V and C = g(t) C0 with
+g = 1 + sin(4t)/2. V is the curl of the streamfunction
+sin^2(pi x) sin^2(pi y) / pi, so it is exactly divergence-free and satisfies
+the no-slip walls; C0 = 0.3 cos(pi x) cos(pi y) satisfies the homogeneous
+Neumann condition. Because both fields separate in time and space, every
+forcing term is a fixed spatial field times g, g^2 or g' = 2 cos(4t):
+
+    s_c = (g' + 2 eps pi^2 g) C0 + g^2 V.grad C0 + F'(C) / eps
+    s_u = g' V + g^2 ((V.grad) V + eps lap(C0) grad C0) - (nu/2) g lap(V)
+
+The spatial fields are sampled once per grid (cell centers for C, the faces
+of each component for U) and cached, so sampling at a time t costs a few
+scaled array sums. The nonlinear potential term is evaluated through the
+same well object the solver uses.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
-import sympy as sp
 
 from .grid import DIRICHLET_ZERO, NEUMANN_ZERO, FaceVectorField, Grid, ScalarField
 from .potential import DoubleWell
 from .solver import FluidParams, State, make_state, step
 
+PI = np.pi
+
+
+def _g(t: float) -> float:
+    return 1.0 + 0.5 * math.sin(4.0 * t)
+
+
+def _dg(t: float) -> float:
+    return 2.0 * math.cos(4.0 * t)
+
+
+def _point_fields(x: np.ndarray, y: np.ndarray) -> dict:
+    """V, its gradient and Laplacian, and C0 with its gradient, at (x, y).
+
+    ``x`` varies along axis 0 and ``y`` along axis 1; every returned field
+    broadcasts to their outer shape. ``dV[a][b]`` is d_b V_a.
+    """
+    sx, sy = np.sin(PI * x), np.sin(PI * y)
+    cx, cy = np.cos(PI * x), np.cos(PI * y)
+    s2x, s2y = np.sin(2 * PI * x), np.sin(2 * PI * y)
+    c2x, c2y = np.cos(2 * PI * x), np.cos(2 * PI * y)
+    return {
+        "V": (sx**2 * s2y, -s2x * sy**2),
+        "dV": (
+            (PI * s2x * s2y, 2 * PI * sx**2 * c2y),
+            (-2 * PI * c2x * sy**2, -PI * s2x * s2y),
+        ),
+        "lapV": (
+            2 * PI**2 * (c2x - 2 * sx**2) * s2y,
+            2 * PI**2 * s2x * (2 * sy**2 - c2y),
+        ),
+        "C0": 0.3 * cx * cy,
+        "dC0": (-0.3 * PI * sx * cy, -0.3 * PI * cx * sy),
+    }
+
+
+@dataclass
+class _GridTables:
+    """The time-independent factors of the exact fields and sources on one grid."""
+
+    C0: np.ndarray  # cells
+    adv_c: np.ndarray  # cells: V.grad C0
+    V: list[np.ndarray]  # faces of component a: V_a
+    nonlin: list[np.ndarray]  # faces: (V.grad) V_a + eps lap(C0) d_a C0
+    visc: list[np.ndarray]  # faces: -(nu/2) lap(V_a)
+
+    @classmethod
+    def build(cls, grid: Grid, params: FluidParams) -> "_GridTables":
+        def mesh(coords):
+            return coords[0][:, None], coords[1][None, :]
+
+        cell = _point_fields(*mesh([grid.cell_centers(b) for b in range(2)]))
+        V, nonlin, visc = [], [], []
+        for a in range(2):
+            f = _point_fields(*mesh([
+                grid.face_coords(b) if b == a else grid.cell_centers(b) for b in range(2)
+            ]))
+            lap_c0 = -2 * PI**2 * f["C0"]
+            V.append(f["V"][a])
+            nonlin.append(
+                f["V"][0] * f["dV"][a][0]
+                + f["V"][1] * f["dV"][a][1]
+                + params.eps * lap_c0 * f["dC0"][a]
+            )
+            visc.append(-(params.nu / 2) * f["lapV"][a])
+        adv_c = cell["V"][0] * cell["dC0"][0] + cell["V"][1] * cell["dC0"][1]
+        return cls(C0=cell["C0"], adv_c=adv_c, V=V, nonlin=nonlin, visc=visc)
+
 
 class ManufacturedSolution:
-    """U = curl(psi), C smooth Neumann field, with matching source terms.
+    """U = g(t) curl(psi), C = g(t) C0, with matching source terms.
 
     The momentum source omits any gradient contribution: the projection step
-    absorbs it into the discrete pressure.
+    absorbs it into the discrete pressure. Only two-dimensional unit-square
+    grids are supported.
     """
 
     def __init__(self, params: FluidParams, well: DoubleWell):
         self.params = params
         self.well = well
-        x, y, t = sp.symbols("x y t", real=True)
-        g = 1 + sp.Rational(1, 2) * sp.sin(4 * t)
-        psi = g * sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2 / sp.pi
-        U = [sp.diff(psi, y), -sp.diff(psi, x)]
-        C = sp.Rational(3, 10) * g * sp.cos(sp.pi * x) * sp.cos(sp.pi * y)
+        self._tables: dict[Grid, _GridTables] = {}
 
-        lap = lambda f: sp.diff(f, x, 2) + sp.diff(f, y, 2)
-        grad = lambda f: [sp.diff(f, x), sp.diff(f, y)]
-
-        gC = grad(C)
-        # concentration source, minus the F'(C)/eps part added numerically
-        s_c = sp.diff(C, t) + U[0] * gC[0] + U[1] * gC[1] - params.eps * lap(C)
-        # momentum source: d_t U + (U.grad)U - div S(grad U) + eps lap(C) grad C
-        # with S = (nu/2)(grad U + grad U^T), i.e. (nu/2) lap U for div-free U
-        s_u = []
-        for a in range(2):
-            gUa = grad(U[a])
-            expr = (
-                sp.diff(U[a], t)
-                + U[0] * gUa[0]
-                + U[1] * gUa[1]
-                - (params.nu / 2) * lap(U[a])
-                + params.eps * lap(C) * gC[a]
-            )
-            s_u.append(expr)
-
-        # cse keeps the unsimplified expressions cheap to evaluate;
-        # sp.simplify would cost about 15 s per construction
-        def to_numpy(expr):
-            return sp.lambdify((x, y, t), expr, "numpy", cse=True)
-
-        self._U = [to_numpy(u) for u in U]
-        self._C = to_numpy(C)
-        self._s_c = to_numpy(s_c)
-        self._s_u = [to_numpy(s) for s in s_u]
+    def _tables_for(self, grid: Grid) -> _GridTables:
+        tables = self._tables.get(grid)
+        if tables is None:
+            tables = self._tables[grid] = _GridTables.build(grid, self.params)
+        return tables
 
     # -- sampling -----------------------------------------------------------
 
-    def _face_mesh(self, grid: Grid, a: int):
-        coords = [
-            grid.face_coords(b) if b == a else grid.cell_centers(b)
-            for b in range(grid.dim)
-        ]
-        return np.meshgrid(*coords, indexing="ij")
-
-    def _cell_mesh(self, grid: Grid):
-        return np.meshgrid(*[grid.cell_centers(b) for b in range(grid.dim)], indexing="ij")
-
     def state_at(self, grid: Grid, t: float) -> State:
-        comps = []
-        for a in range(grid.dim):
-            X, Y = self._face_mesh(grid, a)
-            comps.append(np.asarray(self._U[a](X, Y, t), dtype=float))
-        u = FaceVectorField(grid, comps, DIRICHLET_ZERO)
-        Xc, Yc = self._cell_mesh(grid)
-        c = ScalarField(grid, np.asarray(self._C(Xc, Yc, t), dtype=float), NEUMANN_ZERO)
-        state = make_state(grid, u=u)
-        state.c = c
-        state.t = t
-        return state
+        tab = self._tables_for(grid)
+        g = _g(t)
+        u = FaceVectorField(grid, [g * v for v in tab.V], DIRICHLET_ZERO)
+        c = ScalarField(grid, g * tab.C0, NEUMANN_ZERO)
+        return make_state(grid, t=t, u=u, c=c)
 
     def sources_at(self, grid: Grid, t: float) -> tuple[ScalarField, FaceVectorField]:
-        Xc, Yc = self._cell_mesh(grid)
-        c_exact = np.asarray(self._C(Xc, Yc, t), dtype=float)
-        sc = np.asarray(self._s_c(Xc, Yc, t), dtype=float)
-        sc = sc + self.well.eval_Fprime(c_exact) / self.params.eps
-        comps = []
-        for a in range(grid.dim):
-            X, Y = self._face_mesh(grid, a)
-            comps.append(np.asarray(self._s_u[a](X, Y, t), dtype=float))
+        tab = self._tables_for(grid)
+        eps = self.params.eps
+        g, dg = _g(t), _dg(t)
+        g2 = g * g
+        sc = (dg + 2 * eps * PI**2 * g) * tab.C0 + g2 * tab.adv_c
+        sc += self.well.eval_Fprime(g * tab.C0) / eps
+        comps = [
+            dg * v + g2 * n + g * d for v, n, d in zip(tab.V, tab.nonlin, tab.visc)
+        ]
         return ScalarField(grid, sc, "none"), FaceVectorField(grid, comps, "none")
 
     # -- forced runs --------------------------------------------------------

@@ -6,9 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsac.diagnostics import EnergyReport, REITrace, RelEntropyTrace, gronwall_fit
-from nsac.experiments import ExperimentConfig, LevelResult, WSUReport, initial_state
+from nsac.experiments import (
+    INIT_KINDS,
+    ExperimentConfig,
+    LevelResult,
+    WSUReport,
+    initial_state,
+)
 from nsac.io import (
     ConfigError,
     SchemaError,
@@ -83,6 +91,38 @@ def test_config_round_trip(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(text)
     assert parse_config(str(p)) == cfg
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_positive_reals = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=st.builds(
+        ExperimentConfig,
+        grid_n=st.integers(1, 10**6),
+        length=_positive_reals,
+        nu=_positive_reals,
+        eps=_positive_reals,
+        dt=_positive_reals,
+        t_end=_positive_reals,
+        potential_f1=_reals,
+        potential_f2=_reals,
+        init_kind=st.sampled_from(INIT_KINDS),
+        init_seed=st.integers(0, 2**63),
+        init_amplitude=_reals,
+        perturbation_delta=st.floats(min_value=0.0, allow_infinity=False),
+        wsu_levels=st.sets(st.integers(1, 10**6), min_size=1, max_size=5).map(
+            lambda s: tuple(sorted(s))
+        ),
+        sample_count=st.integers(1, 10**6),
+        output_dir=st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True),
+        output_every=st.integers(1, 10**6),
+    )
+)
+def test_config_round_trip_property(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg
 
 
 def test_config_missing_file():
@@ -340,6 +380,34 @@ def test_cli_schedule_not_whole_steps_exit_1(tmp_path, capsys, monkeypatch, comm
     assert code == 1
     err = capsys.readouterr().err
     assert "t_end" in err and "dt" in err
+
+
+@pytest.mark.parametrize(
+    "levels, fragments",
+    [
+        ("16", ("levels",)),  # no spatial order would be checked
+        ("16,20", ("t_end", "dt")),  # 31.25 steps at n = 20
+    ],
+)
+def test_cli_mms_bad_levels_exit_1(tmp_path, capsys, monkeypatch, levels, fragments):
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, f"init.kind = manufactured\nwsu.levels = {levels}\n")
+    code = main(["mms", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert all(f in err for f in fragments)
+
+
+def test_cli_mms_order_uses_level_ratio(tmp_path, monkeypatch):
+    """Levels 16 and 24 refine h by 1.5, not 2; the order is still about 2."""
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, "init.kind = manufactured\nwsu.levels = 16,24\n")
+    out = tmp_path / "out"
+    code = main(["mms", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 0
+    lines = (out / "mms_spatial.csv").read_text().split()
+    errors = [float(line.split(",")[1]) for line in lines[1:]]
+    assert 1.7 <= np.log(errors[0] / errors[1]) / np.log(24 / 16) <= 2.3
 
 
 def _fake_wsu_report(maxima, slack):

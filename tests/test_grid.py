@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsac.grid import (
     DIRICHLET_ZERO,
@@ -177,6 +179,39 @@ def test_adjointness_summation_by_parts():
         rhs = face_inner(v, gradient(q))
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs + rhs) <= 1e-12 * scale
+
+
+@st.composite
+def unit_box_grids(draw):
+    """2-D grids, or 3-D grids whose three cell counts are not all equal."""
+    dim = draw(st.sampled_from((2, 3)))
+    counts = st.lists(st.integers(4, 24), min_size=dim, max_size=dim)
+    if dim == 3:
+        counts = counts.filter(lambda n: len(set(n)) > 1)
+    return make_grid(dim, draw(counts), (1.0,) * dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=unit_box_grids(), seed=st.integers(0, 2**32 - 1))
+def test_summation_by_parts_property(grid, seed):
+    """<q, div v> = -<v, grad q>, relative to the integral of |q div v|."""
+    rng = np.random.default_rng(seed)
+    q = random_scalar(grid, rng)
+    v = random_vector(grid, rng)
+    div = divergence(v).values
+    lhs = integrate(ScalarField(grid, q.values * div))
+    rhs = face_inner(v, gradient(q))
+    scale = integrate(ScalarField(grid, np.abs(q.values * div)))
+    assert abs(lhs + rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=unit_box_grids(), seed=st.integers(0, 2**32 - 1))
+def test_div_grad_is_laplacian_property(grid, seed):
+    c = random_scalar(grid, np.random.default_rng(seed))
+    lap = laplacian(c).values
+    diff = divergence(gradient(c)).values - lap
+    assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(lap))
 
 
 def test_operators_linear():
