@@ -16,12 +16,12 @@ import numpy as np
 from . import __version__
 from .experiments import (
     ExperimentConfig,
+    energy_history,
     initial_state,
     run_energy_audit,
     run_manufactured,
     run_perturbation,
     run_wsu,
-    simulate,
     step_count,
 )
 from .io import (
@@ -77,18 +77,22 @@ class _Run:
 
 
 def _cmd_simulate(run: _Run) -> int:
+    """Energy trace plus a VTK snapshot at every sample that falls on an
+    ``output.every`` multiple, and at the last one, written as it arrives."""
     cfg = run.cfg
-    grid = cfg.grid()
     n_steps = step_count(cfg.t_end, cfg.dt)
-    state = initial_state(cfg, grid)
-    write_vtk(state, run.path("snapshot_000000.vtk"), f"t={state.t:.6f}")
     stride = max(1, n_steps // cfg.sample_count)
-    traj, reports = simulate(state, cfg.well, cfg.params, cfg.dt, n_steps, stride)
-    for k, s in enumerate(traj.states[1:], start=1):
-        if (k * stride) % cfg.output_every == 0 or k == len(traj.states) - 1:
-            write_vtk(s, run.path(f"snapshot_{k * stride:06d}.vtk"), f"t={s.t:.6f}")
+    state = initial_state(cfg, cfg.grid())
+    reports = []
+    for i, (state, report) in enumerate(
+        energy_history(state, cfg.well, cfg.params, cfg.dt, n_steps)
+    ):
+        reports.append(report)
+        k = -(-i // stride)  # sample number; the last one may be a short chunk
+        if (i % stride == 0 and (k * stride) % cfg.output_every == 0) or i == n_steps:
+            write_vtk(state, run.path(f"snapshot_{k * stride:06d}.vtk"), f"t={state.t:.6f}")
     write_energy_csv(reports, run.path("energy.csv"))
-    run.say(f"simulated {n_steps} steps to t={traj.times[-1]:.6f}")
+    run.say(f"simulated {n_steps} steps to t={state.t:.6f}")
     return 0
 
 

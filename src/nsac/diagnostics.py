@@ -1,6 +1,7 @@
-"""Post-processing of discrete trajectories: energy budget, maximum-principle
-bounds, relative entropy, the itemized relative-entropy inequality, the
-trajectory Poincare constant, and the Gronwall-type bound fit.
+"""Diagnostics of discrete runs: energy budget, maximum-principle bounds,
+relative entropy, the itemized relative-entropy inequality, and the
+Gronwall-type bound fit. A weak/strong pair is reduced to one row of scalars
+per sample time, so no run's states need to be stored.
 
 All space integrals use midpoint quadrature; velocity gradients combine
 cell-centered normal derivatives with edge-grid cross derivatives (trapezoid
@@ -11,7 +12,8 @@ use the trapezoid rule on step boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,50 +183,27 @@ def check_max_principle(
 # relative entropy
 
 
-def _diff_vector(u: FaceVectorField, U: FaceVectorField) -> FaceVectorField:
-    if u.grid is not U.grid and u.grid != U.grid:
+def _differences(
+    weak: State, strong: State
+) -> tuple[FaceVectorField, ScalarField, FaceVectorField]:
+    """u - U, c - C and grad(c - C) of a weak/strong pair on one grid."""
+    if weak.grid != strong.grid:
         raise ValueError("states live on different grids")
+    u, U = weak.u, strong.u
     comps = [u.components[a] - U.components[a] for a in range(u.grid.dim)]
-    return FaceVectorField(u.grid, comps, u.bc if u.bc == U.bc else "none")
+    w = FaceVectorField(u.grid, comps, u.bc if u.bc == U.bc else "none")
+    d = ScalarField(weak.grid, weak.c.values - strong.c.values, weak.c.bc)
+    return w, d, gradient(d)
+
+
+def _entropy(w: FaceVectorField, gd: FaceVectorField, eps: float) -> float:
+    return kinetic_energy(w) + 0.5 * eps * face_inner(gd, gd)
 
 
 def relative_entropy(weak: State, strong: State, params: FluidParams) -> float:
     """E(u,c | U,C) = int ( |u-U|^2 / 2 + eps |grad(c-C)|^2 / 2 )."""
-    if weak.grid != strong.grid:
-        raise ValueError("states live on different grids")
-    w = _diff_vector(weak.u, strong.u)
-    d = ScalarField(weak.grid, weak.c.values - strong.c.values, weak.c.bc)
-    gd = gradient(d)
-    return kinetic_energy(w) + 0.5 * params.eps * face_inner(gd, gd)
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-
-
-@dataclass
-class Trajectory:
-    """Sampled states of one run plus the material derivative per sample.
-
-    ``materials[k]`` is the material derivative of the step that produced
-    ``states[k]``; at t = 0 it is copied from the first step (constant
-    extrapolation, consistent with first-order stepping).
-    """
-
-    times: list[float] = field(default_factory=list)
-    states: list[State] = field(default_factory=list)
-    materials: list[ScalarField] = field(default_factory=list)
-
-    def append(self, state: State, material: ScalarField | None):
-        self.times.append(state.t)
-        self.states.append(state)
-        self.materials.append(material)
-
-    def finalize(self):
-        # backfill the t=0 material derivative once a step exists
-        if self.materials and self.materials[0] is None and len(self.materials) > 1:
-            self.materials[0] = self.materials[1]
-        return self
+    w, _, gd = _differences(weak, strong)
+    return _entropy(w, gd, params.eps)
 
 
 def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -240,43 +219,6 @@ class RelEntropyTrace:
     E: np.ndarray
     D: np.ndarray
     omega: np.ndarray
-
-
-def omega_weight(strong: State) -> float:
-    """Gronwall weight 1 + max|U|^2 + max|grad C|^2 (cell-centered maxima)."""
-    u2 = cell_speed_squared(strong.u)
-    gC = avg_to_cells(gradient(strong.c))
-    g2 = sum(comp**2 for comp in gC)
-    return 1.0 + float(np.max(u2)) + float(np.max(g2))
-
-
-def rel_entropy_trace(
-    weak: Trajectory, strong: Trajectory, params: FluidParams
-) -> RelEntropyTrace:
-    """Relative entropy, LHS dissipation-difference rate, and weight in time."""
-    _check_aligned(weak, strong)
-    times = np.asarray(weak.times)
-    E = np.empty(len(times))
-    D = np.empty(len(times))
-    omega = np.empty(len(times))
-    for k, (ws, ss) in enumerate(zip(weak.states, strong.states)):
-        E[k] = relative_entropy(ws, ss, params)
-        wdiff = _diff_vector(ws.u, ss.u)
-        mdiff = weak.materials[k].values - strong.materials[k].values
-        D[k] = viscous_dissipation(wdiff, params.nu) + integrate(
-            ScalarField(ws.grid, mdiff**2)
-        )
-        omega[k] = omega_weight(ss)
-    return RelEntropyTrace(times=times, E=E, D=D, omega=omega)
-
-
-def _check_aligned(weak: Trajectory, strong: Trajectory):
-    if len(weak.times) != len(strong.times):
-        raise ValueError("trajectories have different sample counts")
-    if weak.times and not np.allclose(weak.times, strong.times, rtol=0, atol=1e-12):
-        raise ValueError("trajectories sampled at different times")
-    if weak.states and weak.states[0].grid != strong.states[0].grid:
-        raise ValueError("trajectories live on different grids")
 
 
 # ---------------------------------------------------------------------------
@@ -320,123 +262,102 @@ def _cell_velocity_gradient(u: FaceVectorField) -> dict[tuple[int, int], np.ndar
     return out
 
 
-def rei_terms(
-    weak: Trajectory, strong: Trajectory, well: DoubleWell, params: FluidParams
-) -> REITrace:
-    """Itemized relative-entropy inequality along a trajectory pair.
+class PairRow(NamedTuple):
+    """One sample of a weak/strong pair.
 
-    All right-hand-side integrands are evaluated cell-centered with midpoint
-    quadrature; time integration is trapezoidal on the sample times.
+    ``E`` is the relative entropy, ``visc`` and ``ac`` the viscous and
+    Allen-Cahn dissipation rates of the difference, ``conv`` .. ``f`` the
+    right-hand-side rates of the REI, and ``omega`` the Gronwall weight
+    1 + max|U|^2 + max|grad C|^2 (cell-centered maxima).
     """
-    _check_aligned(weak, strong)
-    times = np.asarray(weak.times)
-    nt = len(times)
+
+    t: float
+    E: float
+    visc: float
+    ac: float
+    conv: float
+    eps1: float
+    eps2: float
+    eps3: float
+    eps4: float
+    f: float
+    omega: float
+
+
+def pair_row(
+    weak: State,
+    strong: State,
+    weak_material: ScalarField,
+    strong_material: ScalarField,
+    well: DoubleWell,
+    params: FluidParams,
+) -> PairRow:
+    """Relative entropy, dissipation differences, REI rates and weight at one time.
+
+    The materials are the discrete material derivatives of the steps that
+    produced the states. All right-hand-side integrands are evaluated
+    cell-centered with midpoint quadrature. Raises ``ValueError`` if the
+    states are more than 1e-12 apart in time or live on different grids.
+    """
+    if not (abs(weak.t - strong.t) <= 1e-12):
+        raise ValueError(f"pair sampled at different times {weak.t!r} and {strong.t!r}")
     eps = params.eps
-    grid = weak.states[0].grid
+    grid = weak.grid
     vol = grid.cell_volume
+    wdiff, d, gd_face = _differences(weak, strong)
+    mdiff = weak_material.values - strong_material.values
 
-    ent = np.empty(nt)
-    rate_visc = np.empty(nt)
-    rate_ac = np.empty(nt)
-    rate = {name: np.empty(nt) for name in ("conv", "eps1", "eps2", "eps3", "eps4", "f")}
+    visc = viscous_dissipation(wdiff, params.nu)
+    ac = float(np.sum(mdiff**2)) * vol
 
-    for k in range(nt):
-        ws, ss = weak.states[k], strong.states[k]
-        ent[k] = relative_entropy(ws, ss, params)
+    gw = _cell_velocity_gradient(wdiff)
+    w_cell = avg_to_cells(wdiff)
+    U_cell = avg_to_cells(strong.u)
+    gd = avg_to_cells(gd_face)
+    gC = avg_to_cells(gradient(strong.c))
+    lap_d = laplacian(d).values
 
-        wdiff = _diff_vector(ws.u, ss.u)
-        d = ScalarField(grid, ws.c.values - ss.c.values, ws.c.bc)
-        mdiff = weak.materials[k].values - strong.materials[k].values
-
-        rate_visc[k] = viscous_dissipation(wdiff, params.nu)
-        rate_ac[k] = float(np.sum(mdiff**2)) * vol
-
-        gw = _cell_velocity_gradient(wdiff)
-        w_cell = avg_to_cells(wdiff)
-        U_cell = avg_to_cells(ss.u)
-        gd = avg_to_cells(gradient(d))
-        gC = avg_to_cells(gradient(ss.c))
-        lap_d = laplacian(d).values
-
-        conv = np.zeros(grid.n)
-        eps2 = np.zeros(grid.n)
-        eps3 = np.zeros(grid.n)
-        for a in range(grid.dim):
-            for b in range(grid.dim):
-                conv += w_cell[a] * U_cell[b] * gw[(a, b)]
-                eps2 += gC[a] * gd[b] * gw[(a, b)]
-                eps3 += gd[a] * gC[b] * gw[(a, b)]
-        rate["conv"][k] = float(np.sum(conv)) * vol
-        rate["eps2"][k] = eps * float(np.sum(eps2)) * vol
-        rate["eps3"][k] = eps * float(np.sum(eps3)) * vol
-
-        u_dot_gd = sum(U_cell[a] * gd[a] for a in range(grid.dim))
-        rate["eps1"][k] = eps * float(np.sum(lap_d * u_dot_gd)) * vol
-        w_dot_gC = sum(w_cell[a] * gC[a] for a in range(grid.dim))
-        rate["eps4"][k] = eps * float(np.sum(lap_d * w_dot_gC)) * vol
-
-        fp_diff = well.eval_Fprime(ws.c.values) - well.eval_Fprime(ss.c.values)
-        rate["f"][k] = -(1.0 / eps) * float(np.sum(fp_diff * mdiff)) * vol
-
-    lhs_visc = _cumtrapz(times, rate_visc)
-    lhs_ac = _cumtrapz(times, rate_ac)
-    lhs_gap = ent - ent[0]
-    cum = {name: _cumtrapz(times, r) for name, r in rate.items()}
-    rhs = sum(cum.values())
-    slack = rhs - (lhs_gap + lhs_visc + lhs_ac)
-    return REITrace(
-        times=times,
-        lhs_entropy_gap=lhs_gap,
-        lhs_visc=lhs_visc,
-        lhs_ac=lhs_ac,
-        r_conv=cum["conv"],
-        r_eps1=cum["eps1"],
-        r_eps2=cum["eps2"],
-        r_eps3=cum["eps3"],
-        r_eps4=cum["eps4"],
-        r_f=cum["f"],
-        slack=slack,
+    conv = np.zeros(grid.n)
+    eps2 = np.zeros(grid.n)
+    eps3 = np.zeros(grid.n)
+    for a in range(grid.dim):
+        for b in range(grid.dim):
+            conv += w_cell[a] * U_cell[b] * gw[(a, b)]
+            eps2 += gC[a] * gd[b] * gw[(a, b)]
+            eps3 += gd[a] * gC[b] * gw[(a, b)]
+    u_dot_gd = sum(U_cell[a] * gd[a] for a in range(grid.dim))
+    w_dot_gC = sum(w_cell[a] * gC[a] for a in range(grid.dim))
+    fp_diff = well.eval_Fprime(weak.c.values) - well.eval_Fprime(strong.c.values)
+    g2 = sum(comp**2 for comp in gC)
+    return PairRow(
+        t=weak.t,
+        E=_entropy(wdiff, gd_face, eps),
+        visc=visc,
+        ac=ac,
+        conv=float(np.sum(conv)) * vol,
+        eps1=eps * float(np.sum(lap_d * u_dot_gd)) * vol,
+        eps2=eps * float(np.sum(eps2)) * vol,
+        eps3=eps * float(np.sum(eps3)) * vol,
+        eps4=eps * float(np.sum(lap_d * w_dot_gC)) * vol,
+        f=-(1.0 / eps) * float(np.sum(fp_diff * mdiff)) * vol,
+        omega=1.0 + float(np.max(cell_speed_squared(strong.u))) + float(np.max(g2)),
     )
 
 
-# ---------------------------------------------------------------------------
-# Poincare-type trajectory bound
+def pair_traces(rows: list[PairRow]) -> tuple[RelEntropyTrace, REITrace]:
+    """Relative-entropy trace (D = visc + ac) and itemized REI of a pair.
 
-
-@dataclass
-class PoincareReport:
-    K_est: float
-    ratio_curve: np.ndarray
-    same_initial_data: bool
-
-
-def poincare_check(traj1: Trajectory, traj2: Trajectory, eta: float = 1e-14) -> PoincareReport:
-    """Least K with int (c1-c2)^2(t) <= K int_0^t int (grad(c1-c2))^2 + (u1-u2)^2.
-
-    The bound only applies when both runs start from the same concentration;
-    the report flags that hypothesis but computes K either way.
+    Time integrals are trapezoidal on the sample times of the rows.
     """
-    _check_aligned(traj1, traj2)
-    times = np.asarray(traj1.times)
-    grid = traj1.states[0].grid
-    nt = len(times)
-    lhs = np.empty(nt)
-    rhs_rate = np.empty(nt)
-    for k in range(nt):
-        s1, s2 = traj1.states[k], traj2.states[k]
-        d = ScalarField(grid, s1.c.values - s2.c.values, s1.c.bc)
-        lhs[k] = integrate(ScalarField(grid, d.values**2))
-        gd = gradient(d)
-        wdiff = _diff_vector(s1.u, s2.u)
-        rhs_rate[k] = face_inner(gd, gd) + 2.0 * kinetic_energy(wdiff)
-    rhs = _cumtrapz(times, rhs_rate)
-    ratios = lhs / (rhs + eta)
-    same_c0 = bool(
-        np.allclose(traj1.states[0].c.values, traj2.states[0].c.values, rtol=0, atol=1e-13)
-    )
-    return PoincareReport(
-        K_est=float(np.max(ratios)), ratio_curve=ratios, same_initial_data=same_c0
-    )
+    t, E, visc, ac, *rates, omega = np.array(rows).T.copy()
+    cum = [_cumtrapz(t, r) for r in rates]
+    lhs_gap = E - E[0]
+    lhs_visc = _cumtrapz(t, visc)
+    lhs_ac = _cumtrapz(t, ac)
+    slack = sum(cum) - (lhs_gap + lhs_visc + lhs_ac)
+    trace = RelEntropyTrace(times=t, E=E, D=visc + ac, omega=omega)
+    rei = REITrace(t, lhs_gap, lhs_visc, lhs_ac, *cum, slack)
+    return trace, rei
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ perturbation/Gronwall study, and manufactured-solution convergence."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,13 +13,14 @@ from .diagnostics import (
     GronwallFit,
     REITrace,
     RelEntropyTrace,
-    Trajectory,
+    check_max_principle,
     dissipation_rates,
     energy_audit,
     gronwall_fit,
     kinetic_energy,
-    rei_terms,
-    rel_entropy_trace,
+    max_principle_bounds,
+    pair_row,
+    pair_traces,
     total_energy,
 )
 from .grid import (
@@ -29,9 +31,10 @@ from .grid import (
     make_grid,
 )
 from .potential import DoubleWell, make_well
-from .solver import FluidParams, State, make_state, step
+from .solver import FluidParams, NumericalError, State, StepReport, make_state, step
 
 INIT_KINDS = ("bubble", "spinodal", "vortex", "manufactured")
+MAX_PRINCIPLE_TOL = 1e-6
 
 
 @dataclass
@@ -161,37 +164,75 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def simulate(
-    state: State,
-    well: DoubleWell,
-    params: FluidParams,
-    dt: float,
-    n_steps: int,
-    sample_every: int = 1,
-    energy: bool = True,
-) -> tuple[Trajectory, list[EnergyReport]]:
-    """Run ``n_steps`` steps, collecting samples and the full energy trace.
+    state: State, well: DoubleWell, params: FluidParams, dt: float, n_steps: int
+) -> Iterator[tuple[State, StepReport]]:
+    """Take ``n_steps`` steps, yielding each new state with its step report.
+
+    Nothing is stored; the input state is left unchanged.
+    """
+    for _ in range(n_steps):
+        state, report = step(state, well, params, dt)
+        yield state, report
+
+
+def energy_history(
+    state: State, well: DoubleWell, params: FluidParams, dt: float, n_steps: int
+) -> Iterator[tuple[State, EnergyReport]]:
+    """Yield the initial state, then each stepped state, with its energy.
 
     Cumulative dissipation uses the per-step rates measured after each step
     (the quadrature consistent with the implicit character of the scheme).
-    With ``energy=False`` no energy is computed and the trace is ``[]``.
     """
-    traj = Trajectory()
-    traj.append(state.copy(), None)
-    reports = [total_energy(state, well, params)] if energy else []
+    yield state, total_energy(state, well, params)
     cum = 0.0
-    for i in range(1, n_steps + 1):
-        state, srep = step(state, well, params, dt)
-        if energy:
-            visc, ac = dissipation_rates(state, srep, params)
-            cum += dt * (visc + ac)
-            erep = total_energy(state, well, params)
-            erep.viscous_diss = visc
-            erep.ac_diss = ac
-            erep.cumulative_diss = cum
-            reports.append(erep)
-        if i % sample_every == 0 or i == n_steps:
-            traj.append(state.copy(), srep.material_derivative)
-    return traj.finalize(), reports
+    for state, srep in simulate(state, well, params, dt, n_steps):
+        visc, ac = dissipation_rates(state, srep, params)
+        cum += dt * (visc + ac)
+        erep = total_energy(state, well, params)
+        erep.viscous_diss = visc
+        erep.ac_diss = ac
+        erep.cumulative_diss = cum
+        yield state, erep
+
+
+def _sample_chunks(cfg: ExperimentConfig, n: int) -> list[int]:
+    """Steps at level n between consecutive samples.
+
+    Whole strides of ``max(1, steps // sample_count)`` steps, then the
+    remainder, if any, as one shorter last chunk.
+    """
+    n_steps = step_count(cfg.t_end, cfg.dt_for(n))
+    stride = max(1, n_steps // cfg.sample_count)
+    full, rest = divmod(n_steps, stride)
+    return [stride] * full + ([rest] if rest else [])
+
+
+def _lockstep(
+    runs: list[tuple[State, float, int]],
+    chunks: list[int],
+    well: DoubleWell,
+    params: FluidParams,
+) -> Iterator[tuple[list[State], list[ScalarField]]]:
+    """Advance several runs together; yield their states and materials per sample.
+
+    ``runs`` holds ``(initial state, dt, m)`` per run. Between two samples a
+    run takes ``m * chunk`` steps, so with dt scaled as 1/m all runs reach
+    each sample time together. A material is the discrete material
+    derivative of the step that produced the state; the t = 0 sample carries
+    the first chunk's (constant extrapolation, consistent with first-order
+    stepping). Only the current states are held.
+    """
+    states = [state for state, _, _ in runs]
+    for k, chunk in enumerate(chunks):
+        previous, states, materials = states, [], []
+        for state, (_, dt, m) in zip(previous, runs):
+            for _ in range(m * chunk):
+                state, report = step(state, well, params, dt)
+            states.append(state)
+            materials.append(report.material_derivative)
+        if k == 0:
+            yield previous, materials
+        yield states, materials
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +285,6 @@ def restrict_state(fine: State, coarse_grid: Grid) -> State:
     )
 
 
-def restrict_trajectory(fine: Trajectory, coarse_grid: Grid) -> Trajectory:
-    out = Trajectory()
-    for state, material in zip(fine.states, fine.materials):
-        m = restrict_scalar(material, coarse_grid) if material is not None else None
-        out.append(restrict_state(state, coarse_grid), m)
-    return out
-
-
 def _ratios(fine: Grid, coarse: Grid) -> list[int]:
     if fine.dim != coarse.dim:
         raise ValueError("grid dimensions differ")
@@ -292,88 +325,49 @@ class WSUReport:
         return [maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1)]
 
 
-def _steps_and_stride(cfg: ExperimentConfig, n: int) -> tuple[int, int]:
-    n_steps = step_count(cfg.t_end, cfg.dt_for(n))
-    stride = max(1, n_steps // cfg.sample_count)
-    return n_steps, stride
-
-
-def _wsu_schedule(cfg: ExperimentConfig, n: int, n_base: int) -> tuple[int, int]:
-    """Steps and sample stride at level n, sharing sample times across levels."""
-    base_steps = step_count(cfg.t_end, cfg.dt_for(n_base))
-    base_stride = max(1, base_steps // cfg.sample_count)
-    if n % n_base != 0:
-        raise ValueError(f"level {n} is not a multiple of the coarsest level {n_base}")
-    ratio = n // n_base
-    return base_steps * ratio, base_stride * ratio
-
-
 def run_wsu(cfg: ExperimentConfig) -> WSUReport:
-    """Weak-strong refinement study against the finest run as strong proxy."""
+    """Weak-strong refinement study against the finest run as strong proxy.
+
+    Every level starts from the restricted fine initial state, and all
+    levels advance in lockstep. At each sample the fine state and material
+    are restricted once per coarse level, and each level appends one row;
+    the finest level is paired with itself.
+    """
     levels = list(cfg.wsu_levels)
     if len(levels) < 3:
         raise ValueError(f"need at least 3 refinement levels, got {len(levels)}")
     if cfg.init_kind != "bubble":
         raise ValueError("weak-strong study expects the smooth bubble initial data")
     well, params = cfg.well, cfg.params
+    n0 = levels[0]
+    chunks = _sample_chunks(cfg, n0)
+    for n in levels:
+        if n % n0 != 0:
+            raise ValueError(f"level {n} is not a multiple of the coarsest level {n0}")
 
-    n_fine = levels[-1]
-    fine_grid = cfg.grid(n_fine)
-    fine_steps, fine_stride = _wsu_schedule(cfg, n_fine, levels[0])
-    fine_state = initial_state(cfg, fine_grid)
-    fine_traj, _ = simulate(
-        fine_state, well, params, cfg.dt_for(n_fine), fine_steps, fine_stride,
-        energy=False,
-    )
+    grids = [cfg.grid(n) for n in levels]
+    fine = initial_state(cfg, grids[-1])
+    starts = [restrict_state(fine, grid) for grid in grids[:-1]] + [fine]
+    runs = [(s, cfg.dt_for(n), n // n0) for s, n in zip(starts, levels)]
+    rows = [[] for _ in levels]
+    for states, materials in _lockstep(runs, chunks, well, params):
+        fine, fine_m = states[-1], materials[-1]
+        for i, grid in enumerate(grids[:-1]):
+            strong = restrict_state(fine, grid)
+            strong_m = restrict_scalar(fine_m, grid)
+            rows[i].append(pair_row(states[i], strong, materials[i], strong_m, well, params))
+        rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
 
     results = []
-    for n in levels[:-1]:
-        grid = cfg.grid(n)
-        strong = restrict_trajectory(fine_traj, grid)
-        coarse_state = State(
-            t=0.0,
-            u=strong.states[0].u.copy(),
-            c=strong.states[0].c.copy(),
-            p=strong.states[0].p.copy(),
-        )
-        n_steps, stride = _wsu_schedule(cfg, n, levels[0])
-        weak, _ = simulate(
-            coarse_state, well, params, cfg.dt_for(n), n_steps, stride, energy=False
-        )
-        _align(weak, strong)
-        trace = rel_entropy_trace(weak, strong, params)
-        rei = rei_terms(weak, strong, well, params)
-        fit = gronwall_fit(trace)
+    for n, level_rows in zip(levels, rows):
+        trace, rei = pair_traces(level_rows)
         results.append(
             LevelResult(
-                n=n, trace=trace, rei=rei, fit=fit, max_entropy=float(np.max(trace.E))
+                n=n, trace=trace, rei=rei, fit=gronwall_fit(trace),
+                max_entropy=float(np.max(trace.E)),
             )
         )
-
-    # finest level against itself: identical twins
-    twin_trace = rel_entropy_trace(fine_traj, fine_traj, params)
-    twin_max = float(np.max(twin_trace.E))
-    results.append(
-        LevelResult(
-            n=n_fine,
-            trace=twin_trace,
-            rei=rei_terms(fine_traj, fine_traj, well, params),
-            fit=gronwall_fit(twin_trace),
-            max_entropy=twin_max,
-        )
-    )
-    return WSUReport(levels=results, twin_entropy_max=twin_max)
-
-
-def _align(weak: Trajectory, strong: Trajectory):
-    """Trim to the common sample times (strides are chosen to match)."""
-    if len(weak.times) == len(strong.times):
-        return
-    k = min(len(weak.times), len(strong.times))
-    for traj in (weak, strong):
-        traj.times[:] = traj.times[:k]
-        traj.states[:] = traj.states[:k]
-        traj.materials[:] = traj.materials[:k]
+    return WSUReport(levels=results, twin_entropy_max=results[-1].max_entropy)
 
 
 def run_perturbation(
@@ -384,13 +378,9 @@ def run_perturbation(
         raise ValueError(f"delta must be nonnegative, got {delta}")
     well, params = cfg.well, cfg.params
     grid = cfg.grid()
-    n_steps, stride = _steps_and_stride(cfg, cfg.grid_n)
+    chunks = _sample_chunks(cfg, cfg.grid_n)
 
     strong0 = initial_state(cfg, grid)
-    strong, _ = simulate(
-        strong0.copy(), well, params, cfg.dt, n_steps, stride, energy=False
-    )
-
     v = perturbation_velocity(grid)
     weak0 = strong0.copy()
     weak0.u = FaceVectorField(
@@ -398,21 +388,39 @@ def run_perturbation(
         [weak0.u.components[a] + delta * v.components[a] for a in range(grid.dim)],
         DIRICHLET_ZERO,
     )
-    weak, _ = simulate(weak0, well, params, cfg.dt, n_steps, stride, energy=False)
-
-    trace = rel_entropy_trace(weak, strong, params)
-    fit = gronwall_fit(trace)
-    return trace, fit
+    runs = [(weak0, cfg.dt, 1), (strong0, cfg.dt, 1)]
+    rows = [
+        pair_row(weak, strong, weak_m, strong_m, well, params)
+        for (weak, strong), (weak_m, strong_m) in _lockstep(runs, chunks, well, params)
+    ]
+    trace, _ = pair_traces(rows)
+    return trace, gronwall_fit(trace)
 
 
 def run_energy_audit(cfg: ExperimentConfig) -> tuple[list[EnergyReport], float]:
-    """Full unforced run; returns the energy trace and the audit violation."""
+    """Full unforced run; returns the energy trace and the audit violation.
+
+    ``c`` is checked against the maximum-principle bounds of the initial
+    data after every step; an excursion beyond ``MAX_PRINCIPLE_TOL`` raises
+    ``NumericalError`` naming the step, the time and the worst value.
+    """
     if cfg.init_kind == "manufactured":
         raise ValueError("energy audit applies to unforced runs only")
-    grid = cfg.grid()
     n_steps = step_count(cfg.t_end, cfg.dt)
-    state = initial_state(cfg, grid)
-    _, reports = simulate(state, cfg.well, cfg.params, cfg.dt, n_steps, n_steps)
+    state = initial_state(cfg, cfg.grid())
+    bounds = max_principle_bounds(state.c, cfg.well)
+    reports = []
+    history = energy_history(state, cfg.well, cfg.params, cfg.dt, n_steps)
+    for i, (state, report) in enumerate(history):
+        if check_max_principle([state.c], bounds, MAX_PRINCIPLE_TOL)[0]:
+            lo, hi = float(np.min(state.c.values)), float(np.max(state.c.values))
+            worst = lo if bounds.m - lo >= hi - bounds.M else hi
+            raise NumericalError(
+                f"maximum principle violated at step {i}, t={state.t:.6g}: "
+                f"c = {worst!r} outside [{bounds.m!r}, {bounds.M!r}] "
+                f"beyond tolerance {MAX_PRINCIPLE_TOL:.0e}"
+            )
+        reports.append(report)
     return reports, energy_audit(reports)
 
 
@@ -440,6 +448,11 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     levels = list(cfg.wsu_levels)
     if len(levels) < 2:
         raise ValueError(f"need at least 2 refinement levels, got {len(levels)}")
+    if cfg.length != 1.0:
+        raise ValueError(
+            "the manufactured solution is defined on the unit box, "
+            f"got grid.length = {cfg.length!r}"
+        )
     well, params = cfg.well, cfg.params
     ms = ManufacturedSolution(params, well)
 

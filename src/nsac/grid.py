@@ -131,10 +131,6 @@ class FaceVectorField:
         return FaceVectorField(self.grid, [c.copy() for c in self.components], self.bc)
 
 
-def zero_scalar(grid: Grid, bc: str = NO_BC) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.n), bc)
-
-
 def zero_vector(grid: Grid, bc: str = NO_BC) -> FaceVectorField:
     return FaceVectorField(grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)], bc)
 

@@ -36,7 +36,8 @@ CFL_LIMIT = 0.9
 
 
 class NumericalError(RuntimeError):
-    """The state stopped being finite, or a step was rejected as unstable."""
+    """The state stopped being finite, a step was rejected as unstable, or
+    the concentration left its maximum-principle bounds."""
 
 
 class CFLError(NumericalError):
@@ -126,7 +127,9 @@ _BASES = {
 }
 
 
-@lru_cache(maxsize=16)
+# dim + 2 tables per grid (Allen-Cahn, one viscous solve per component,
+# pressure); lockstep studies keep every level's tables live at once.
+@lru_cache(maxsize=64)
 def _inverse_symbol(grid: Grid, kinds: tuple[str, ...], shift: float, coef: float) -> np.ndarray:
     """Reciprocal eigenvalues of (shift - coef lap) in the ``kinds`` basis.
 

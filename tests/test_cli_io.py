@@ -410,6 +410,42 @@ def test_cli_mms_order_uses_level_ratio(tmp_path, monkeypatch):
     assert 1.7 <= np.log(errors[0] / errors[1]) / np.log(24 / 16) <= 2.3
 
 
+def test_cli_mms_non_unit_box_exit_1(tmp_path, capsys, monkeypatch):
+    """The manufactured solution lives on the unit box; 1.5 is a config error."""
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, "init.kind = manufactured\ngrid.length = 1.5\n"
+                               "wsu.levels = 8,16\n")
+    code = main(["mms", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    assert "grid.length = 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overshoot, code", [(1e-3, 2), (5e-7, 0)])
+def test_cli_energy_audit_max_principle(tmp_path, capsys, monkeypatch, overshoot, code):
+    """An excursion of c beyond the bounds plus 1e-6 after step 3 fails the audit."""
+    import nsac.experiments
+
+    real_step = nsac.experiments.step
+
+    def overshooting_step(state, *args, **kwargs):
+        new, report = real_step(state, *args, **kwargs)
+        if abs(new.t - 3e-3) < 1e-9:
+            new.c.values[2, 5] = 1.0 + overshoot
+        return new, report
+
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    monkeypatch.setattr(nsac.experiments, "step", overshooting_step)
+    # c = 1 everywhere at rest: the bounds are [-1, 1] and nothing moves
+    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.005\ntime.dt = 1e-3\n"
+                               "init.kind = vortex\ninit.amplitude = 0\n")
+    assert main(["energy-audit", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "maximum principle" in err
+        assert "step 3," in err and "t=0.003" in err and repr(1.0 + overshoot) in err
+
+
 def _fake_wsu_report(maxima, slack):
     """Three levels whose max entropies are ``maxima``; every REI slack is ``slack``."""
     times = np.array([0.0, 0.1, 0.2])

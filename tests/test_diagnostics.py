@@ -1,4 +1,4 @@
-"""Energy, maximum-principle, relative-entropy, REI, Poincare, Gronwall."""
+"""Energy, maximum-principle, relative-entropy, REI, Gronwall."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,13 @@ from nsac.diagnostics import (
     _edge_weights,
     EnergyReport,
     RelEntropyTrace,
-    Trajectory,
     check_max_principle,
     energy_audit,
     gronwall_fit,
     kinetic_energy,
     max_principle_bounds,
-    omega_weight,
-    poincare_check,
-    rei_terms,
-    rel_entropy_trace,
+    pair_row,
+    pair_traces,
     relative_entropy,
     total_energy,
     velocity_gradient,
@@ -242,32 +239,49 @@ def test_omega_weight_uniform_oracle():
     comps[0][1:-1, :] = 2.0
     state = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
     state.c.values[:] = 0.3
-    assert omega_weight(state) == pytest.approx(1.0 + 4.0, rel=1e-12)
+    m = ScalarField(grid, np.zeros(grid.n), "none")
+    assert pair_row(state, state, m, m, WELL, PARAMS).omega == pytest.approx(
+        1.0 + 4.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# trajectories and REI
+# weak/strong rows and REI
 
 
 def _make_pair(grid, rng, n_samples=5, dt=1e-3):
-    """Two synthetic trajectories with prescribed materials."""
-    weak, strong = Trajectory(), Trajectory()
+    """Synthetic weak and strong samples: (state, material) lists."""
+    weak, strong = [], []
     for k in range(n_samples):
-        for traj, scale in ((weak, 1.0), (strong, 0.9)):
+        for samples, scale in ((weak, 1.0), (strong, 0.9)):
             s = random_state(grid, rng, scale)
             s.t = k * dt
             m = ScalarField(grid, rng.standard_normal(grid.n), "none")
-            traj.append(s, m)
+            samples.append((s, m))
     return weak, strong
+
+
+def _rows(weak, strong, well=WELL):
+    return [pair_row(ws, ss, wm, sm, well, PARAMS)
+            for (ws, wm), (ss, sm) in zip(weak, strong)]
 
 
 def test_rel_entropy_trace_alignment_errors():
     grid = make_grid(2, (8, 8), (1, 1))
     rng = np.random.default_rng(36)
     weak, strong = _make_pair(grid, rng)
-    strong.times[-1] += 1.0
-    with pytest.raises(ValueError):
-        rel_entropy_trace(weak, strong, PARAMS)
+    _rows(weak, strong)
+    strong[-1][0].t += 1.0
+    with pytest.raises(ValueError, match="different times"):
+        _rows(weak, strong)
+    strong[-1][0].t = weak[-1][0].t + 2e-12
+    with pytest.raises(ValueError, match="different times"):
+        _rows(weak, strong)
+    strong[-1][0].t = np.nan
+    with pytest.raises(ValueError, match="different times"):
+        _rows(weak, strong)
+    other = random_state(make_grid(2, (12, 12), (1, 1)), rng)
+    with pytest.raises(ValueError, match="different grids"):
+        pair_row(weak[0][0], other, weak[0][1], weak[0][1], WELL, PARAMS)
 
 
 def test_rei_terms_r_f_quadratic_well_oracle():
@@ -284,13 +298,13 @@ def test_rei_terms_r_f_quadratic_well_oracle():
     grid = make_grid(2, (12, 12), (1, 1))
     rng = np.random.default_rng(37)
     weak, strong = _make_pair(grid, rng)
-    trace = rei_terms(weak, strong, well, PARAMS)
+    _, trace = pair_traces(_rows(weak, strong, well))
     # independent accumulation of the same term
-    times = np.asarray(weak.times)
+    times = np.array([s.t for s, _ in weak])
     rate = np.empty(len(times))
-    for k in range(len(times)):
-        d = weak.states[k].c.values - strong.states[k].c.values
-        mdiff = weak.materials[k].values - strong.materials[k].values
+    for k, ((ws, wm), (ss, sm)) in enumerate(zip(weak, strong)):
+        d = ws.c.values - ss.c.values
+        mdiff = wm.values - sm.values
         rate[k] = -(f2pp / PARAMS.eps) * np.sum(d * mdiff) * grid.cell_volume
     expected = np.zeros(len(times))
     expected[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(times))
@@ -301,39 +315,28 @@ def test_rei_identical_pair_all_zero():
     grid = make_grid(2, (12, 12), (1, 1))
     rng = np.random.default_rng(38)
     weak, _ = _make_pair(grid, rng)
-    trace = rei_terms(weak, weak, WELL, PARAMS)
+    entropy, trace = pair_traces(_rows(weak, weak))
     for name in ("lhs_entropy_gap", "lhs_visc", "lhs_ac", "r_conv", "r_eps1",
                  "r_eps2", "r_eps3", "r_eps4", "r_f", "slack"):
         assert np.all(getattr(trace, name) == 0.0)
+    assert np.all(entropy.E == 0.0) and np.all(entropy.D == 0.0)
 
 
-# ---------------------------------------------------------------------------
-# Poincare
-
-
-def test_poincare_uniform_shift_oracle():
-    """c1 - c2 constant in space: LHS = alpha^2 |Omega|, gradient RHS = 0."""
-    grid = make_grid(2, (16, 16), (1, 1))
-    t1, t2 = Trajectory(), Trajectory()
-    dt = 0.1
-    for k in range(4):
-        for traj, alpha in ((t1, 0.0), (t2, 0.2 * k)):
-            s = make_state(grid)
-            s.t = k * dt
-            s.c.values[:] = alpha
-            traj.append(s, ScalarField(grid, np.zeros(grid.n), "none"))
-    rep = poincare_check(t1, t2)
-    # zero dissipation: the ratio blows up to alpha^2 |Omega| / eta
-    assert rep.K_est > 1e10
-    assert rep.same_initial_data
-
-
-def test_poincare_same_trajectory():
-    grid = make_grid(2, (8, 8), (1, 1))
-    rng = np.random.default_rng(40)
-    t1, _ = _make_pair(grid, rng, n_samples=3)
-    rep = poincare_check(t1, t1)
-    assert rep.K_est == 0.0
+def test_pair_traces_columns_match_rows():
+    """E and omega are copied, D = visc + ac, and the REI LHS integrates the rows."""
+    grid = make_grid(2, (12, 12), (1, 1))
+    rng = np.random.default_rng(39)
+    weak, strong = _make_pair(grid, rng, n_samples=4)
+    rows = _rows(weak, strong)
+    entropy, rei = pair_traces(rows)
+    assert np.array_equal(entropy.times, [r.t for r in rows])
+    assert np.array_equal(entropy.E, [r.E for r in rows])
+    assert np.array_equal(entropy.omega, [r.omega for r in rows])
+    assert np.array_equal(entropy.D, [r.visc + r.ac for r in rows])
+    assert np.array_equal(rei.lhs_entropy_gap, [r.E - rows[0].E for r in rows])
+    assert rows[1].E == relative_entropy(weak[1][0], strong[1][0], PARAMS)
+    visc = [r.visc for r in rows]
+    assert rei.lhs_visc[1] == 0.5 * (visc[1] + visc[0]) * (rows[1].t - rows[0].t)
 
 
 # ---------------------------------------------------------------------------

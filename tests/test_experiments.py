@@ -1,12 +1,16 @@
 """Initial data library, grid transfer, drivers, convergence studies."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nsac.diagnostics import kinetic_energy
+from nsac.diagnostics import kinetic_energy, pair_row, pair_traces
 from nsac.experiments import (
     ExperimentConfig,
     bubble_concentration,
+    energy_history,
     initial_state,
     perturbation_velocity,
     restrict_scalar,
@@ -21,7 +25,7 @@ from nsac.experiments import (
 )
 from nsac.grid import NEUMANN_ZERO, ScalarField, divergence, integrate, make_grid
 from nsac.manufactured import ManufacturedSolution
-from nsac.solver import FluidParams
+from nsac.solver import FluidParams, _inverse_symbol, step
 from nsac.potential import quartic_well
 
 
@@ -131,30 +135,27 @@ def test_restrict_incompatible_grids():
 def test_simulate_samples_and_cumulative_dissipation():
     cfg = small_cfg(init_kind="bubble")
     state = initial_state(cfg)
-    traj, reports = simulate(state, cfg.well, cfg.params, cfg.dt, 20, 5)
-    assert len(traj.states) == 5  # t=0 plus 4 strides
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(0.02, rel=1e-12)
-    cums = [r.cumulative_diss for r in reports]
+    history = list(energy_history(state, cfg.well, cfg.params, cfg.dt, 20))
+    assert len(history) == 21  # t=0 plus 20 steps
+    assert history[0][0] is state and history[0][1].t == 0.0
+    assert history[-1][0].t == pytest.approx(0.02, rel=1e-12)
+    assert [r.t for _, r in history] == [s.t for s, _ in history]
+    cums = [r.cumulative_diss for _, r in history]
+    assert cums[0] == 0.0
     assert all(b >= a for a, b in zip(cums, cums[1:]))
-    assert traj.materials[0] is not None  # backfilled at finalize
 
 
 def test_simulate_without_energy_matches_with_energy():
     cfg = small_cfg(init_kind="bubble")
-    with_e, reports = simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6, 2)
-    without, none = simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6, 2,
-                             energy=False)
-    assert none == [] and len(reports) == 7
-    assert np.array_equal(with_e.times, without.times)
-    for a, b in zip(with_e.states, without.states):
+    with_e = list(energy_history(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6))
+    without = list(simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6))
+    assert len(with_e) == 7 and len(without) == 6
+    for (a, _), (b, _) in zip(with_e[1:], without):
         assert a.t == b.t
         assert np.array_equal(a.c.values, b.c.values)
         assert np.array_equal(a.p.values, b.p.values)
         for ua, ub in zip(a.u.components, b.u.components):
             assert np.array_equal(ua, ub)
-    for a, b in zip(with_e.materials, without.materials):
-        assert np.array_equal(a.values, b.values)
 
 
 def test_step_count_needs_a_whole_number_of_steps():
@@ -166,11 +167,17 @@ def test_step_count_needs_a_whole_number_of_steps():
 
 
 def test_simulate_trajectory_states_are_copies():
+    """simulate yields a new state per step and leaves its input alone."""
     cfg = small_cfg(init_kind="vortex")
     state = initial_state(cfg)
-    traj, _ = simulate(state, cfg.well, cfg.params, cfg.dt, 4, 2)
-    assert traj.states[0].t == 0.0
-    assert traj.states[-1].t > traj.states[0].t
+    before = state.copy()
+    states = [s for s, _ in simulate(state, cfg.well, cfg.params, cfg.dt, 4)]
+    assert len({id(s) for s in states + [state]}) == 5
+    assert state.t == 0.0
+    assert states[-1].t > states[0].t
+    assert np.array_equal(state.c.values, before.c.values)
+    for ua, ub in zip(state.u.components, before.u.components):
+        assert np.array_equal(ua, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +205,79 @@ def test_run_wsu_structure_and_twin():
     assert maxima[0] > maxima[1] > maxima[2] == 0.0
     assert len(rep.refinement_ratios) == 1
     assert rep.refinement_ratios[0] > 1.0
+
+
+def _reference_wsu(cfg):
+    """run_wsu with stored trajectories: each level runs on its own, its
+    sampled states are kept, the fine ones are restricted, and every sample
+    goes through the same row function."""
+    well, params, levels = cfg.well, cfg.params, cfg.wsu_levels
+    base_steps = step_count(cfg.t_end, cfg.dt_for(levels[0]))
+    base_stride = max(1, base_steps // cfg.sample_count)
+
+    def run(state, n):
+        ratio = n // levels[0]
+        n_steps, stride = base_steps * ratio, base_stride * ratio
+        samples = [[state, None]]
+        for i in range(1, n_steps + 1):
+            state, report = step(state, well, params, cfg.dt_for(n))
+            if i % stride == 0 or i == n_steps:
+                samples.append([state, report.material_derivative])
+        samples[0][1] = samples[1][1]  # t = 0 takes the first sample's material
+        return samples
+
+    fine = run(initial_state(cfg, cfg.grid(levels[-1])), levels[-1])
+    out = {}
+    for n in levels[:-1]:
+        grid = cfg.grid(n)
+        strong = [(restrict_state(s, grid), restrict_scalar(m, grid)) for s, m in fine]
+        weak = run(strong[0][0].copy(), n)
+        out[n] = pair_traces([pair_row(ws, ss, wm, sm, well, params)
+                              for (ws, wm), (ss, sm) in zip(weak, strong)])
+    out[levels[-1]] = pair_traces([pair_row(s, s, m, m, well, params) for s, m in fine])
+    return out
+
+
+@pytest.mark.parametrize(
+    "t_end, rows",
+    [(0.042, 12), (0.01, 6), (0.04, 11)],
+    ids=["remainder-chunk", "stride-1", "stride-2"],
+)
+def test_run_wsu_lockstep_matches_separate_runs(t_end, rows):
+    """Coarse steps 21 (stride 2 plus a 1-step chunk), 5 (stride 1), 20 (stride 2)."""
+    cfg = small_cfg(init_kind="bubble", t_end=t_end, sample_count=10)
+    report = run_wsu(cfg)
+    reference = _reference_wsu(cfg)
+    for lv in report.levels:
+        assert len(lv.trace.times) == rows
+        for got, want in zip((lv.trace, lv.rei), reference[lv.n]):
+            for f in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (
+                    lv.n, f.name)
+
+
+def test_run_wsu_memory_does_not_grow_with_samples():
+    """Lockstep keeps one state per level: 4x the samples, about the same peak."""
+    peaks = {}
+    for samples in (10, 40):
+        cfg = small_cfg(init_kind="bubble", wsu_levels=(16, 32, 64), t_end=0.04,
+                        sample_count=samples)
+        _inverse_symbol.cache_clear()
+        tracemalloc.start()
+        try:
+            run_wsu(cfg)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] <= 1.2 * peaks[10], peaks
+
+
+@pytest.mark.parametrize("levels", [(8, 16, 32, 64), (4, 8, 16, 32, 64)])
+def test_run_wsu_builds_each_spectral_table_once(levels):
+    """dim + 2 = 4 tables per 2-D level, all live at once in lockstep."""
+    _inverse_symbol.cache_clear()
+    run_wsu(small_cfg(init_kind="bubble", wsu_levels=levels, t_end=0.008))
+    assert _inverse_symbol.cache_info().misses == 4 * len(levels)
 
 
 def test_run_wsu_needs_three_levels_and_bubble():
