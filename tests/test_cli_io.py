@@ -311,9 +311,10 @@ def _write_cfg(tmp_path, text):
     return str(p)
 
 
-def _run_cli(args, out):
+def _run_cli(args, out, env_extra=None):
     env = dict(os.environ)
     env.pop("NSAC_OUT", None)
+    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "nsac.cli", *args, "--out", out],
         capture_output=True, text=True, env=env,
@@ -528,12 +529,19 @@ def test_cli_in_process_main_quiet(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_determinism_bitwise(tmp_path):
-    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.005\n"
-                               "init.kind = spinodal\ninit.seed = 3\n")
-    outs = []
-    for sub in ("a", "b"):
-        out = str(tmp_path / sub)
-        r = _run_cli(["energy-audit", "--config", cfg], out)
-        assert r.returncode == 0, r.stderr
-        outs.append((tmp_path / sub / "energy.csv").read_bytes())
-    assert outs[0] == outs[1]
+    cases = [
+        ("small", "grid.n = 16\ntime.t_end = 0.005\n", (None, None)),
+        # the spectral solves are BLAS matmuls: the thread count must not matter
+        ("threads", "grid.n = 128\ntime.t_end = 0.001\n", ("1", "2")),
+    ]
+    for name, text, threads in cases:
+        (tmp_path / name).mkdir()
+        cfg = _write_cfg(tmp_path / name, text + "init.kind = spinodal\ninit.seed = 3\n")
+        outs = []
+        for sub, count in zip(("a", "b"), threads):
+            out = tmp_path / name / sub
+            env = {} if count is None else {"OPENBLAS_NUM_THREADS": count, "OMP_NUM_THREADS": count}
+            r = _run_cli(["energy-audit", "--config", cfg], str(out), env)
+            assert r.returncode == 0, r.stderr
+            outs.append((out / "energy.csv").read_bytes())
+        assert outs[0] == outs[1], name

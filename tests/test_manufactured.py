@@ -1,5 +1,5 @@
 """The closed-form manufactured solution against its symbolic derivation,
-and the runtime path kept free of sympy."""
+and the runtime path kept free of sympy and scipy."""
 
 import os
 import subprocess
@@ -103,6 +103,8 @@ def test_sampled_fields_are_fresh_arrays():
 def test_runtime_path_does_not_import_sympy(tmp_path):
     cfg = tmp_path / "mms.cfg"
     cfg.write_text("init.kind = manufactured\nwsu.levels = 8,16\n")
+    audit = tmp_path / "audit.cfg"
+    audit.write_text("grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\ninit.kind = vortex\n")
     script = textwrap.dedent(f"""
         import sys
         import nsac.cli
@@ -110,7 +112,11 @@ def test_runtime_path_does_not_import_sympy(tmp_path):
         code = nsac.cli.main(["mms", "--config", {str(cfg)!r},
                               "--out", {str(tmp_path / "out")!r}, "--quiet"])
         assert code in (0, 2), code
-        assert "sympy" not in sys.modules, "sympy was imported"
+        code = nsac.cli.main(["energy-audit", "--config", {str(audit)!r},
+                              "--out", {str(tmp_path / "audit")!r}, "--quiet"])
+        assert code == 0, code
+        for name in ("sympy", "scipy"):
+            assert name not in sys.modules, name + " was imported"
     """)
     env = dict(os.environ)
     env.pop("NSAC_OUT", None)
@@ -119,3 +125,4 @@ def test_runtime_path_does_not_import_sympy(tmp_path):
                        env=env)
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "out" / "mms_spatial.csv").exists()
+    assert (tmp_path / "audit" / "energy.csv").exists()

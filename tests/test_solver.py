@@ -20,6 +20,7 @@ from nsac.solver import (
     CFLError,
     FluidParams,
     NumericalError,
+    _basis,
     _component_laplacian,
     _spectral_solve,
     advection_term,
@@ -340,3 +341,21 @@ def test_spectral_solves_are_exact(grid, seed):
     p = solve_neumann_poisson(grid, rhs)
     resid = laplacian(ScalarField(grid, p, NEUMANN_ZERO)).values - rhs
     assert rel(resid, rhs) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 16, 31, 48, 127, 128, 129])
+@pytest.mark.parametrize("kind, transform, kind_type", [
+    ("neumann", "dct", 2), ("wall", "dst", 1), ("ghost", "dst", 2),
+])
+def test_bases_match_scipy_orthonormal_transforms(kind, transform, kind_type, n):
+    # scipy is the oracle here only; the solver builds its bases with numpy
+    import scipy.fft
+
+    q, qt = _basis(kind, n)
+    m = n - 1 if kind == "wall" else n
+    eye = np.eye(m)
+    ref = getattr(scipy.fft, transform)(eye, type=kind_type, axis=0, norm="ortho")
+    assert np.max(np.abs(q - ref)) <= 1e-14
+    assert np.max(np.abs(qt @ q - eye)) <= 1e-13
+    assert np.array_equal(qt, q.T) and qt.flags.c_contiguous
+    assert not q.flags.writeable and not qt.flags.writeable
