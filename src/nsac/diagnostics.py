@@ -13,6 +13,7 @@ use the trapezoid rule on step boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +57,9 @@ def kinetic_energy(u: FaceVectorField) -> float:
 
 
 def total_energy(state: State, well: DoubleWell, params: FluidParams) -> EnergyReport:
-    """Kinetic, interfacial and bulk potential energy of a state."""
-    g = gradient(state.c)
+    """Kinetic, interfacial and bulk potential energy; grad c from the carry if any."""
+    carried = state.carried()
+    g = gradient(state.c) if carried is None else carried[0]
     interfacial = 0.5 * params.eps * face_inner(g, g)
     potential = integrate(
         ScalarField(state.grid, well.eval_F(state.c.values))
@@ -70,8 +72,10 @@ def total_energy(state: State, well: DoubleWell, params: FluidParams) -> EnergyR
     )
 
 
-def _edge_weights(grid: Grid, axes: tuple[int, ...]) -> float | np.ndarray:
-    """Trapezoid quadrature weights on an edge grid (1/2 on wall planes)."""
+# one table per axis pair and grid; lockstep studies keep every level's live.
+@lru_cache(maxsize=64)
+def _edge_weights(grid: Grid, axes: tuple[int, ...]) -> np.ndarray:
+    """Trapezoid quadrature weights on an edge grid (1/2 on wall planes), read-only."""
     out = np.ones([grid.n[a] + (1 if a in axes else 0) for a in range(grid.dim)])
     for a in axes:
         line = np.ones(grid.n[a] + 1)
@@ -80,6 +84,7 @@ def _edge_weights(grid: Grid, axes: tuple[int, ...]) -> float | np.ndarray:
         sl = [None] * grid.dim
         sl[a] = slice(None)
         out = out * line[tuple(sl)]
+    out.flags.writeable = False
     return out
 
 
@@ -154,12 +159,15 @@ class MaxPrincipleBounds:
 
 
 def max_principle_bounds(c0: ScalarField, well: DoubleWell) -> MaxPrincipleBounds:
-    """Convex hull of the initial range and the well minimizers."""
+    """Convex hull of the initial range and the well minimizers.
+
+    Raises ``ValueError`` if the range leaves [f1, f2]; a NaN fails both tests.
+    """
     lo = float(np.min(c0.values))
     hi = float(np.max(c0.values))
-    if lo < well.f1 or hi > well.f2:
+    if not (well.f1 <= lo and hi <= well.f2):
         raise ValueError(
-            f"initial range [{lo}, {hi}] exceeds admissible [{well.f1}, {well.f2}]"
+            f"initial range [{lo}, {hi}] is not within admissible [{well.f1}, {well.f2}]"
         )
     return MaxPrincipleBounds(m=min(lo, well.y1), M=max(hi, well.y2))
 
@@ -167,15 +175,20 @@ def max_principle_bounds(c0: ScalarField, well: DoubleWell) -> MaxPrincipleBound
 def check_max_principle(
     c_fields: list[ScalarField], bounds: MaxPrincipleBounds, tol: float
 ) -> tuple[int, float]:
-    """Count cells outside [m - tol, M + tol]; report the worst excursion."""
+    """Count cells outside [m - tol, M + tol]; report the worst excursion.
+
+    A non-finite cell counts as a violation and makes ``worst`` non-finite.
+    """
     violations = 0
     worst = 0.0
     for c in c_fields:
         below = bounds.m - c.values
         above = c.values - bounds.M
         excursion = np.maximum(below, above)
-        violations += int(np.count_nonzero(excursion > tol))
-        worst = max(worst, float(np.max(excursion)))
+        # a NaN excursion fails every comparison: count what is not within tol
+        violations += int(np.count_nonzero(~(excursion <= tol)))
+        # np.max, unlike the builtin, propagates a NaN
+        worst = float(np.max((worst, np.max(excursion))))
     return violations, worst
 
 

@@ -42,10 +42,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.n))
-
     def face_shape(self, axis: int) -> tuple[int, ...]:
         shape = list(self.n)
         shape[axis] += 1
@@ -221,21 +217,6 @@ def avg_to_cells(v: FaceVectorField) -> list[np.ndarray]:
         lo = _axslice(grid.dim, a, slice(None, -1))
         hi = _axslice(grid.dim, a, slice(1, None))
         out.append(0.5 * (v.components[a][lo] + v.components[a][hi]))
-    return out
-
-
-def avg_to_faces(c: ScalarField, axis: int, boundary: float = 0.0) -> np.ndarray:
-    """Average a cell scalar to the faces normal to ``axis``.
-
-    Boundary faces receive ``boundary`` (forces vanish there for Dirichlet
-    velocities, so 0 is the useful default).
-    """
-    grid = c.grid
-    out = np.full(grid.face_shape(axis), float(boundary))
-    interior = _axslice(grid.dim, axis, slice(1, -1))
-    lo = _axslice(grid.dim, axis, slice(None, -1))
-    hi = _axslice(grid.dim, axis, slice(1, None))
-    out[interior] = 0.5 * (c.values[lo] + c.values[hi])
     return out
 
 

@@ -247,9 +247,11 @@ def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
     def scalars(fh, name, values):
         fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
         values = np.asarray(values)
-        # x fastest; one write per x-line keeps the formatted text small
+        # x fastest; one write per x-line keeps the formatted text small, and
+        # one % over the whole line formats it in a single call
+        line_fmt = (FLOAT_FMT + "\n") * values.shape[0]
         for line in values.T.reshape(-1, values.shape[0]):
-            fh.write("\n".join(map(FLOAT_FMT.__mod__, line.tolist())) + "\n")
+            fh.write(line_fmt % tuple(line.tolist()))
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

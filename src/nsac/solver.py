@@ -12,7 +12,7 @@ modified pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +24,6 @@ from .grid import (
     Grid,
     ScalarField,
     _axslice,
-    avg_to_faces,
     divergence,
     gradient,
     laplacian,
@@ -63,16 +62,27 @@ class FluidParams:
 
 @dataclass
 class State:
-    """Discrete (u, c, p) at one instant."""
+    """Discrete (u, c, p) at one instant.
+
+    A stepped state's ``carry`` is ``(c.values, gradient(c), laplacian(c).values)``,
+    all read-only, for the next step and the energy to reuse.
+    """
 
     t: float
     u: FaceVectorField
     c: ScalarField
     p: ScalarField
+    carry: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:
         return self.c.grid
+
+    def carried(self) -> tuple[FaceVectorField, np.ndarray] | None:
+        """The carried gradient and Laplacian of c; None once c or c.values is rebound."""
+        if self.carry is None or self.carry[0] is not self.c.values:
+            return None
+        return self.carry[1], self.carry[2]
 
     def copy(self) -> "State":
         return State(self.t, self.u.copy(), self.c.copy(), self.p.copy())
@@ -97,17 +107,16 @@ def make_state(grid: Grid, t: float = 0.0, u=None, c=None, p=None) -> State:
     return State(t=t, u=u, c=c, p=p)
 
 
-def advect_scalar(u: FaceVectorField, c: ScalarField) -> ScalarField:
-    """Centered u . grad(c) at cell centers.
+def advect_scalar(u: FaceVectorField, grad_c: FaceVectorField) -> ScalarField:
+    """Centered u . grad(c) at cell centers, from the face gradient of c.
 
     Face-gradient values are multiplied by face velocities and averaged back
     to cells; boundary faces contribute nothing (both factors vanish there).
     """
-    grid = c.grid
-    g = gradient(c)
+    grid = grad_c.grid
     out = np.zeros(grid.n)
     for a in range(grid.dim):
-        prod = u.components[a] * g.components[a]
+        prod = u.components[a] * grad_c.components[a]
         lo = _axslice(grid.dim, a, slice(None, -1))
         hi = _axslice(grid.dim, a, slice(1, None))
         out += 0.5 * (prod[lo] + prod[hi])
@@ -205,19 +214,23 @@ def solve_neumann_poisson(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     return _spectral_solve(grid, -rhs, ("neumann",) * grid.dim, 0.0, 1.0)
 
 
-def capillary_force(c: ScalarField, eps: float) -> FaceVectorField:
-    """Face-centered -eps * lap(c) * grad(c).
+def capillary_force(grad_c: FaceVectorField, lap_c: np.ndarray, eps: float) -> FaceVectorField:
+    """Face-centered -eps * lap(c) * grad(c), from gradient(c) and laplacian(c).values.
 
     Equivalent to -eps div(grad c x grad c) with the grad(|grad c|^2 / 2)
     part absorbed into the pressure.
     """
-    grid = c.grid
-    lapc = ScalarField(grid, laplacian(c).values, "none")
-    g = gradient(c)
+    grid = grad_c.grid
     comps = []
     for a in range(grid.dim):
-        face_lap = avg_to_faces(lapc, a)
-        comps.append(-eps * face_lap * g.components[a])
+        inner = _axslice(grid.dim, a, slice(1, -1))
+        lo = _axslice(grid.dim, a, slice(None, -1))
+        hi = _axslice(grid.dim, a, slice(1, None))
+        # lap c averaged to the interior faces; the wall faces stay 0
+        force = np.zeros(grid.face_shape(a))
+        force[inner] = (lap_c[lo] + lap_c[hi]) * (-0.5 * eps)
+        force[inner] *= grad_c.components[a][inner]
+        comps.append(force)
     return FaceVectorField(grid, comps, DIRICHLET_ZERO)
 
 
@@ -250,28 +263,6 @@ def _component_laplacian(comp: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return out
 
 
-def _avg_along(arr: np.ndarray, axis: int) -> np.ndarray:
-    lo = _axslice(arr.ndim, axis, slice(None, -1))
-    hi = _axslice(arr.ndim, axis, slice(1, None))
-    return 0.5 * (arr[lo] + arr[hi])
-
-
-def _tangential_to_nodes(comp: np.ndarray, grid: Grid, comp_axis: int, node_axis: int) -> np.ndarray:
-    """Average component ``comp_axis`` to the face/node grid of ``node_axis``.
-
-    The result lives where both the ``comp_axis`` faces and ``node_axis``
-    faces intersect (edge/corner points). Wall planes normal to ``node_axis``
-    get the Dirichlet wall value 0.
-    """
-    dim = grid.dim
-    shape = list(comp.shape)
-    shape[node_axis] += 1
-    out = np.zeros(shape)
-    interior = _axslice(dim, node_axis, slice(1, -1))
-    out[interior] = _avg_along(comp, node_axis)
-    return out
-
-
 def _dcomp_dnode(comp: np.ndarray, grid: Grid, node_axis: int) -> np.ndarray:
     """d(comp)/d(node_axis) at the node grid, with antisymmetric wall ghosts."""
     dim = grid.dim
@@ -292,7 +283,11 @@ def advection_term(u: FaceVectorField) -> FaceVectorField:
     """Skew-symmetric (divergence/advective average) centered advection.
 
     Returns A(u) approximating div(u x u) at the velocity faces; boundary
-    faces are zero (velocity is pinned there).
+    faces are zero (velocity is pinned there). At an interior face f of
+    component a the average of the two forms collapses to
+    A_a(f) = sum_b [V_b(f + e_b/2) u_a(f + e_b) - V_b(f - e_b/2) u_a(f - e_b)] / (2 h_b),
+    with V_b = u_b averaged along a to the midpoint. On a wall edge V_b is
+    the pinned normal velocity 0, so the wall ghosts of u_a drop out.
     """
     grid = u.grid
     dim = grid.dim
@@ -300,24 +295,23 @@ def advection_term(u: FaceVectorField) -> FaceVectorField:
     for a in range(dim):
         ua = u.components[a]
         acc = np.zeros_like(ua)
+        inner = _axslice(dim, a, slice(1, -1))
+        lo_a = _axslice(dim, a, slice(None, -1))
+        hi_a = _axslice(dim, a, slice(1, None))
         for b in range(dim):
-            hb = grid.h[b]
+            ub = u.components[b]
+            v = (ub[lo_a] + ub[hi_a]) * (0.25 / grid.h[b])
             if b == a:
-                # own-axis part built from cell-centered averages
-                uc = _avg_along(ua, a)  # u_a at cells
-                flux_cells = uc * uc
-                dadv_cells = uc * (np.diff(ua, axis=a) / hb)
-                interior = _axslice(dim, a, slice(1, -1))
-                acc[interior] += 0.5 * (np.diff(flux_cells, axis=a) / hb)
-                acc[interior] += 0.5 * _avg_along(dadv_cells, a)
+                # midpoints are the cells, between every pair of faces
+                acc_b, ua_b = acc, ua
             else:
-                # transverse part built on the a/b edge grid
-                ub_nodes = _tangential_to_nodes(u.components[b], grid, b, a)
-                ua_nodes = _tangential_to_nodes(ua, grid, a, b)
-                dua_nodes = _dcomp_dnode(ua, grid, b)
-                flux_nodes = ub_nodes * ua_nodes
-                acc += 0.5 * (np.diff(flux_nodes, axis=b) / hb)
-                acc += 0.5 * _avg_along(ub_nodes * dua_nodes, b)
+                # midpoints are the interior a/b edges, between interior faces
+                v = v[_axslice(dim, b, slice(1, -1))]
+                acc_b, ua_b = acc[inner], ua[inner]
+            lo = _axslice(dim, b, slice(None, -1))
+            hi = _axslice(dim, b, slice(1, None))
+            acc_b[lo] += v * ua_b[hi]
+            acc_b[hi] -= v * ua_b[lo]
         acc[_axslice(dim, a, 0)] = 0.0
         acc[_axslice(dim, a, -1)] = 0.0
         comps.append(acc)
@@ -344,7 +338,8 @@ def allen_cahn_step(
     + sigma c with sigma = L / (2 eps), then reports the material derivative
     (c_new - c)/dt + u.grad c. ``source`` adds an explicit forcing term
     (manufactured-solution runs). The solve is for the increment c_new - c,
-    whose roundoff scales with the change rather than with c/dt.
+    whose roundoff scales with the change rather than with c/dt. grad c and
+    lap c come from the state's carry if it has one, which is then released.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -352,8 +347,10 @@ def allen_cahn_step(
     c = state.c
     eps = params.eps
     sigma = well.lipschitz_constant() / (2.0 * eps)
-    adv = advect_scalar(state.u, c)
-    rhs = eps * laplacian(c).values - adv.values - well.eval_Fprime(c.values) / eps
+    grad_c, lap_c = state.carried() or (gradient(c), laplacian(c).values)
+    state.carry = None
+    adv = advect_scalar(state.u, grad_c)
+    rhs = eps * lap_c - adv.values - well.eval_Fprime(c.values) / eps
     if source is not None:
         rhs = rhs + source.values
     delta = _spectral_solve(grid, rhs, ("neumann",) * grid.dim, 1.0 / dt + sigma, eps)
@@ -372,7 +369,8 @@ def momentum_step(
     """Advection + implicit viscosity + capillary force, then projection.
 
     Returns the new state (with t unchanged; ``step`` advances it) and the
-    realized advective CFL.
+    realized advective CFL. The new state carries grad and lap of ``c_new``,
+    whose values become read-only so that the carry cannot go stale.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -383,7 +381,11 @@ def momentum_step(
         raise CFLError(cfl)
 
     adv = advection_term(state.u)
-    force = capillary_force(c_new, params.eps)
+    grad_c = gradient(c_new)
+    lap_c = laplacian(c_new).values
+    for arr in (c_new.values, *grad_c.components, lap_c):
+        arr.flags.writeable = False
+    force = capillary_force(grad_c, lap_c, params.eps)
     half_nu = 0.5 * params.nu
 
     star_comps = []
@@ -409,7 +411,7 @@ def momentum_step(
     gp = gradient(ScalarField(grid, p_vals, NEUMANN_ZERO))
     new_comps = [u_star.components[a] - dt * gp.components[a] for a in range(dim)]
     u_new = FaceVectorField(grid, new_comps, DIRICHLET_ZERO)
-    return State(t=state.t, u=u_new, c=c_new, p=p), cfl
+    return State(t=state.t, u=u_new, c=c_new, p=p, carry=(c_new.values, grad_c, lap_c)), cfl
 
 
 def step(

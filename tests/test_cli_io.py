@@ -431,6 +431,8 @@ def test_cli_energy_audit_max_principle(tmp_path, capsys, monkeypatch, overshoot
     def overshooting_step(state, *args, **kwargs):
         new, report = real_step(state, *args, **kwargs)
         if abs(new.t - 3e-3) < 1e-9:
+            # a stepped c is read-only: rebind it to an overshooting copy
+            new.c = new.c.copy()
             new.c.values[2, 5] = 1.0 + overshoot
         return new, report
 

@@ -6,6 +6,7 @@ import pytest
 from nsac.diagnostics import (
     _edge_weights,
     EnergyReport,
+    MaxPrincipleBounds,
     RelEntropyTrace,
     check_max_principle,
     energy_audit,
@@ -201,6 +202,26 @@ def test_check_max_principle_counts():
     assert worst == pytest.approx(5e-4, rel=1e-9)
     count, worst = check_max_principle([good], b, tol=1e-6)
     assert count == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_max_principle_fails_on_non_finite(bad):
+    grid = make_grid(2, (8, 8), (1, 1))
+    c = ScalarField(grid, np.zeros(grid.n), NEUMANN_ZERO)
+    c.values[3, 4] = bad
+    good = ScalarField(grid, np.full(grid.n, 0.5), NEUMANN_ZERO)
+    for fields in ([c], [c, good], [good, c]):
+        count, worst = check_max_principle(fields, MaxPrincipleBounds(-1.0, 1.0), 1e-6)
+        assert count == 1
+        assert not np.isfinite(worst)
+
+
+def test_max_principle_bounds_reject_non_finite_range():
+    grid = make_grid(2, (8, 8), (1, 1))
+    c = ScalarField(grid, np.full(grid.n, 0.02), NEUMANN_ZERO)
+    c.values[1, 2] = np.nan
+    with pytest.raises(ValueError, match="nan"):
+        max_principle_bounds(c, WELL)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nsac.diagnostics import kinetic_energy, pair_row, pair_traces
+from nsac.diagnostics import _edge_weights, kinetic_energy, pair_row, pair_traces
 from nsac.experiments import (
     ExperimentConfig,
     bubble_concentration,
@@ -264,6 +264,7 @@ def test_run_wsu_memory_does_not_grow_with_samples():
                         sample_count=samples)
         _inverse_symbol.cache_clear()
         _basis.cache_clear()
+        _edge_weights.cache_clear()
         tracemalloc.start()
         try:
             run_wsu(cfg)
@@ -275,13 +276,16 @@ def test_run_wsu_memory_does_not_grow_with_samples():
 
 @pytest.mark.parametrize("levels", [(8, 16, 32, 64), (4, 8, 16, 32, 64)])
 def test_run_wsu_builds_each_spectral_table_once(levels):
-    """dim + 2 = 4 symbol tables and 3 bases (neumann, wall, ghost) per
-    square 2-D level, all live at once in lockstep."""
+    """dim + 2 = 4 symbol tables, 3 bases (neumann, wall, ghost) and one
+    edge-weight table per square 2-D level, all live at once in lockstep."""
     _inverse_symbol.cache_clear()
     _basis.cache_clear()
+    _edge_weights.cache_clear()
     run_wsu(small_cfg(init_kind="bubble", wsu_levels=levels, t_end=0.008))
     assert _inverse_symbol.cache_info().misses == 4 * len(levels)
     assert _basis.cache_info().misses == 3 * len(levels)
+    assert _edge_weights.cache_info().misses == len(levels)
+    assert not _edge_weights(make_grid(2, (8, 8), (1, 1)), (0, 1)).flags.writeable
 
 
 def test_run_wsu_needs_three_levels_and_bubble():

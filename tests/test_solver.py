@@ -12,6 +12,7 @@ from nsac.grid import (
     ScalarField,
     _axslice,
     divergence,
+    gradient,
     laplacian,
     make_grid,
 )
@@ -54,14 +55,18 @@ def test_fluid_params_validation():
         FluidParams(nu=0.01, eps=-1.0)
 
 
+def _capillary(c):
+    return capillary_force(gradient(c), laplacian(c).values, PARAMS.eps)
+
+
 def test_capillary_force_constant_and_linear():
     grid = make_grid(2, (16, 16), (1, 1))
     c = ScalarField(grid, np.full(grid.n, 0.7), NEUMANN_ZERO)
-    f = capillary_force(c, PARAMS.eps)
+    f = _capillary(c)
     assert all(np.all(comp == 0.0) for comp in f.components)
     x = grid.cell_centers(0)
     c = ScalarField(grid, np.broadcast_to(x[:, None], grid.n).copy(), NEUMANN_ZERO)
-    f = capillary_force(c, PARAMS.eps)
+    f = _capillary(c)
     # linear c is harmonic: lap(c) = 0 away from the Neumann walls
     assert np.allclose(f.components[0][2:-2, :], 0.0, atol=1e-12)
     assert np.allclose(f.components[1][:, 2:-2], 0.0, atol=1e-12)
@@ -71,7 +76,7 @@ def test_capillary_force_quadratic_profile():
     grid = make_grid(2, (32, 32), (1, 1))
     x = grid.cell_centers(0)
     c = ScalarField(grid, np.broadcast_to(x[:, None] ** 2, grid.n).copy(), NEUMANN_ZERO)
-    f = capillary_force(c, PARAMS.eps)
+    f = _capillary(c)
     xf = grid.face_coords(0)
     # interior: lap = 2, grad = 2 x_face, so f_x = -eps * 4 x
     expected = -4.0 * PARAMS.eps * xf[2:-2]
@@ -186,14 +191,89 @@ def test_momentum_vortex_kinetic_energy_decreases():
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
+def _random_velocity(grid, rng, scale=1.0):
+    comps = [scale * rng.standard_normal(grid.face_shape(a)) for a in range(grid.dim)]
+    return FaceVectorField(grid, comps, DIRICHLET_ZERO)
+
+
 def test_advection_term_is_exactly_skew():
-    grid = make_grid(2, (24, 24), (1, 1))
-    u = stream_function_velocity(grid, 0.8)
-    adv = advection_term(u)
-    total = sum(
-        float(np.sum(adv.components[a] * u.components[a])) for a in range(2)
-    ) * grid.cell_volume
-    assert abs(total) < 1e-15
+    # a solenoidal 2-D field, and a random 3-D one: only the pinned walls matter
+    grid3 = make_grid(3, (8, 10, 12), (1.0, 1.25, 1.5))
+    for u in (
+        stream_function_velocity(make_grid(2, (24, 24), (1, 1)), 0.8),
+        _random_velocity(grid3, np.random.default_rng(7), 0.5),
+    ):
+        grid = u.grid
+        adv = advection_term(u)
+        total = sum(
+            float(np.sum(adv.components[a] * u.components[a])) for a in range(grid.dim)
+        ) * grid.cell_volume
+        assert abs(total) < 1e-15
+
+
+def _node_grid_advection(u):
+    """Reference: half divergence form plus half advective form on node grids.
+
+    Each transverse product is formed on the a/b edge grid padded with the
+    wall values (0 for averages, antisymmetric ghosts for derivatives).
+    """
+    grid = u.grid
+    dim = grid.dim
+
+    def avg(arr, axis):
+        return 0.5 * (arr[_axslice(arr.ndim, axis, slice(None, -1))]
+                      + arr[_axslice(arr.ndim, axis, slice(1, None))])
+
+    def padded(interior, axis):
+        shape = list(interior.shape)
+        shape[axis] += 2
+        out = np.zeros(shape)
+        out[_axslice(dim, axis, slice(1, -1))] = interior
+        return out
+
+    comps = []
+    for a in range(dim):
+        ua = u.components[a]
+        acc = np.zeros_like(ua)
+        for b in range(dim):
+            hb = grid.h[b]
+            if b == a:
+                uc = avg(ua, a)
+                inner = _axslice(dim, a, slice(1, -1))
+                acc[inner] += 0.5 * np.diff(uc * uc, axis=a) / hb
+                acc[inner] += 0.5 * avg(uc * np.diff(ua, axis=a) / hb, a)
+            else:
+                ub_nodes = padded(avg(u.components[b], a), a)
+                ua_nodes = padded(avg(ua, b), b)
+                dua_nodes = padded(np.diff(ua, axis=b) / hb, b)
+                dua_nodes[_axslice(dim, b, 0)] = 2.0 * ua[_axslice(dim, b, 0)] / hb
+                dua_nodes[_axslice(dim, b, -1)] = -2.0 * ua[_axslice(dim, b, -1)] / hb
+                acc += 0.5 * np.diff(ub_nodes * ua_nodes, axis=b) / hb
+                acc += 0.5 * avg(ub_nodes * dua_nodes, b)
+        acc[_axslice(dim, a, 0)] = 0.0
+        acc[_axslice(dim, a, -1)] = 0.0
+        comps.append(acc)
+    return comps
+
+
+@st.composite
+def boxes(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    top = 24 if dim == 2 else 10
+    n = draw(st.lists(st.integers(4, top), min_size=dim, max_size=dim))
+    length = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    return make_grid(dim, n, length)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=boxes(), seed=st.integers(0, 2**32 - 1))
+def test_advection_term_matches_node_grid_form(grid, seed):
+    # random, non-solenoidal fields: the collapse needs only the pinned walls
+    u = _random_velocity(grid, np.random.default_rng(seed))
+    want = _node_grid_advection(u)
+    got = advection_term(u).components
+    scale = max(np.max(np.abs(w)) for w in want)
+    assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-13 * scale
 
 
 def test_cfl_guard_rejects_fast_flow():
@@ -283,6 +363,74 @@ def test_three_dimensional_step_runs():
     assert np.ptp(state.c.values) == 0.0
     umax = max(np.max(np.abs(c)) for c in state.u.components)
     assert umax == 0.0
+
+
+def _stirred_bubble(n=24):
+    grid = make_grid(2, (n, n), (1, 1))
+    state = make_state(grid, u=stream_function_velocity(grid, 0.5))
+    X = grid.cell_centers(0)[:, None]
+    Y = grid.cell_centers(1)[None, :]
+    r = np.sqrt((X - 0.4) ** 2 + (Y - 0.55) ** 2)
+    state.c.values[:] = np.tanh((0.2 - r) / (np.sqrt(2) * PARAMS.eps))
+    return state
+
+
+def _assert_states_equal(a, b):
+    assert a.t == b.t
+    assert np.array_equal(a.c.values, b.c.values)
+    assert np.array_equal(a.p.values, b.p.values)
+    for ca, cb in zip(a.u.components, b.u.components):
+        assert np.array_equal(ca, cb)
+
+
+def test_carried_derivatives_are_bitwise_reuse():
+    from nsac.diagnostics import total_energy
+
+    carried = fresh = _stirred_bubble()
+    for _ in range(6):
+        carried, rep = step(carried, WELL, PARAMS, DT)
+        # a copy drops the carry, so this run recomputes grad c and lap c
+        fresh, rep_fresh = step(fresh.copy(), WELL, PARAMS, DT)
+        assert carried.carried() is not None and fresh.copy().carried() is None
+        _assert_states_equal(carried, fresh)
+        assert np.array_equal(rep.material_derivative.values,
+                              rep_fresh.material_derivative.values)
+        assert total_energy(carried, WELL, PARAMS) == total_energy(fresh.copy(), WELL, PARAMS)
+
+
+def test_carry_is_released_by_the_next_step():
+    state, _ = step(_stirred_bubble(), WELL, PARAMS, DT)
+    assert state.carried() is not None
+    step(state, WELL, PARAMS, DT)
+    assert state.carry is None
+
+
+@pytest.mark.parametrize("rebind", ["c", "c.values"])
+def test_rebinding_c_makes_the_step_recompute(rebind):
+    state, _ = step(_stirred_bubble(), WELL, PARAMS, DT)
+    shifted = 0.9 * state.c.values
+    if rebind == "c":
+        state.c = ScalarField(state.grid, shifted, NEUMANN_ZERO)
+    else:
+        state.c.values = shifted
+    assert state.carried() is None
+    want, _ = step(state.copy(), WELL, PARAMS, DT)
+    got, _ = step(state, WELL, PARAMS, DT)
+    _assert_states_equal(got, want)
+
+
+def test_stepped_concentration_is_read_only():
+    state, _ = step(_stirred_bubble(), WELL, PARAMS, DT)
+    with pytest.raises(ValueError, match="read-only"):
+        state.c.values[3, 4] = 0.0
+    grad_c, lap_c = state.carried()
+    with pytest.raises(ValueError, match="read-only"):
+        lap_c[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        grad_c.components[0][1, 0] = 0.0
+    # a copy is the caller's to write
+    copy = state.copy()
+    copy.c.values[3, 4] = 0.0
 
 
 def test_non_finite_concentration_stops_the_step():
