@@ -134,10 +134,10 @@ def _cmd_perturb(run: _Run) -> int:
 
 
 def _cmd_rei_check(run: _Run) -> int:
-    report = run_wsu(run.cfg)
-    for lv in report.levels[:-1]:
+    report = run_wsu(run.cfg, twin=False)
+    for lv in report.levels:
         write_rei_csv(lv.rei, run.path(f"rei_{lv.n}.csv"))
-    lv = report.levels[-2]  # finest genuine weak/strong pair
+    lv = report.levels[-1]  # finest genuine weak/strong pair
     lhs = lv.rei.lhs_entropy_gap + lv.rei.lhs_visc + lv.rei.lhs_ac
     deficit = np.maximum(0.0, -lv.rei.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
     worst = float(np.max(deficit)) if len(deficit) else 0.0

@@ -25,10 +25,10 @@ from .grid import (
     _axslice,
     avg_to_cells,
     cell_speed_squared,
+    divergence,
     face_inner,
     gradient,
     integrate,
-    laplacian,
 )
 from .potential import DoubleWell
 from .solver import FluidParams, State, StepReport, _dcomp_dnode
@@ -328,7 +328,7 @@ def pair_row(
     U_cell = avg_to_cells(strong.u)
     gd = avg_to_cells(gd_face)
     gC = avg_to_cells(gradient(strong.c))
-    lap_d = laplacian(d).values
+    lap_d = divergence(gd_face).values
 
     conv = np.zeros(grid.n)
     eps2 = np.zeros(grid.n)

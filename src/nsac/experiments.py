@@ -312,26 +312,29 @@ class LevelResult:
 @dataclass
 class WSUReport:
     levels: list[LevelResult]
-    twin_entropy_max: float
+    twin_entropy_max: float | None
 
     @property
     def refinement_ratios(self) -> list[float]:
         """max_t E ratios between consecutive coarse levels.
 
-        The finest level is its own strong proxy (entropy identically zero),
-        so it is excluded from the ratios.
+        The finest level, when present, is its own strong proxy (entropy
+        identically zero), so it is excluded from the ratios.
         """
-        maxima = [lv.max_entropy for lv in self.levels[:-1]]
+        coarse = self.levels if self.twin_entropy_max is None else self.levels[:-1]
+        maxima = [lv.max_entropy for lv in coarse]
         return [maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1)]
 
 
-def run_wsu(cfg: ExperimentConfig) -> WSUReport:
+def run_wsu(cfg: ExperimentConfig, twin: bool = True) -> WSUReport:
     """Weak-strong refinement study against the finest run as strong proxy.
 
     Every level starts from the restricted fine initial state, and all
     levels advance in lockstep. At each sample the fine state and material
-    are restricted once per coarse level, and each level appends one row;
-    the finest level is paired with itself.
+    are restricted once per coarse level, and each coarse level appends one
+    row. With ``twin`` the finest level is also paired with itself, as the
+    last level of the report; without it the report holds the coarse levels
+    only and ``twin_entropy_max`` is None.
     """
     levels = list(cfg.wsu_levels)
     if len(levels) < 3:
@@ -349,17 +352,19 @@ def run_wsu(cfg: ExperimentConfig) -> WSUReport:
     fine = initial_state(cfg, grids[-1])
     starts = [restrict_state(fine, grid) for grid in grids[:-1]] + [fine]
     runs = [(s, cfg.dt_for(n), n // n0) for s, n in zip(starts, levels)]
-    rows = [[] for _ in levels]
+    paired = levels if twin else levels[:-1]
+    rows = [[] for _ in paired]
     for states, materials in _lockstep(runs, chunks, well, params):
         fine, fine_m = states[-1], materials[-1]
         for i, grid in enumerate(grids[:-1]):
             strong = restrict_state(fine, grid)
             strong_m = restrict_scalar(fine_m, grid)
             rows[i].append(pair_row(states[i], strong, materials[i], strong_m, well, params))
-        rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
+        if twin:
+            rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
 
     results = []
-    for n, level_rows in zip(levels, rows):
+    for n, level_rows in zip(paired, rows):
         trace, rei = pair_traces(level_rows)
         results.append(
             LevelResult(
@@ -367,7 +372,7 @@ def run_wsu(cfg: ExperimentConfig) -> WSUReport:
                 max_entropy=float(np.max(trace.E)),
             )
         )
-    return WSUReport(levels=results, twin_entropy_max=results[-1].max_entropy)
+    return WSUReport(levels=results, twin_entropy_max=results[-1].max_entropy if twin else None)
 
 
 def run_perturbation(

@@ -21,6 +21,8 @@ downstream leans on those two facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ class Grid:
     length: tuple[float, ...]
     h: tuple[float, ...]
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
@@ -97,6 +99,14 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy(), self.bc)
 
+    @classmethod
+    def _unchecked(cls, grid: Grid, values: np.ndarray, bc: str = NO_BC) -> "ScalarField":
+        """``cls(grid, values, bc)`` without validation, for a float array of
+        shape ``grid.n`` the caller built. Sets every declared field."""
+        obj = object.__new__(cls)
+        obj.grid, obj.values, obj.bc = grid, values, bc
+        return obj
+
 
 @dataclass
 class FaceVectorField:
@@ -126,9 +136,16 @@ class FaceVectorField:
     def copy(self) -> "FaceVectorField":
         return FaceVectorField(self.grid, [c.copy() for c in self.components], self.bc)
 
-
-def zero_vector(grid: Grid, bc: str = NO_BC) -> FaceVectorField:
-    return FaceVectorField(grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)], bc)
+    @classmethod
+    def _unchecked(
+        cls, grid: Grid, components: list[np.ndarray], bc: str = NO_BC
+    ) -> "FaceVectorField":
+        """``cls(grid, components, bc)`` without validation or wall pinning,
+        for float arrays of the face shapes the caller built (with zero wall
+        faces for a Dirichlet field). Sets every declared field."""
+        obj = object.__new__(cls)
+        obj.grid, obj.components, obj.bc = grid, components, bc
+        return obj
 
 
 def enforce_dirichlet(v: FaceVectorField) -> None:
@@ -147,31 +164,68 @@ def _axslice(dim: int, axis: int, s) -> tuple:
     return tuple(sl)
 
 
+class Sides(NamedTuple):
+    """Index tuples along one axis: ``lo`` drops the last entry, ``hi`` the
+    first, ``inner`` both; ``first`` and ``last`` pick the end planes."""
+
+    lo: tuple
+    hi: tuple
+    inner: tuple
+    first: tuple
+    last: tuple
+
+
+# (dim, axis) -> Sides
+SIDES = {
+    (dim, a): Sides(*(_axslice(dim, a, s) for s in (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
+    for dim in (2, 3)
+    for a in range(dim)
+}
+
+
+def _walled(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """A new face array for component ``axis`` with zero wall faces, and its
+    interior view, which is left for the caller to fill."""
+    sides = SIDES[grid.dim, axis]
+    out = np.empty(grid.face_shape(axis))
+    out[sides.first] = 0.0
+    out[sides.last] = 0.0
+    return out, out[sides.inner]
+
+
 def gradient(c: ScalarField) -> FaceVectorField:
     """Face-centered gradient of a Neumann scalar; zero on boundary faces."""
     grid = c.grid
     out = []
     for a in range(grid.dim):
-        g = np.zeros(grid.face_shape(a))
-        interior = _axslice(grid.dim, a, slice(1, -1))
-        lo = _axslice(grid.dim, a, slice(None, -1))
-        hi = _axslice(grid.dim, a, slice(1, None))
-        g[interior] = (c.values[hi] - c.values[lo]) / grid.h[a]
+        sides = SIDES[grid.dim, a]
+        g, inner = _walled(grid, a)
+        np.subtract(c.values[sides.hi], c.values[sides.lo], out=inner)
+        inner /= grid.h[a]
         out.append(g)
-    return FaceVectorField(grid, out, DIRICHLET_ZERO)
+    return FaceVectorField._unchecked(grid, out, DIRICHLET_ZERO)
 
 
 def divergence(v: FaceVectorField) -> ScalarField:
     """Cell-centered divergence of a face field."""
     grid = v.grid
-    div = np.zeros(grid.n)
-    for a in range(grid.dim):
-        div += np.diff(v.components[a], axis=a) / grid.h[a]
-    return ScalarField(grid, div, NO_BC)
+    div = np.empty(grid.n)
+    buf = np.empty(grid.n)
+    for a, comp in enumerate(v.components):
+        sides = SIDES[grid.dim, a]
+        diff = div if a == 0 else buf
+        np.subtract(comp[sides.hi], comp[sides.lo], out=diff)
+        diff /= grid.h[a]
+        if a > 0:
+            div += diff
+    return ScalarField._unchecked(grid, div)
 
 
 def laplacian(c: ScalarField) -> ScalarField:
-    """Neumann Laplacian; equals divergence(gradient(c)) entrywise."""
+    """Neumann Laplacian; equals divergence(gradient(c)) entrywise.
+
+    The reference stencil: the program forms the Laplacian as
+    divergence(gradient(c)), and tests compare the two."""
     grid = c.grid
     out = np.zeros(grid.n)
     vals = c.values

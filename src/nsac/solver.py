@@ -20,13 +20,14 @@ import numpy as np
 from .grid import (
     DIRICHLET_ZERO,
     NEUMANN_ZERO,
+    SIDES,
     FaceVectorField,
     Grid,
     ScalarField,
     _axslice,
+    _walled,
     divergence,
     gradient,
-    laplacian,
 )
 from .potential import DoubleWell
 
@@ -64,7 +65,7 @@ class FluidParams:
 class State:
     """Discrete (u, c, p) at one instant.
 
-    A stepped state's ``carry`` is ``(c.values, gradient(c), laplacian(c).values)``,
+    A stepped state's ``carry`` is ``(c.values, gradient(c), divergence(gradient(c)).values)``,
     all read-only, for the next step and the energy to reuse.
     """
 
@@ -114,13 +115,16 @@ def advect_scalar(u: FaceVectorField, grad_c: FaceVectorField) -> ScalarField:
     to cells; boundary faces contribute nothing (both factors vanish there).
     """
     grid = grad_c.grid
-    out = np.zeros(grid.n)
+    out = np.empty(grid.n)
+    buf = np.empty(grid.n)
     for a in range(grid.dim):
+        sides = SIDES[grid.dim, a]
         prod = u.components[a] * grad_c.components[a]
-        lo = _axslice(grid.dim, a, slice(None, -1))
-        hi = _axslice(grid.dim, a, slice(1, None))
-        out += 0.5 * (prod[lo] + prod[hi])
-    return ScalarField(grid, out, "none")
+        np.add(prod[sides.lo], prod[sides.hi], out=out if a == 0 else buf)
+        if a > 0:
+            out += buf
+    out *= 0.5
+    return ScalarField._unchecked(grid, out)
 
 
 # boundary kind -> (cos or sin, grid points in half cells, wavenumbers) for an
@@ -156,9 +160,6 @@ def _basis(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, qt
 
 
-# dim + 2 tables per grid (Allen-Cahn, one viscous solve per component,
-# pressure); lockstep studies keep every level's tables live at once.
-@lru_cache(maxsize=64)
 def _inverse_symbol(grid: Grid, kinds: tuple[str, ...], shift: float, coef: float) -> np.ndarray:
     """Reciprocal eigenvalues of (shift - coef lap) in the ``kinds`` basis.
 
@@ -193,16 +194,25 @@ def _along_axes(x: np.ndarray, mats: list[tuple[np.ndarray, np.ndarray]]) -> np.
     return x
 
 
+# dim + 2 plans per grid (Allen-Cahn, one viscous solve per component,
+# pressure); lockstep studies keep every level's plans live at once.
+@lru_cache(maxsize=64)
+def _plan(grid: Grid, kinds: tuple[str, ...], shift: float, coef: float) -> tuple:
+    """Forward bases, inverse bases and inverse symbol of one solve."""
+    bases = [_basis(kind, n) for kind, n in zip(kinds, grid.n)]
+    return bases, [(qt, q) for q, qt in bases], _inverse_symbol(grid, kinds, shift, coef)
+
+
 def _spectral_solve(grid: Grid, rhs: np.ndarray, kinds: tuple[str, ...], shift: float, coef: float) -> np.ndarray:
     """Exact solve of (shift - coef lap) x = rhs, one basis change per axis.
 
     ``kinds[a]`` names the boundary treatment of axis ``a`` (see ``_BASES``);
     a ``"wall"`` axis carries only the interior faces.
     """
-    bases = [_basis(kind, n) for kind, n in zip(kinds, grid.n)]
-    hat = _along_axes(rhs, bases)
-    hat *= _inverse_symbol(grid, kinds, shift, coef)
-    return _along_axes(hat, [(qt, q) for q, qt in bases])
+    forward, inverse, inv_symbol = _plan(grid, kinds, shift, coef)
+    hat = _along_axes(rhs, forward)
+    hat *= inv_symbol
+    return _along_axes(hat, inverse)
 
 
 def solve_neumann_poisson(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -211,11 +221,11 @@ def solve_neumann_poisson(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     The rhs must have zero mean (solvability); the constant mode of p is
     pinned, so the returned p has zero mean up to roundoff.
     """
-    return _spectral_solve(grid, -rhs, ("neumann",) * grid.dim, 0.0, 1.0)
+    return _spectral_solve(grid, rhs, ("neumann",) * grid.dim, 0.0, -1.0)
 
 
 def capillary_force(grad_c: FaceVectorField, lap_c: np.ndarray, eps: float) -> FaceVectorField:
-    """Face-centered -eps * lap(c) * grad(c), from gradient(c) and laplacian(c).values.
+    """Face-centered -eps * lap(c) * grad(c), from gradient(c) and lap(c) at the cells.
 
     Equivalent to -eps div(grad c x grad c) with the grad(|grad c|^2 / 2)
     part absorbed into the pressure.
@@ -223,15 +233,14 @@ def capillary_force(grad_c: FaceVectorField, lap_c: np.ndarray, eps: float) -> F
     grid = grad_c.grid
     comps = []
     for a in range(grid.dim):
-        inner = _axslice(grid.dim, a, slice(1, -1))
-        lo = _axslice(grid.dim, a, slice(None, -1))
-        hi = _axslice(grid.dim, a, slice(1, None))
+        sides = SIDES[grid.dim, a]
         # lap c averaged to the interior faces; the wall faces stay 0
-        force = np.zeros(grid.face_shape(a))
-        force[inner] = (lap_c[lo] + lap_c[hi]) * (-0.5 * eps)
-        force[inner] *= grad_c.components[a][inner]
+        force, inner = _walled(grid, a)
+        np.add(lap_c[sides.lo], lap_c[sides.hi], out=inner)
+        inner *= -0.5 * eps
+        inner *= grad_c.components[a][sides.inner]
         comps.append(force)
-    return FaceVectorField(grid, comps, DIRICHLET_ZERO)
+    return FaceVectorField._unchecked(grid, comps, DIRICHLET_ZERO)
 
 
 def _component_laplacian(comp: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -294,28 +303,29 @@ def advection_term(u: FaceVectorField) -> FaceVectorField:
     comps = []
     for a in range(dim):
         ua = u.components[a]
-        acc = np.zeros_like(ua)
-        inner = _axslice(dim, a, slice(1, -1))
-        lo_a = _axslice(dim, a, slice(None, -1))
-        hi_a = _axslice(dim, a, slice(1, None))
+        side_a = SIDES[dim, a]
+        # b = a: the midpoints are the cells, between every pair of faces, so
+        # these terms reach every face and start the sum
+        acc = np.empty_like(ua)
+        v = (ua[side_a.lo] + ua[side_a.hi]) * (0.25 / grid.h[a])
+        np.multiply(v, ua[side_a.hi], out=acc[side_a.lo])
+        acc[side_a.last] = 0.0
+        acc[side_a.hi] -= v * ua[side_a.lo]
+        acc_inner, ua_inner = acc[side_a.inner], ua[side_a.inner]
         for b in range(dim):
-            ub = u.components[b]
-            v = (ub[lo_a] + ub[hi_a]) * (0.25 / grid.h[b])
             if b == a:
-                # midpoints are the cells, between every pair of faces
-                acc_b, ua_b = acc, ua
-            else:
-                # midpoints are the interior a/b edges, between interior faces
-                v = v[_axslice(dim, b, slice(1, -1))]
-                acc_b, ua_b = acc[inner], ua[inner]
-            lo = _axslice(dim, b, slice(None, -1))
-            hi = _axslice(dim, b, slice(1, None))
-            acc_b[lo] += v * ua_b[hi]
-            acc_b[hi] -= v * ua_b[lo]
-        acc[_axslice(dim, a, 0)] = 0.0
-        acc[_axslice(dim, a, -1)] = 0.0
+                continue
+            ub = u.components[b]
+            side_b = SIDES[dim, b]
+            # midpoints are the interior a/b edges, between interior faces
+            ub_lo, ub_hi = ub[side_a.lo], ub[side_a.hi]
+            v = (ub_lo[side_b.inner] + ub_hi[side_b.inner]) * (0.25 / grid.h[b])
+            acc_inner[side_b.lo] += v * ua_inner[side_b.hi]
+            acc_inner[side_b.hi] -= v * ua_inner[side_b.lo]
+        acc[side_a.first] = 0.0
+        acc[side_a.last] = 0.0
         comps.append(acc)
-    return FaceVectorField(grid, comps, DIRICHLET_ZERO)
+    return FaceVectorField._unchecked(grid, comps, DIRICHLET_ZERO)
 
 
 def advective_cfl(u: FaceVectorField, dt: float) -> float:
@@ -336,10 +346,11 @@ def allen_cahn_step(
 
     Solves (1/dt + sigma - eps lap) c_new = c/dt - u.grad c - F'(c)/eps
     + sigma c with sigma = L / (2 eps), then reports the material derivative
-    (c_new - c)/dt + u.grad c. ``source`` adds an explicit forcing term
-    (manufactured-solution runs). The solve is for the increment c_new - c,
-    whose roundoff scales with the change rather than with c/dt. grad c and
-    lap c come from the state's carry if it has one, which is then released.
+    delta/dt + u.grad c. ``source`` adds an explicit forcing term
+    (manufactured-solution runs). The solve is for the increment delta =
+    c_new - c, whose roundoff scales with the change rather than with c/dt.
+    grad c and lap c = div(grad c) come from the state's carry if it has
+    one, which is then released.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -347,16 +358,25 @@ def allen_cahn_step(
     c = state.c
     eps = params.eps
     sigma = well.lipschitz_constant() / (2.0 * eps)
-    grad_c, lap_c = state.carried() or (gradient(c), laplacian(c).values)
+    carried = state.carried()
+    if carried is None:
+        grad_c = gradient(c)
+        lap_c = divergence(grad_c).values
+    else:
+        grad_c, lap_c = carried
     state.carry = None
-    adv = advect_scalar(state.u, grad_c)
-    rhs = eps * lap_c - adv.values - well.eval_Fprime(c.values) / eps
+    adv = advect_scalar(state.u, grad_c).values
+    rhs = eps * lap_c
+    rhs -= adv
+    rhs -= well.eval_Fprime(c.values) / eps
     if source is not None:
-        rhs = rhs + source.values
+        rhs += source.values
     delta = _spectral_solve(grid, rhs, ("neumann",) * grid.dim, 1.0 / dt + sigma, eps)
-    c_new = ScalarField(grid, c.values + delta, NEUMANN_ZERO)
-    material = ScalarField(grid, (c_new.values - c.values) / dt + adv.values, "none")
-    return c_new, material
+    c_new = ScalarField._unchecked(grid, c.values + delta, NEUMANN_ZERO)
+    # delta becomes the material derivative in place
+    delta /= dt
+    delta += adv
+    return c_new, ScalarField._unchecked(grid, delta)
 
 
 def momentum_step(
@@ -369,8 +389,10 @@ def momentum_step(
     """Advection + implicit viscosity + capillary force, then projection.
 
     Returns the new state (with t unchanged; ``step`` advances it) and the
-    realized advective CFL. The new state carries grad and lap of ``c_new``,
-    whose values become read-only so that the carry cannot go stale.
+    realized advective CFL. The new state carries grad ``c_new`` and its
+    divergence lap ``c_new``; ``c_new.values`` becomes read-only so that the
+    carry cannot go stale. The viscous right-hand sides are formed on the
+    interior faces only, and the projection updates u* in place.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -382,7 +404,7 @@ def momentum_step(
 
     adv = advection_term(state.u)
     grad_c = gradient(c_new)
-    lap_c = laplacian(c_new).values
+    lap_c = divergence(grad_c).values
     for arr in (c_new.values, *grad_c.components, lap_c):
         arr.flags.writeable = False
     force = capillary_force(grad_c, lap_c, params.eps)
@@ -390,28 +412,33 @@ def momentum_step(
 
     star_comps = []
     for a in range(dim):
-        rhs = state.u.components[a] / dt - adv.components[a] + force.components[a]
+        inner = SIDES[dim, a].inner
+        rhs = state.u.components[a][inner] / dt
+        rhs -= adv.components[a][inner]
+        rhs += force.components[a][inner]
         if source is not None:
-            rhs = rhs + source.components[a]
-        # the wall faces stay pinned at zero
-        interior = _axslice(dim, a, slice(1, -1))
+            rhs += source.components[a][inner]
         kinds = tuple("wall" if b == a else "ghost" for b in range(dim))
-        sol = np.zeros_like(rhs)
-        sol[interior] = _spectral_solve(grid, rhs[interior], kinds, 1.0 / dt, half_nu)
+        # the wall faces stay pinned at zero
+        sol, sol_inner = _walled(grid, a)
+        sol_inner[...] = _spectral_solve(grid, rhs, kinds, 1.0 / dt, half_nu)
         star_comps.append(sol)
-    u_star = FaceVectorField(grid, star_comps, DIRICHLET_ZERO)
+    u_star = FaceVectorField._unchecked(grid, star_comps, DIRICHLET_ZERO)
 
     # pressure projection: lap(p) = div(u*)/dt with Neumann, zero mean
-    div_star = divergence(u_star).values
-    rhs_p = div_star / dt
-    rhs_p = rhs_p - rhs_p.mean()
-    p_vals = solve_neumann_poisson(grid, rhs_p)
-    p = ScalarField(grid, p_vals, "none")
-
-    gp = gradient(ScalarField(grid, p_vals, NEUMANN_ZERO))
-    new_comps = [u_star.components[a] - dt * gp.components[a] for a in range(dim)]
-    u_new = FaceVectorField(grid, new_comps, DIRICHLET_ZERO)
-    return State(t=state.t, u=u_new, c=c_new, p=p, carry=(c_new.values, grad_c, lap_c)), cfl
+    rhs_p = divergence(u_star).values
+    rhs_p /= dt
+    rhs_p -= rhs_p.sum() / rhs_p.size
+    p = solve_neumann_poisson(grid, rhs_p)
+    # u* becomes u_new: u*[inner] -= dt grad p on the interior faces
+    for a, comp in enumerate(star_comps):
+        sides = SIDES[dim, a]
+        gp = p[sides.hi] - p[sides.lo]
+        gp *= dt / grid.h[a]
+        comp[sides.inner] -= gp
+    p_field = ScalarField._unchecked(grid, p)
+    new_state = State(t=state.t, u=u_star, c=c_new, p=p_field, carry=(c_new.values, grad_c, lap_c))
+    return new_state, cfl
 
 
 def step(

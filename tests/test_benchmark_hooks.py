@@ -50,3 +50,36 @@ def test_every_span_resolves():
 def test_studies_step_through_solver_step():
     assert nsac.experiments.step is nsac.solver.step
     assert nsac.manufactured.step is nsac.solver.step
+
+
+# the per-step spans of a study; one that a refactor inlines reads 0 calls
+STEP_SPANS = (
+    "solver.allen_cahn_step",
+    "solver.momentum_step",
+    "solver.advection_term",
+    "solver.capillary_force",
+    "solver.solve_neumann_poisson",
+    "potential.Fprime",
+)
+
+
+def test_traced_simulate_calls_each_step_span_once_per_step(tmp_path, monkeypatch):
+    spans = _load_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 16\ntime.dt = 1e-3\ntime.t_end = 0.004\ninit.kind = bubble\n")
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        code = recorder.run_root(
+            nsac.cli.main,
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"],
+        )
+    finally:
+        recorder.uninstall()
+    assert code == 0
+    assert recorder.calls["solver.step"] == 4
+    assert {span: recorder.calls.get(span, 0) for span in STEP_SPANS} == dict.fromkeys(STEP_SPANS, 4)
+    # the check perfbench/run.py makes on every traced repetition
+    assert min(recorder.self_s.values()) >= 0.0
+    assert abs(sum(recorder.self_s.values()) / recorder.root_s - 1.0) <= 1e-6

@@ -476,9 +476,39 @@ def test_cli_nan_certificate_fails_exit_2(tmp_path, monkeypatch, command, maxima
     import nsac.cli
 
     monkeypatch.delenv("NSAC_OUT", raising=False)
-    monkeypatch.setattr(nsac.cli, "run_wsu", lambda cfg: _fake_wsu_report(maxima, slack))
+    monkeypatch.setattr(nsac.cli, "run_wsu",
+                        lambda cfg, twin=True: _fake_wsu_report(maxima, slack))
     code = main([command, "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
+
+
+def test_rei_check_skips_the_twin_rows(tmp_path, monkeypatch):
+    """rei-check writes the same rei_<n>.csv bytes as wsu, and pairs only the
+    coarse levels: the finest level is never paired with itself."""
+    import nsac.experiments
+
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.01\ntime.dt = 1e-3\n"
+                               "init.kind = bubble\nwsu.levels = 16,32,64\noutput.samples = 5\n")
+    paired = []
+    pair_row = nsac.experiments.pair_row
+
+    def counting_pair_row(weak, *args):
+        paired.append(weak.grid.n[0])
+        return pair_row(weak, *args)
+
+    monkeypatch.setattr(nsac.experiments, "pair_row", counting_pair_row)
+    counts = {}
+    for command in ("wsu", "rei-check"):
+        paired.clear()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command), "--quiet"]) == 0
+        counts[command] = {n: paired.count(n) for n in sorted(set(paired))}
+    assert counts["wsu"] == {16: 6, 32: 6, 64: 6}
+    assert counts["rei-check"] == {16: 6, 32: 6}
+    for n in (16, 32):
+        name = f"rei_{n}.csv"
+        assert (tmp_path / "rei-check" / name).read_bytes() == (tmp_path / "wsu" / name).read_bytes()
+    assert not (tmp_path / "rei-check" / "rei_64.csv").exists()
 
 
 def test_cli_nan_audit_violation_exit_2(tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from nsac.experiments import (
 )
 from nsac.grid import NEUMANN_ZERO, ScalarField, divergence, integrate, make_grid
 from nsac.manufactured import ManufacturedSolution
-from nsac.solver import FluidParams, _basis, _inverse_symbol, step
+from nsac.solver import FluidParams, _basis, _plan, step
 from nsac.potential import quartic_well
 
 
@@ -262,7 +262,7 @@ def test_run_wsu_memory_does_not_grow_with_samples():
     for samples in (10, 40):
         cfg = small_cfg(init_kind="bubble", wsu_levels=(16, 32, 64), t_end=0.04,
                         sample_count=samples)
-        _inverse_symbol.cache_clear()
+        _plan.cache_clear()
         _basis.cache_clear()
         _edge_weights.cache_clear()
         tracemalloc.start()
@@ -276,13 +276,13 @@ def test_run_wsu_memory_does_not_grow_with_samples():
 
 @pytest.mark.parametrize("levels", [(8, 16, 32, 64), (4, 8, 16, 32, 64)])
 def test_run_wsu_builds_each_spectral_table_once(levels):
-    """dim + 2 = 4 symbol tables, 3 bases (neumann, wall, ghost) and one
+    """dim + 2 = 4 solve plans, 3 bases (neumann, wall, ghost) and one
     edge-weight table per square 2-D level, all live at once in lockstep."""
-    _inverse_symbol.cache_clear()
+    _plan.cache_clear()
     _basis.cache_clear()
     _edge_weights.cache_clear()
     run_wsu(small_cfg(init_kind="bubble", wsu_levels=levels, t_end=0.008))
-    assert _inverse_symbol.cache_info().misses == 4 * len(levels)
+    assert _plan.cache_info().misses == 4 * len(levels)
     assert _basis.cache_info().misses == 3 * len(levels)
     assert _edge_weights.cache_info().misses == len(levels)
     assert not _edge_weights(make_grid(2, (8, 8), (1, 1)), (0, 1)).flags.writeable

@@ -1,5 +1,7 @@
 """Discrete operator calculus on the MAC grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from nsac.grid import (
     integrate,
     laplacian,
     make_grid,
-    zero_vector,
 )
 
 
@@ -105,9 +106,25 @@ def test_gradient_matches_naive_stencil():
         assert np.allclose(g.components[a], expected[a], rtol=1e-14, atol=1e-14)
 
 
+def test_unchecked_constructors_set_every_declared_field():
+    # the solver's fields skip __init__, so a field added to either class
+    # must also be set by its _unchecked
+    grid = make_grid(2, (4, 5), (1, 1))
+    built = [
+        ScalarField._unchecked(grid, np.zeros(grid.n), NEUMANN_ZERO),
+        FaceVectorField._unchecked(
+            grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)], DIRICHLET_ZERO
+        ),
+    ]
+    for obj in built:
+        assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
+        dataclasses.replace(obj)  # the same values pass __post_init__
+
+
 def test_divergence_zero_field():
     grid = make_grid(2, (8, 8), (1, 1))
-    assert np.all(divergence(zero_vector(grid)).values == 0.0)
+    zero = FaceVectorField(grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)])
+    assert np.all(divergence(zero).values == 0.0)
 
 
 def test_divergence_analytic_solenoidal():

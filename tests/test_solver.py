@@ -21,10 +21,13 @@ from nsac.solver import (
     CFLError,
     FluidParams,
     NumericalError,
+    State,
     _basis,
     _component_laplacian,
     _spectral_solve,
+    advect_scalar,
     advection_term,
+    advective_cfl,
     allen_cahn_step,
     capillary_force,
     make_state,
@@ -257,9 +260,9 @@ def _node_grid_advection(u):
 
 
 @st.composite
-def boxes(draw):
+def boxes(draw, top2=24):
     dim = draw(st.sampled_from((2, 3)))
-    top = 24 if dim == 2 else 10
+    top = top2 if dim == 2 else 10
     n = draw(st.lists(st.integers(4, top), min_size=dim, max_size=dim))
     length = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
     return make_grid(dim, n, length)
@@ -274,6 +277,92 @@ def test_advection_term_matches_node_grid_form(grid, seed):
     got = advection_term(u).components
     scale = max(np.max(np.abs(w)) for w in want)
     assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-13 * scale
+
+
+def _reference_step(state, well, params, dt, source_c=None, source_u=None):
+    """One step composed the straightforward way: lap c from ``laplacian``,
+    full-size viscous right-hand sides, and the projection through a
+    ``gradient(p)`` field. Returns the new state, the material derivative
+    and the CFL number."""
+    grid, dim, eps = state.grid, state.grid.dim, params.eps
+    c = state.c
+    adv = advect_scalar(state.u, gradient(c)).values
+    rhs = eps * laplacian(c).values - adv - well.eval_Fprime(c.values) / eps
+    if source_c is not None:
+        rhs = rhs + source_c.values
+    sigma = well.lipschitz_constant() / (2.0 * eps)
+    delta = _spectral_solve(grid, rhs, ("neumann",) * dim, 1.0 / dt + sigma, eps)
+    c_new = ScalarField(grid, c.values + delta, NEUMANN_ZERO)
+    material = (c_new.values - c.values) / dt + adv
+
+    cfl = advective_cfl(state.u, dt)
+    adv_u = advection_term(state.u)
+    force = capillary_force(gradient(c_new), laplacian(c_new).values, eps)
+    star = []
+    for a in range(dim):
+        rhs = state.u.components[a] / dt - adv_u.components[a] + force.components[a]
+        if source_u is not None:
+            rhs = rhs + source_u.components[a]
+        interior = _axslice(dim, a, slice(1, -1))
+        kinds = tuple("wall" if b == a else "ghost" for b in range(dim))
+        sol = np.zeros_like(rhs)
+        sol[interior] = _spectral_solve(grid, rhs[interior], kinds, 1.0 / dt, 0.5 * params.nu)
+        star.append(sol)
+    rhs_p = divergence(FaceVectorField(grid, star, DIRICHLET_ZERO)).values / dt
+    p = solve_neumann_poisson(grid, rhs_p - rhs_p.mean())
+    gp = gradient(ScalarField(grid, p, NEUMANN_ZERO))
+    u_new = FaceVectorField(grid, [star[a] - dt * gp.components[a] for a in range(dim)],
+                            DIRICHLET_ZERO)
+    return State(state.t + dt, u_new, c_new, ScalarField(grid, p)), material, cfl
+
+
+def _assert_walls_zero(v):
+    for a, comp in enumerate(v.components):
+        assert np.all(comp[_axslice(v.grid.dim, a, 0)] == 0.0)
+        assert np.all(comp[_axslice(v.grid.dim, a, -1)] == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grid=boxes(top2=32),
+    seed=st.integers(0, 2**32 - 1),
+    sources=st.booleans(),
+    dt=st.sampled_from((1e-4, 3e-4, 1e-3)),
+)
+def test_step_matches_reference_composition(grid, seed, sources, dt):
+    rng = np.random.default_rng(seed)
+    state = make_state(grid, u=_random_velocity(grid, rng, 0.25))
+    state.c.values[:] = rng.uniform(-1.0, 1.0, grid.n)
+    source_c = source_u = None
+    if sources:
+        source_c = ScalarField(grid, rng.standard_normal(grid.n))
+        source_u = FaceVectorField(grid, [rng.standard_normal(grid.face_shape(a))
+                                          for a in range(grid.dim)])
+    ref = state.copy()
+
+    def umax(v):
+        return max(np.max(np.abs(comp)) for comp in v.components)
+
+    def close(got, want, floor=0.0):
+        return np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), floor)
+
+    for _ in range(5):
+        u_before = umax(ref.u)
+        ref, ref_material, ref_cfl = _reference_step(ref, WELL, PARAMS, dt, source_c, source_u)
+        state, report = step(state, WELL, PARAMS, dt, source_c, source_u)
+        assert state.t == ref.t
+        assert close(state.c.values, ref.c.values)
+        assert all(close(got, want) for got, want in zip(state.u.components, ref.u.components))
+        # the projection subtracts dt*grad(p), so a roundoff of 1e-12*|u| in u*
+        # is a roundoff of 1e-12*|u|*h/dt in p, however small p itself is
+        p_floor = max(u_before, umax(ref.u)) * min(grid.h) / dt
+        assert close(state.p.values, ref.p.values, p_floor)
+        assert close(report.material_derivative.values, ref_material)
+        assert abs(report.cfl - ref_cfl) <= 1e-12 * ref_cfl
+        grad_c, lap_c = state.carried()
+        _assert_walls_zero(state.u)
+        _assert_walls_zero(grad_c)
+        assert np.array_equal(lap_c, divergence(gradient(state.c)).values)
 
 
 def test_cfl_guard_rejects_fast_flow():
