@@ -19,10 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
+    SIDES,
     FaceVectorField,
     Grid,
     ScalarField,
-    _axslice,
     avg_to_cells,
     cell_speed_squared,
     divergence,
@@ -31,7 +31,7 @@ from .grid import (
     integrate,
 )
 from .potential import DoubleWell
-from .solver import FluidParams, State, StepReport, _dcomp_dnode
+from .solver import FluidParams, State, StepReport
 
 # ---------------------------------------------------------------------------
 # energy
@@ -88,6 +88,19 @@ def _edge_weights(grid: Grid, axes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _dcomp_dnode(comp: np.ndarray, grid: Grid, node_axis: int) -> np.ndarray:
+    """d(comp)/d(node_axis) at the node grid, with antisymmetric wall ghosts."""
+    sides = SIDES[grid.dim, node_axis]
+    h = grid.h[node_axis]
+    shape = list(comp.shape)
+    shape[node_axis] += 1
+    out = np.empty(shape)
+    out[sides.inner] = np.diff(comp, axis=node_axis) / h
+    out[sides.first] = 2.0 * comp[sides.first] / h
+    out[sides.last] = -2.0 * comp[sides.last] / h
+    return out
+
+
 def velocity_gradient(u: FaceVectorField) -> dict[tuple[int, int], np.ndarray]:
     """Discrete (grad u)_{ab} = d u_a / d x_b.
 
@@ -108,9 +121,12 @@ def velocity_gradient(u: FaceVectorField) -> dict[tuple[int, int], np.ndarray]:
 
 def viscous_dissipation(u: FaceVectorField, nu: float) -> float:
     """Integral of S(grad u) : grad u with S = (nu/2)(grad u + grad u^T)."""
-    grid = u.grid
+    return _viscous_form(u.grid, velocity_gradient(u), nu)
+
+
+def _viscous_form(grid: Grid, grads: dict[tuple[int, int], np.ndarray], nu: float) -> float:
+    """``viscous_dissipation`` from the entries of ``velocity_gradient``."""
     vol = grid.cell_volume
-    grads = velocity_gradient(u)
     total = 0.0
     for a in range(grid.dim):
         total += nu * float(np.sum(grads[(a, a)] ** 2)) * vol
@@ -204,8 +220,8 @@ def _differences(
         raise ValueError("states live on different grids")
     u, U = weak.u, strong.u
     comps = [u.components[a] - U.components[a] for a in range(u.grid.dim)]
-    w = FaceVectorField(u.grid, comps, u.bc if u.bc == U.bc else "none")
-    d = ScalarField(weak.grid, weak.c.values - strong.c.values, weak.c.bc)
+    w = FaceVectorField(u.grid, comps)
+    d = ScalarField(weak.grid, weak.c.values - strong.c.values)
     return w, d, gradient(d)
 
 
@@ -255,23 +271,18 @@ class REITrace:
     slack: np.ndarray
 
 
-def _cell_velocity_gradient(u: FaceVectorField) -> dict[tuple[int, int], np.ndarray]:
-    """All entries of grad u averaged to cell centers."""
-    grid = u.grid
-    grads = velocity_gradient(u)
+def _cell_velocity_gradient(
+    grid: Grid, grads: dict[tuple[int, int], np.ndarray]
+) -> dict[tuple[int, int], np.ndarray]:
+    """The entries of ``velocity_gradient`` averaged to cell centers."""
     out = {}
     for (a, b), arr in grads.items():
         if a == b:
             out[(a, b)] = arr
         else:
-            tmp = 0.5 * (
-                arr[_axslice(grid.dim, a, slice(None, -1))]
-                + arr[_axslice(grid.dim, a, slice(1, None))]
-            )
-            out[(a, b)] = 0.5 * (
-                tmp[_axslice(grid.dim, b, slice(None, -1))]
-                + tmp[_axslice(grid.dim, b, slice(1, None))]
-            )
+            side_a, side_b = SIDES[grid.dim, a], SIDES[grid.dim, b]
+            tmp = 0.5 * (arr[side_a.lo] + arr[side_a.hi])
+            out[(a, b)] = 0.5 * (tmp[side_b.lo] + tmp[side_b.hi])
     return out
 
 
@@ -320,10 +331,12 @@ def pair_row(
     wdiff, d, gd_face = _differences(weak, strong)
     mdiff = weak_material.values - strong_material.values
 
-    visc = viscous_dissipation(wdiff, params.nu)
+    grads = velocity_gradient(wdiff)
+    visc = _viscous_form(grid, grads, params.nu)
     ac = float(np.sum(mdiff**2)) * vol
 
-    gw = _cell_velocity_gradient(wdiff)
+    gw = _cell_velocity_gradient(grid, grads)
+    del grads  # the edge-grid entries would stay live through the products below
     w_cell = avg_to_cells(wdiff)
     U_cell = avg_to_cells(strong.u)
     gd = avg_to_cells(gd_face)

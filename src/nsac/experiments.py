@@ -23,13 +23,7 @@ from .diagnostics import (
     pair_traces,
     total_energy,
 )
-from .grid import (
-    DIRICHLET_ZERO,
-    FaceVectorField,
-    Grid,
-    ScalarField,
-    make_grid,
-)
+from .grid import FaceVectorField, Grid, ScalarField, enforce_dirichlet, make_grid
 from .potential import DoubleWell, make_well
 from .solver import FluidParams, NumericalError, State, StepReport, make_state, step
 
@@ -90,7 +84,8 @@ def stream_function_velocity(grid: Grid, amplitude: float, mode: int = 1) -> Fac
     """Solenoidal velocity from a node-sampled streamfunction.
 
     Taking discrete differences of node values makes the discrete divergence
-    vanish exactly, and the zero boundary nodes pin the normal faces to 0.
+    vanish exactly. The boundary nodes are zero only up to the roundoff of
+    sin(pi), so the wall faces are pinned explicitly.
     """
     x = grid.face_coords(0) / grid.length[0]
     y = grid.face_coords(1) / grid.length[1]
@@ -102,7 +97,7 @@ def stream_function_velocity(grid: Grid, amplitude: float, mode: int = 1) -> Fac
     )
     ux = np.diff(psi, axis=1) / grid.h[1]
     uy = -np.diff(psi, axis=0) / grid.h[0]
-    return FaceVectorField(grid, [ux, uy], DIRICHLET_ZERO)
+    return enforce_dirichlet(FaceVectorField(grid, [ux, uy]))
 
 
 def perturbation_velocity(grid: Grid) -> FaceVectorField:
@@ -113,7 +108,7 @@ def perturbation_velocity(grid: Grid) -> FaceVectorField:
     v = stream_function_velocity(grid, 1.0, mode=2)
     e = kinetic_energy(v)
     scale = 1.0 / np.sqrt(e)
-    return FaceVectorField(grid, [scale * c for c in v.components], DIRICHLET_ZERO)
+    return FaceVectorField(grid, [scale * c for c in v.components])
 
 
 def bubble_concentration(grid: Grid, eps: float, radius: float = 0.25) -> np.ndarray:
@@ -248,7 +243,7 @@ def restrict_scalar(fine: ScalarField, coarse_grid: Grid) -> ScalarField:
         shape[a] = shape[a] // r
         shape.insert(a + 1, r)
         vals = vals.reshape(shape).mean(axis=a + 1)
-    return ScalarField(coarse_grid, vals, fine.bc)
+    return ScalarField(coarse_grid, vals)
 
 
 def restrict_velocity(fine: FaceVectorField, coarse_grid: Grid) -> FaceVectorField:
@@ -273,7 +268,7 @@ def restrict_velocity(fine: FaceVectorField, coarse_grid: Grid) -> FaceVectorFie
             shape.insert(b + 1, r)
             vals = vals.reshape(shape).mean(axis=b + 1)
         comps.append(vals.copy())
-    return FaceVectorField(coarse_grid, comps, fine.bc)
+    return FaceVectorField(coarse_grid, comps)
 
 
 def restrict_state(fine: State, coarse_grid: Grid) -> State:
@@ -391,7 +386,6 @@ def run_perturbation(
     weak0.u = FaceVectorField(
         grid,
         [weak0.u.components[a] + delta * v.components[a] for a in range(grid.dim)],
-        DIRICHLET_ZERO,
     )
     runs = [(weak0, cfg.dt, 1), (strong0, cfg.dt, 1)]
     rows = [

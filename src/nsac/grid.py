@@ -5,12 +5,14 @@ Scalars (concentration, pressure) live at cell centers, shape ``n``.
 Velocity component ``a`` lives on the faces normal to axis ``a``, so its
 array has ``n[a]+1`` entries along axis ``a`` and ``n[b]`` along the others.
 
-Boundary conditions are realized through ghost values:
+The boundary conditions belong to the operators, not to the fields:
 
-* ``neumann_zero`` scalars reflect (ghost = adjacent interior value), which
-  makes the normal gradient vanish exactly on boundary faces.
-* ``dirichlet_zero`` velocities have zero normal faces; tangential ghosts are
-  antisymmetric (ghost = -interior), placing the wall value at zero.
+* scalar ghosts reflect (ghost = adjacent interior value), so ``gradient``
+  is zero on the wall faces and the normal derivative vanishes there;
+* velocity wall faces are zero: every operator that returns a face field
+  builds it with zero wall faces, and ``enforce_dirichlet`` pins a field
+  sampled from a formula. Tangential ghosts are antisymmetric
+  (ghost = -interior), placing the wall value at zero.
 
 With these ghosts the discrete gradient and (minus) divergence are exact
 adjoints under midpoint quadrature, and divergence(gradient(q)) equals the
@@ -20,15 +22,11 @@ downstream leans on those two facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-
-NEUMANN_ZERO = "neumann_zero"
-DIRICHLET_ZERO = "dirichlet_zero"
-NO_BC = "none"
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,6 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
-    bc: str = NO_BC
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -93,19 +90,9 @@ class ScalarField:
             raise ValueError(
                 f"scalar values shape {self.values.shape} != grid cells {self.grid.n}"
             )
-        if self.bc not in (NEUMANN_ZERO, NO_BC):
-            raise ValueError(f"unsupported scalar bc {self.bc!r}")
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.bc)
-
-    @classmethod
-    def _unchecked(cls, grid: Grid, values: np.ndarray, bc: str = NO_BC) -> "ScalarField":
-        """``cls(grid, values, bc)`` without validation, for a float array of
-        shape ``grid.n`` the caller built. Sets every declared field."""
-        obj = object.__new__(cls)
-        obj.grid, obj.values, obj.bc = grid, values, bc
-        return obj
+        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -113,8 +100,7 @@ class FaceVectorField:
     """Velocity-like field with one face-centered array per axis."""
 
     grid: Grid
-    components: list[np.ndarray] = field(default_factory=list)
-    bc: str = NO_BC
+    components: list[np.ndarray]
 
     def __post_init__(self):
         if len(self.components) != self.grid.dim:
@@ -128,34 +114,9 @@ class FaceVectorField:
                 raise ValueError(
                     f"component {a} has shape {comp.shape}, expected {want}"
                 )
-        if self.bc not in (DIRICHLET_ZERO, NO_BC):
-            raise ValueError(f"unsupported vector bc {self.bc!r}")
-        if self.bc == DIRICHLET_ZERO:
-            enforce_dirichlet(self)
 
     def copy(self) -> "FaceVectorField":
-        return FaceVectorField(self.grid, [c.copy() for c in self.components], self.bc)
-
-    @classmethod
-    def _unchecked(
-        cls, grid: Grid, components: list[np.ndarray], bc: str = NO_BC
-    ) -> "FaceVectorField":
-        """``cls(grid, components, bc)`` without validation or wall pinning,
-        for float arrays of the face shapes the caller built (with zero wall
-        faces for a Dirichlet field). Sets every declared field."""
-        obj = object.__new__(cls)
-        obj.grid, obj.components, obj.bc = grid, components, bc
-        return obj
-
-
-def enforce_dirichlet(v: FaceVectorField) -> None:
-    """Zero out the boundary normal faces in place."""
-    for a, comp in enumerate(v.components):
-        sl = [slice(None)] * v.grid.dim
-        sl[a] = 0
-        comp[tuple(sl)] = 0.0
-        sl[a] = -1
-        comp[tuple(sl)] = 0.0
+        return FaceVectorField(self.grid, [c.copy() for c in self.components])
 
 
 def _axslice(dim: int, axis: int, s) -> tuple:
@@ -193,6 +154,19 @@ def _walled(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return out, out[sides.inner]
 
 
+def enforce_dirichlet(v: FaceVectorField) -> FaceVectorField:
+    """Zero the wall faces of ``v`` in place and return ``v``.
+
+    The one place that pins: operators build their face fields walled, so
+    only a velocity sampled from a formula or random data needs this.
+    """
+    for a, comp in enumerate(v.components):
+        sides = SIDES[v.grid.dim, a]
+        comp[sides.first] = 0.0
+        comp[sides.last] = 0.0
+    return v
+
+
 def gradient(c: ScalarField) -> FaceVectorField:
     """Face-centered gradient of a Neumann scalar; zero on boundary faces."""
     grid = c.grid
@@ -203,7 +177,7 @@ def gradient(c: ScalarField) -> FaceVectorField:
         np.subtract(c.values[sides.hi], c.values[sides.lo], out=inner)
         inner /= grid.h[a]
         out.append(g)
-    return FaceVectorField._unchecked(grid, out, DIRICHLET_ZERO)
+    return FaceVectorField(grid, out)
 
 
 def divergence(v: FaceVectorField) -> ScalarField:
@@ -218,7 +192,7 @@ def divergence(v: FaceVectorField) -> ScalarField:
         diff /= grid.h[a]
         if a > 0:
             div += diff
-    return ScalarField._unchecked(grid, div)
+    return ScalarField(grid, div)
 
 
 def laplacian(c: ScalarField) -> ScalarField:
@@ -242,7 +216,7 @@ def laplacian(c: ScalarField) -> ScalarField:
         # reflected ghosts: one-sided second difference at the walls
         out[first] += (vals[second] - vals[first]) / h2
         out[last] += (vals[penult] - vals[last]) / h2
-    return ScalarField(grid, out, NO_BC)
+    return ScalarField(grid, out)
 
 
 def integrate(f: ScalarField) -> float:
@@ -268,9 +242,8 @@ def avg_to_cells(v: FaceVectorField) -> list[np.ndarray]:
     grid = v.grid
     out = []
     for a in range(grid.dim):
-        lo = _axslice(grid.dim, a, slice(None, -1))
-        hi = _axslice(grid.dim, a, slice(1, None))
-        out.append(0.5 * (v.components[a][lo] + v.components[a][hi]))
+        sides = SIDES[grid.dim, a]
+        out.append(0.5 * (v.components[a][sides.lo] + v.components[a][sides.hi]))
     return out
 
 
@@ -279,8 +252,7 @@ def cell_speed_squared(v: FaceVectorField) -> np.ndarray:
     grid = v.grid
     out = np.zeros(grid.n)
     for a in range(grid.dim):
-        lo = _axslice(grid.dim, a, slice(None, -1))
-        hi = _axslice(grid.dim, a, slice(1, None))
+        sides = SIDES[grid.dim, a]
         sq = v.components[a] ** 2
-        out += 0.5 * (sq[lo] + sq[hi])
+        out += 0.5 * (sq[sides.lo] + sq[sides.hi])
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DIRICHLET_ZERO, NEUMANN_ZERO, FaceVectorField, Grid, ScalarField
+from .grid import FaceVectorField, Grid, ScalarField, enforce_dirichlet
 from .potential import DoubleWell
 from .solver import FluidParams, State, make_state, step
 
@@ -120,8 +120,9 @@ class ManufacturedSolution:
     def state_at(self, grid: Grid, t: float) -> State:
         tab = self._tables_for(grid)
         g = _g(t)
-        u = FaceVectorField(grid, [g * v for v in tab.V], DIRICHLET_ZERO)
-        c = ScalarField(grid, g * tab.C0, NEUMANN_ZERO)
+        # V vanishes on the walls only up to the roundoff of sin(pi)
+        u = enforce_dirichlet(FaceVectorField(grid, [g * v for v in tab.V]))
+        c = ScalarField(grid, g * tab.C0)
         return make_state(grid, t=t, u=u, c=c)
 
     def sources_at(self, grid: Grid, t: float) -> tuple[ScalarField, FaceVectorField]:
@@ -134,7 +135,7 @@ class ManufacturedSolution:
         comps = [
             dg * v + g2 * n + g * d for v, n, d in zip(tab.V, tab.nonlin, tab.visc)
         ]
-        return ScalarField(grid, sc, "none"), FaceVectorField(grid, comps, "none")
+        return ScalarField(grid, sc), FaceVectorField(grid, comps)
 
     # -- forced runs --------------------------------------------------------
 

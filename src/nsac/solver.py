@@ -18,8 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    DIRICHLET_ZERO,
-    NEUMANN_ZERO,
     SIDES,
     FaceVectorField,
     Grid,
@@ -100,11 +98,11 @@ class StepReport:
 
 def make_state(grid: Grid, t: float = 0.0, u=None, c=None, p=None) -> State:
     if u is None:
-        u = FaceVectorField(grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)], DIRICHLET_ZERO)
+        u = FaceVectorField(grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)])
     if c is None:
-        c = ScalarField(grid, np.zeros(grid.n), NEUMANN_ZERO)
+        c = ScalarField(grid, np.zeros(grid.n))
     if p is None:
-        p = ScalarField(grid, np.zeros(grid.n), "none")
+        p = ScalarField(grid, np.zeros(grid.n))
     return State(t=t, u=u, c=c, p=p)
 
 
@@ -124,7 +122,7 @@ def advect_scalar(u: FaceVectorField, grad_c: FaceVectorField) -> ScalarField:
         if a > 0:
             out += buf
     out *= 0.5
-    return ScalarField._unchecked(grid, out)
+    return ScalarField(grid, out)
 
 
 # boundary kind -> (cos or sin, grid points in half cells, wavenumbers) for an
@@ -240,7 +238,7 @@ def capillary_force(grad_c: FaceVectorField, lap_c: np.ndarray, eps: float) -> F
         inner *= -0.5 * eps
         inner *= grad_c.components[a][sides.inner]
         comps.append(force)
-    return FaceVectorField._unchecked(grid, comps, DIRICHLET_ZERO)
+    return FaceVectorField(grid, comps)
 
 
 def _component_laplacian(comp: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -269,22 +267,6 @@ def _component_laplacian(comp: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     # pin the normal boundary faces
     out[_axslice(dim, axis, 0)] = 0.0
     out[_axslice(dim, axis, -1)] = 0.0
-    return out
-
-
-def _dcomp_dnode(comp: np.ndarray, grid: Grid, node_axis: int) -> np.ndarray:
-    """d(comp)/d(node_axis) at the node grid, with antisymmetric wall ghosts."""
-    dim = grid.dim
-    h = grid.h[node_axis]
-    shape = list(comp.shape)
-    shape[node_axis] += 1
-    out = np.zeros(shape)
-    interior = _axslice(dim, node_axis, slice(1, -1))
-    out[interior] = np.diff(comp, axis=node_axis) / h
-    first = _axslice(dim, node_axis, slice(0, 1))
-    last = _axslice(dim, node_axis, slice(-1, None))
-    out[first] = 2.0 * comp[_axslice(dim, node_axis, slice(0, 1))] / h
-    out[last] = -2.0 * comp[_axslice(dim, node_axis, slice(-1, None))] / h
     return out
 
 
@@ -325,7 +307,7 @@ def advection_term(u: FaceVectorField) -> FaceVectorField:
         acc[side_a.first] = 0.0
         acc[side_a.last] = 0.0
         comps.append(acc)
-    return FaceVectorField._unchecked(grid, comps, DIRICHLET_ZERO)
+    return FaceVectorField(grid, comps)
 
 
 def advective_cfl(u: FaceVectorField, dt: float) -> float:
@@ -372,11 +354,11 @@ def allen_cahn_step(
     if source is not None:
         rhs += source.values
     delta = _spectral_solve(grid, rhs, ("neumann",) * grid.dim, 1.0 / dt + sigma, eps)
-    c_new = ScalarField._unchecked(grid, c.values + delta, NEUMANN_ZERO)
+    c_new = ScalarField(grid, c.values + delta)
     # delta becomes the material derivative in place
     delta /= dt
     delta += adv
-    return c_new, ScalarField._unchecked(grid, delta)
+    return c_new, ScalarField(grid, delta)
 
 
 def momentum_step(
@@ -423,7 +405,7 @@ def momentum_step(
         sol, sol_inner = _walled(grid, a)
         sol_inner[...] = _spectral_solve(grid, rhs, kinds, 1.0 / dt, half_nu)
         star_comps.append(sol)
-    u_star = FaceVectorField._unchecked(grid, star_comps, DIRICHLET_ZERO)
+    u_star = FaceVectorField(grid, star_comps)
 
     # pressure projection: lap(p) = div(u*)/dt with Neumann, zero mean
     rhs_p = divergence(u_star).values
@@ -431,12 +413,12 @@ def momentum_step(
     rhs_p -= rhs_p.sum() / rhs_p.size
     p = solve_neumann_poisson(grid, rhs_p)
     # u* becomes u_new: u*[inner] -= dt grad p on the interior faces
-    for a, comp in enumerate(star_comps):
+    for a, comp in enumerate(u_star.components):
         sides = SIDES[dim, a]
         gp = p[sides.hi] - p[sides.lo]
         gp *= dt / grid.h[a]
         comp[sides.inner] -= gp
-    p_field = ScalarField._unchecked(grid, p)
+    p_field = ScalarField(grid, p)
     new_state = State(t=state.t, u=u_star, c=c_new, p=p_field, carry=(c_new.values, grad_c, lap_c))
     return new_state, cfl
 

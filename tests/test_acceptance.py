@@ -30,11 +30,10 @@ from nsac.experiments import (
     run_wsu,
 )
 from nsac.grid import (
-    DIRICHLET_ZERO,
-    NEUMANN_ZERO,
     FaceVectorField,
     ScalarField,
     divergence,
+    enforce_dirichlet,
     face_inner,
     gradient,
     integrate,
@@ -64,17 +63,15 @@ def test_criterion_1_operator_calculus():
     for n in (16, 24, 32, 48, 64):
         grid = make_grid(2, (n, n), (1.0, 1.0))
         for _ in range(20):
-            q = ScalarField(grid, rng.standard_normal(grid.n), NEUMANN_ZERO)
+            q = ScalarField(grid, rng.standard_normal(grid.n))
             comps = [rng.standard_normal(grid.face_shape(a)) for a in range(2)]
-            v = FaceVectorField(grid, comps, DIRICHLET_ZERO)
+            v = enforce_dirichlet(FaceVectorField(grid, comps))
             lhs = integrate(ScalarField(grid, q.values * divergence(v).values))
             rhs = face_inner(v, gradient(q))
             scale = abs(lhs) + abs(rhs) + 1e-30
             worst_adj = max(worst_adj, abs(lhs + rhs) / scale)
             lap1 = laplacian(q).values
-            lap2 = divergence(
-                FaceVectorField(grid, gradient(q).components, "none")
-            ).values
+            lap2 = divergence(FaceVectorField(grid, gradient(q).components)).values
             lscale = np.max(np.abs(lap1)) + 1e-30
             worst_lap = max(worst_lap, float(np.max(np.abs(lap1 - lap2))) / lscale)
             pairs += 1
@@ -189,7 +186,7 @@ def test_criterion_5_relative_entropy_identities():
 
     def rand_state():
         comps = [rng.standard_normal(grid.face_shape(a)) for a in range(2)]
-        s = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
+        s = make_state(grid, u=enforce_dirichlet(FaceVectorField(grid, comps)))
         s.c.values[:] = rng.standard_normal(grid.n)
         return s
 
@@ -202,17 +199,15 @@ def test_criterion_5_relative_entropy_identities():
 
     # exact quadratic scaling of the kinetic part
     strong = rand_state()
-    dv = FaceVectorField(
-        grid, [0.1 * rng.standard_normal(grid.face_shape(a)) for a in range(2)],
-        DIRICHLET_ZERO)
+    dv = enforce_dirichlet(FaceVectorField(
+        grid, [0.1 * rng.standard_normal(grid.face_shape(a)) for a in range(2)]))
     base = kinetic_energy(dv)
     quad_ok = True
     for alpha in (2.0, 0.5, 7.0):
         weak = strong.copy()
         weak.u = FaceVectorField(
             grid,
-            [strong.u.components[a] + alpha * dv.components[a] for a in range(2)],
-            DIRICHLET_ZERO)
+            [strong.u.components[a] + alpha * dv.components[a] for a in range(2)])
         e = relative_entropy(weak, strong, params)
         quad_ok = quad_ok and abs(e - alpha**2 * base) <= 1e-12 * alpha**2 * base
     ok = self_ok and min_e >= 0.0 and quad_ok

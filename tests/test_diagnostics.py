@@ -20,13 +20,7 @@ from nsac.diagnostics import (
     velocity_gradient,
     viscous_dissipation,
 )
-from nsac.grid import (
-    DIRICHLET_ZERO,
-    NEUMANN_ZERO,
-    FaceVectorField,
-    ScalarField,
-    make_grid,
-)
+from nsac.grid import FaceVectorField, ScalarField, enforce_dirichlet, make_grid
 from nsac.potential import DoubleWell, quartic_well
 from nsac.solver import FluidParams, _component_laplacian, make_state
 
@@ -36,7 +30,7 @@ PARAMS = FluidParams(nu=0.01, eps=0.05)
 
 def random_velocity(grid, rng, scale=1.0):
     comps = [scale * rng.standard_normal(grid.face_shape(a)) for a in range(grid.dim)]
-    return FaceVectorField(grid, comps, DIRICHLET_ZERO)
+    return enforce_dirichlet(FaceVectorField(grid, comps))
 
 
 def random_state(grid, rng, scale=1.0):
@@ -53,7 +47,7 @@ def test_kinetic_energy_uniform_oracle():
     grid = make_grid(2, (16, 16), (1, 1))
     comps = [np.full(grid.face_shape(a), 0.0) for a in range(2)]
     comps[0][1:-1, :] = 3.0
-    u = FaceVectorField(grid, comps, DIRICHLET_ZERO)
+    u = FaceVectorField(grid, comps)
     # interior cells see |u|^2 = 9; cells adjacent to x-walls see the average
     expected = 0.5 * 9.0 * (14 / 16 + 2 / 16 * 0.5) * 1.0
     assert kinetic_energy(u) == pytest.approx(expected, rel=1e-12)
@@ -119,7 +113,7 @@ def test_viscous_dissipation_interior_shear_oracle():
     ramp = gamma * (y - 0.5)
     comps = [np.zeros(grid.face_shape(a)) for a in range(2)]
     comps[0][:] = ramp[None, :]
-    u = FaceVectorField(grid, comps, "none")
+    u = FaceVectorField(grid, comps)
     grads = velocity_gradient(u)
     interior = grads[(0, 1)][8:-8, 8:-8]
     assert np.allclose(interior, gamma, rtol=1e-12)
@@ -142,7 +136,7 @@ def test_viscous_dissipation_scales_quadratically():
     rng = np.random.default_rng(33)
     u = random_velocity(grid, rng)
     base = viscous_dissipation(u, PARAMS.nu)
-    u3 = FaceVectorField(grid, [3.0 * c for c in u.components], DIRICHLET_ZERO)
+    u3 = FaceVectorField(grid, [3.0 * c for c in u.components])
     assert viscous_dissipation(u3, PARAMS.nu) == pytest.approx(9.0 * base, rel=1e-12)
 
 
@@ -180,7 +174,7 @@ def test_energy_audit_propagates_nan_from_any_row():
 
 def test_max_principle_bounds_hull():
     grid = make_grid(2, (8, 8), (1, 1))
-    c = ScalarField(grid, np.full(grid.n, 0.02), NEUMANN_ZERO)
+    c = ScalarField(grid, np.full(grid.n, 0.02))
     b = max_principle_bounds(c, WELL)
     assert b.m == WELL.y1 and b.M == WELL.y2
     c.values[0, 0] = 1.5
@@ -193,9 +187,9 @@ def test_max_principle_bounds_hull():
 
 def test_check_max_principle_counts():
     grid = make_grid(2, (8, 8), (1, 1))
-    b = max_principle_bounds(ScalarField(grid, np.zeros(grid.n), NEUMANN_ZERO), WELL)
-    good = ScalarField(grid, np.full(grid.n, 0.5), NEUMANN_ZERO)
-    bad = ScalarField(grid, np.full(grid.n, 0.5), NEUMANN_ZERO)
+    b = max_principle_bounds(ScalarField(grid, np.zeros(grid.n)), WELL)
+    good = ScalarField(grid, np.full(grid.n, 0.5))
+    bad = ScalarField(grid, np.full(grid.n, 0.5))
     bad.values[2, 3] = 1.0 + 5e-4
     count, worst = check_max_principle([good, bad], b, tol=1e-6)
     assert count == 1
@@ -207,9 +201,9 @@ def test_check_max_principle_counts():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_check_max_principle_fails_on_non_finite(bad):
     grid = make_grid(2, (8, 8), (1, 1))
-    c = ScalarField(grid, np.zeros(grid.n), NEUMANN_ZERO)
+    c = ScalarField(grid, np.zeros(grid.n))
     c.values[3, 4] = bad
-    good = ScalarField(grid, np.full(grid.n, 0.5), NEUMANN_ZERO)
+    good = ScalarField(grid, np.full(grid.n, 0.5))
     for fields in ([c], [c, good], [good, c]):
         count, worst = check_max_principle(fields, MaxPrincipleBounds(-1.0, 1.0), 1e-6)
         assert count == 1
@@ -218,7 +212,7 @@ def test_check_max_principle_fails_on_non_finite(bad):
 
 def test_max_principle_bounds_reject_non_finite_range():
     grid = make_grid(2, (8, 8), (1, 1))
-    c = ScalarField(grid, np.full(grid.n, 0.02), NEUMANN_ZERO)
+    c = ScalarField(grid, np.full(grid.n, 0.02))
     c.values[1, 2] = np.nan
     with pytest.raises(ValueError, match="nan"):
         max_principle_bounds(c, WELL)
@@ -248,7 +242,6 @@ def test_relative_entropy_quadratic_scaling():
         weak.u = FaceVectorField(
             grid,
             [strong.u.components[a] + alpha * dv.components[a] for a in range(2)],
-            DIRICHLET_ZERO,
         )
         e = relative_entropy(weak, strong, PARAMS)
         assert e == pytest.approx(alpha**2 * kinetic_energy(dv), rel=1e-12)
@@ -258,9 +251,9 @@ def test_omega_weight_uniform_oracle():
     grid = make_grid(2, (16, 16), (1, 1))
     comps = [np.zeros(grid.face_shape(a)) for a in range(2)]
     comps[0][1:-1, :] = 2.0
-    state = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
+    state = make_state(grid, u=FaceVectorField(grid, comps))
     state.c.values[:] = 0.3
-    m = ScalarField(grid, np.zeros(grid.n), "none")
+    m = ScalarField(grid, np.zeros(grid.n))
     assert pair_row(state, state, m, m, WELL, PARAMS).omega == pytest.approx(
         1.0 + 4.0, rel=1e-12)
 
@@ -276,7 +269,7 @@ def _make_pair(grid, rng, n_samples=5, dt=1e-3):
         for samples, scale in ((weak, 1.0), (strong, 0.9)):
             s = random_state(grid, rng, scale)
             s.t = k * dt
-            m = ScalarField(grid, rng.standard_normal(grid.n), "none")
+            m = ScalarField(grid, rng.standard_normal(grid.n))
             samples.append((s, m))
     return weak, strong
 

@@ -23,7 +23,7 @@ from nsac.experiments import (
     step_count,
     stream_function_velocity,
 )
-from nsac.grid import NEUMANN_ZERO, ScalarField, divergence, integrate, make_grid
+from nsac.grid import ScalarField, divergence, integrate, make_grid
 from nsac.manufactured import ManufacturedSolution
 from nsac.solver import FluidParams, _basis, _plan, step
 from nsac.potential import quartic_well
@@ -78,13 +78,18 @@ def test_spinodal_seeded_and_in_range():
     assert not np.array_equal(s1.c.values, s3.c.values)
 
 
+def _assert_walls_zero(u):
+    """Both wall planes of every component are exactly zero."""
+    for a, comp in enumerate(u.components):
+        walls = np.moveaxis(comp, a, 0)[[0, -1]]
+        assert np.all(walls == 0.0)
+
+
 def test_vortex_is_discretely_divergence_free():
     grid = make_grid(2, (32, 32), (1, 1))
     u = stream_function_velocity(grid, 0.25)
     assert np.max(np.abs(divergence(u).values)) < 1e-13
-    for a in (0, 1):
-        assert np.all(u.components[a][tuple(
-            slice(None) if b != a else 0 for b in range(2))] == 0.0)
+    _assert_walls_zero(u)
 
 
 def test_perturbation_velocity_unit_energy_divfree():
@@ -102,7 +107,7 @@ def test_restrict_scalar_block_average_oracle():
     fine = make_grid(2, (8, 8), (1, 1))
     coarse = make_grid(2, (4, 4), (1, 1))
     rng = np.random.default_rng(50)
-    f = ScalarField(fine, rng.standard_normal(fine.n), NEUMANN_ZERO)
+    f = ScalarField(fine, rng.standard_normal(fine.n))
     r = restrict_scalar(f, coarse)
     for i in range(4):
         for j in range(4):
@@ -123,7 +128,7 @@ def test_restrict_incompatible_grids():
     fine = make_grid(2, (12, 12), (1, 1))
     coarse = make_grid(2, (8, 8), (1, 1))
     rng = np.random.default_rng(51)
-    f = ScalarField(fine, rng.standard_normal(fine.n), NEUMANN_ZERO)
+    f = ScalarField(fine, rng.standard_normal(fine.n))
     with pytest.raises(ValueError):
         restrict_scalar(f, coarse)
 
@@ -320,9 +325,7 @@ def test_manufactured_state_satisfies_boundary_conditions():
     ms = ManufacturedSolution(params, quartic_well())
     grid = make_grid(2, (32, 32), (1, 1))
     state = ms.state_at(grid, 0.3)
-    for a in (0, 1):
-        sel = tuple(slice(None) if b != a else 0 for b in range(2))
-        assert np.max(np.abs(state.u.components[a][sel])) < 1e-14
+    _assert_walls_zero(state.u)
     assert np.max(np.abs(divergence(state.u).values)) < 1e-3  # sampled field
 
 

@@ -1,18 +1,15 @@
 """Discrete operator calculus on the MAC grid."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsac.grid import (
-    DIRICHLET_ZERO,
-    NEUMANN_ZERO,
     FaceVectorField,
     ScalarField,
     divergence,
+    enforce_dirichlet,
     face_inner,
     gradient,
     integrate,
@@ -21,13 +18,14 @@ from nsac.grid import (
 )
 
 
-def random_scalar(grid, rng, bc=NEUMANN_ZERO):
-    return ScalarField(grid, rng.standard_normal(grid.n), bc)
+def random_scalar(grid, rng):
+    return ScalarField(grid, rng.standard_normal(grid.n))
 
 
-def random_vector(grid, rng, bc=DIRICHLET_ZERO):
+def random_vector(grid, rng, walled=True):
     comps = [rng.standard_normal(grid.face_shape(a)) for a in range(grid.dim)]
-    return FaceVectorField(grid, comps, bc)
+    v = FaceVectorField(grid, comps)
+    return enforce_dirichlet(v) if walled else v
 
 
 def test_make_grid_spacings():
@@ -51,7 +49,7 @@ def test_make_grid_rejects_bad_input():
 
 def test_gradient_constant_is_zero():
     grid = make_grid(2, (8, 8), (1, 1))
-    c = ScalarField(grid, np.full(grid.n, 3.0), NEUMANN_ZERO)
+    c = ScalarField(grid, np.full(grid.n, 3.0))
     g = gradient(c)
     for comp in g.components:
         assert np.all(comp == 0.0)
@@ -60,7 +58,7 @@ def test_gradient_constant_is_zero():
 def test_gradient_linear_exact():
     grid = make_grid(2, (8, 6), (1, 1))
     x = grid.cell_centers(0)
-    c = ScalarField(grid, np.broadcast_to(x[:, None], grid.n).copy(), NEUMANN_ZERO)
+    c = ScalarField(grid, np.broadcast_to(x[:, None], grid.n).copy())
     g = gradient(c)
     # interior x-faces see slope 1 exactly; boundary faces are forced to 0
     assert np.allclose(g.components[0][1:-1, :], 1.0, rtol=0, atol=1e-13)
@@ -106,21 +104,6 @@ def test_gradient_matches_naive_stencil():
         assert np.allclose(g.components[a], expected[a], rtol=1e-14, atol=1e-14)
 
 
-def test_unchecked_constructors_set_every_declared_field():
-    # the solver's fields skip __init__, so a field added to either class
-    # must also be set by its _unchecked
-    grid = make_grid(2, (4, 5), (1, 1))
-    built = [
-        ScalarField._unchecked(grid, np.zeros(grid.n), NEUMANN_ZERO),
-        FaceVectorField._unchecked(
-            grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)], DIRICHLET_ZERO
-        ),
-    ]
-    for obj in built:
-        assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
-        dataclasses.replace(obj)  # the same values pass __post_init__
-
-
 def test_divergence_zero_field():
     grid = make_grid(2, (8, 8), (1, 1))
     zero = FaceVectorField(grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)])
@@ -139,20 +122,20 @@ def test_divergence_analytic_solenoidal():
 def test_divergence_matches_naive_stencil():
     rng = np.random.default_rng(2)
     grid = make_grid(3, (4, 5, 6), (1.0, 1.1, 0.9))
-    v = random_vector(grid, rng, bc="none")
+    v = random_vector(grid, rng, walled=False)
     assert np.allclose(divergence(v).values, naive_divergence(v), rtol=1e-14, atol=1e-14)
 
 
 def test_laplacian_constant_zero():
     grid = make_grid(2, (8, 8), (1, 1))
-    c = ScalarField(grid, np.full(grid.n, 5.0), NEUMANN_ZERO)
+    c = ScalarField(grid, np.full(grid.n, 5.0))
     assert np.allclose(laplacian(c).values, 0.0, atol=1e-12)
 
 
 def test_laplacian_quadratic_interior():
     grid = make_grid(2, (16, 16), (1, 1))
     x = grid.cell_centers(0)
-    c = ScalarField(grid, np.broadcast_to(x[:, None] ** 2, grid.n).copy(), NEUMANN_ZERO)
+    c = ScalarField(grid, np.broadcast_to(x[:, None] ** 2, grid.n).copy())
     lap = laplacian(c).values
     assert np.allclose(lap[1:-1, :], 2.0, rtol=1e-11)
 
@@ -179,7 +162,7 @@ def test_integrate_constant_and_linear():
 def test_integrate_matches_naive_sum():
     rng = np.random.default_rng(4)
     grid = make_grid(2, (7, 9), (1.4, 0.6))
-    f = random_scalar(grid, rng, bc="none")
+    f = random_scalar(grid, rng)
     naive = 0.0
     for idx in np.ndindex(*grid.n):
         naive += f.values[idx] * grid.cell_volume
@@ -237,7 +220,7 @@ def test_operators_linear():
     a = random_scalar(grid, rng)
     b = random_scalar(grid, rng)
     alpha, beta = 1.7, -0.3
-    combo = ScalarField(grid, alpha * a.values + beta * b.values, NEUMANN_ZERO)
+    combo = ScalarField(grid, alpha * a.values + beta * b.values)
     for a_comp, b_comp, c_comp in zip(
         gradient(a).components, gradient(b).components, gradient(combo).components
     ):
@@ -249,11 +232,36 @@ def test_operators_linear():
     )
 
 
-def test_dirichlet_bc_zeroes_boundary_faces():
+def test_enforce_dirichlet_zeroes_only_the_wall_faces():
     rng = np.random.default_rng(7)
-    grid = make_grid(2, (6, 6), (1, 1))
-    v = random_vector(grid, rng)
-    assert np.all(v.components[0][0, :] == 0.0)
-    assert np.all(v.components[0][-1, :] == 0.0)
-    assert np.all(v.components[1][:, 0] == 0.0)
-    assert np.all(v.components[1][:, -1] == 0.0)
+    for grid in (make_grid(2, (6, 5), (1, 1)), make_grid(3, (4, 5, 6), (1, 1, 1))):
+        v = random_vector(grid, rng, walled=False)
+        before = [comp.copy() for comp in v.components]
+        assert enforce_dirichlet(v) is v
+        for a, (comp, old) in enumerate(zip(v.components, before)):
+            walls = np.moveaxis(comp, a, 0)[[0, -1]]
+            assert np.all(walls == 0.0)
+            inner = (slice(None),) * a + (slice(1, -1),)
+            assert np.array_equal(comp[inner], old[inner])
+
+
+def test_fields_reject_wrong_shapes():
+    for grid in (make_grid(2, (6, 5), (1, 1)), make_grid(3, (4, 5, 6), (1, 1, 1))):
+        with pytest.raises(ValueError, match="scalar values shape"):
+            ScalarField(grid, np.zeros(grid.n[::-1]))
+        with pytest.raises(ValueError, match="scalar values shape"):
+            ScalarField(grid, np.zeros(grid.face_shape(0)))
+        faces = [np.zeros(grid.face_shape(a)) for a in range(grid.dim)]
+        with pytest.raises(ValueError, match="need"):
+            FaceVectorField(grid, faces[:-1])
+        with pytest.raises(ValueError, match="need"):
+            FaceVectorField(grid, faces + [faces[0]])
+        for a in range(grid.dim):
+            wrong = list(faces)
+            wrong[a] = np.zeros(grid.n)
+            with pytest.raises(ValueError, match=f"component {a} has shape"):
+                FaceVectorField(grid, wrong)
+        # well-formed input passes, converted to float
+        assert ScalarField(grid, np.zeros(grid.n, dtype=int)).values.dtype == float
+        v = FaceVectorField(grid, [f.astype(int) for f in faces])
+        assert all(comp.dtype == float for comp in v.components)

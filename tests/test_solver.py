@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsac.grid import (
-    DIRICHLET_ZERO,
-    NEUMANN_ZERO,
     FaceVectorField,
     ScalarField,
     _axslice,
     divergence,
+    enforce_dirichlet,
     gradient,
     laplacian,
     make_grid,
@@ -48,7 +47,7 @@ def stream_function_velocity(grid, amplitude=1.0):
     psi = amplitude * np.sin(np.pi * x)[:, None] ** 2 * np.sin(np.pi * y)[None, :] ** 2 / np.pi
     ux = np.diff(psi, axis=1) / grid.h[1]
     uy = -np.diff(psi, axis=0) / grid.h[0]
-    return FaceVectorField(grid, [ux, uy], DIRICHLET_ZERO)
+    return enforce_dirichlet(FaceVectorField(grid, [ux, uy]))
 
 
 def test_fluid_params_validation():
@@ -64,11 +63,11 @@ def _capillary(c):
 
 def test_capillary_force_constant_and_linear():
     grid = make_grid(2, (16, 16), (1, 1))
-    c = ScalarField(grid, np.full(grid.n, 0.7), NEUMANN_ZERO)
+    c = ScalarField(grid, np.full(grid.n, 0.7))
     f = _capillary(c)
     assert all(np.all(comp == 0.0) for comp in f.components)
     x = grid.cell_centers(0)
-    c = ScalarField(grid, np.broadcast_to(x[:, None], grid.n).copy(), NEUMANN_ZERO)
+    c = ScalarField(grid, np.broadcast_to(x[:, None], grid.n).copy())
     f = _capillary(c)
     # linear c is harmonic: lap(c) = 0 away from the Neumann walls
     assert np.allclose(f.components[0][2:-2, :], 0.0, atol=1e-12)
@@ -78,7 +77,7 @@ def test_capillary_force_constant_and_linear():
 def test_capillary_force_quadratic_profile():
     grid = make_grid(2, (32, 32), (1, 1))
     x = grid.cell_centers(0)
-    c = ScalarField(grid, np.broadcast_to(x[:, None] ** 2, grid.n).copy(), NEUMANN_ZERO)
+    c = ScalarField(grid, np.broadcast_to(x[:, None] ** 2, grid.n).copy())
     f = _capillary(c)
     xf = grid.face_coords(0)
     # interior: lap = 2, grad = 2 x_face, so f_x = -eps * 4 x
@@ -161,7 +160,7 @@ def test_momentum_projection_divergence():
     grid = make_grid(2, (32, 32), (1, 1))
     rng = np.random.default_rng(21)
     comps = [0.3 * rng.standard_normal(grid.face_shape(a)) for a in range(2)]
-    state = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
+    state = make_state(grid, u=enforce_dirichlet(FaceVectorField(grid, comps)))
     state.c.values[:] = 1.0
     new_state, _ = momentum_step(state, state.c, PARAMS, DT)
     umax = max(np.max(np.abs(c)) for c in new_state.u.components)
@@ -173,7 +172,7 @@ def test_momentum_projection_divergence_3d():
     grid = make_grid(3, (8, 10, 12), (1, 1, 1))
     rng = np.random.default_rng(23)
     comps = [0.3 * rng.standard_normal(grid.face_shape(a)) for a in range(3)]
-    state = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
+    state = make_state(grid, u=enforce_dirichlet(FaceVectorField(grid, comps)))
     state.c.values[:] = 1.0
     new_state, _ = momentum_step(state, state.c, PARAMS, DT)
     umax = max(np.max(np.abs(c)) for c in new_state.u.components)
@@ -196,7 +195,7 @@ def test_momentum_vortex_kinetic_energy_decreases():
 
 def _random_velocity(grid, rng, scale=1.0):
     comps = [scale * rng.standard_normal(grid.face_shape(a)) for a in range(grid.dim)]
-    return FaceVectorField(grid, comps, DIRICHLET_ZERO)
+    return enforce_dirichlet(FaceVectorField(grid, comps))
 
 
 def test_advection_term_is_exactly_skew():
@@ -292,7 +291,7 @@ def _reference_step(state, well, params, dt, source_c=None, source_u=None):
         rhs = rhs + source_c.values
     sigma = well.lipschitz_constant() / (2.0 * eps)
     delta = _spectral_solve(grid, rhs, ("neumann",) * dim, 1.0 / dt + sigma, eps)
-    c_new = ScalarField(grid, c.values + delta, NEUMANN_ZERO)
+    c_new = ScalarField(grid, c.values + delta)
     material = (c_new.values - c.values) / dt + adv
 
     cfl = advective_cfl(state.u, dt)
@@ -308,11 +307,10 @@ def _reference_step(state, well, params, dt, source_c=None, source_u=None):
         sol = np.zeros_like(rhs)
         sol[interior] = _spectral_solve(grid, rhs[interior], kinds, 1.0 / dt, 0.5 * params.nu)
         star.append(sol)
-    rhs_p = divergence(FaceVectorField(grid, star, DIRICHLET_ZERO)).values / dt
+    rhs_p = divergence(FaceVectorField(grid, star)).values / dt
     p = solve_neumann_poisson(grid, rhs_p - rhs_p.mean())
-    gp = gradient(ScalarField(grid, p, NEUMANN_ZERO))
-    u_new = FaceVectorField(grid, [star[a] - dt * gp.components[a] for a in range(dim)],
-                            DIRICHLET_ZERO)
+    gp = gradient(ScalarField(grid, p))
+    u_new = FaceVectorField(grid, [star[a] - dt * gp.components[a] for a in range(dim)])
     return State(state.t + dt, u_new, c_new, ScalarField(grid, p)), material, cfl
 
 
@@ -360,15 +358,19 @@ def test_step_matches_reference_composition(grid, seed, sources, dt):
         assert close(report.material_derivative.values, ref_material)
         assert abs(report.cfl - ref_cfl) <= 1e-12 * ref_cfl
         grad_c, lap_c = state.carried()
+        # no constructor pins walls: each operator must build its field walled
         _assert_walls_zero(state.u)
         _assert_walls_zero(grad_c)
+        _assert_walls_zero(gradient(state.c))
+        _assert_walls_zero(advection_term(state.u))
+        _assert_walls_zero(capillary_force(grad_c, lap_c, PARAMS.eps))
         assert np.array_equal(lap_c, divergence(gradient(state.c)).values)
 
 
 def test_cfl_guard_rejects_fast_flow():
     grid = make_grid(2, (16, 16), (1, 1))
     comps = [np.full(grid.face_shape(a), 200.0) for a in range(2)]
-    state = make_state(grid, u=FaceVectorField(grid, comps, DIRICHLET_ZERO))
+    state = make_state(grid, u=enforce_dirichlet(FaceVectorField(grid, comps)))
     state.c.values[:] = 1.0
     with pytest.raises(CFLError):
         momentum_step(state, state.c, PARAMS, DT)
@@ -499,7 +501,7 @@ def test_rebinding_c_makes_the_step_recompute(rebind):
     state, _ = step(_stirred_bubble(), WELL, PARAMS, DT)
     shifted = 0.9 * state.c.values
     if rebind == "c":
-        state.c = ScalarField(state.grid, shifted, NEUMANN_ZERO)
+        state.c = ScalarField(state.grid, shifted)
     else:
         state.c.values = shifted
     assert state.carried() is None
@@ -560,7 +562,7 @@ def test_spectral_solves_are_exact(grid, seed):
     shift = 1.0 / DT + WELL.lipschitz_constant() / (2 * PARAMS.eps)
     rhs = rng.standard_normal(grid.n)
     x = _spectral_solve(grid, rhs, ("neumann",) * dim, shift, PARAMS.eps)
-    resid = shift * x - PARAMS.eps * laplacian(ScalarField(grid, x, NEUMANN_ZERO)).values - rhs
+    resid = shift * x - PARAMS.eps * laplacian(ScalarField(grid, x)).values - rhs
     assert rel(resid, rhs) <= 1e-13
 
     for a in range(dim):
@@ -576,7 +578,7 @@ def test_spectral_solves_are_exact(grid, seed):
     rhs = rng.standard_normal(grid.n)
     rhs -= rhs.mean()
     p = solve_neumann_poisson(grid, rhs)
-    resid = laplacian(ScalarField(grid, p, NEUMANN_ZERO)).values - rhs
+    resid = laplacian(ScalarField(grid, p)).values - rhs
     assert rel(resid, rhs) <= 1e-13
 
 
