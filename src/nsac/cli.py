@@ -88,9 +88,9 @@ def _cmd_simulate(run: _Run) -> int:
         energy_history(state, cfg.well, cfg.params, cfg.dt, n_steps)
     ):
         reports.append(report)
-        k = -(-i // stride)  # sample number; the last one may be a short chunk
-        if (i % stride == 0 and (k * stride) % cfg.output_every == 0) or i == n_steps:
-            write_vtk(state, run.path(f"snapshot_{k * stride:06d}.vtk"), f"t={state.t:.6f}")
+        # named by the step index, so a last short chunk names the step it reached
+        if (i % stride == 0 and i % cfg.output_every == 0) or i == n_steps:
+            write_vtk(state, run.path(f"snapshot_{i:06d}.vtk"), f"t={state.t:.6f}")
     write_energy_csv(reports, run.path("energy.csv"))
     run.say(f"simulated {n_steps} steps to t={state.t:.6f}")
     return 0

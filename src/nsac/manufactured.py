@@ -11,9 +11,9 @@ forcing term is a fixed spatial field times g, g^2 or g' = 2 cos(4t):
     s_u = g' V + g^2 ((V.grad) V + eps lap(C0) grad C0) - (nu/2) g lap(V)
 
 The spatial fields are sampled once per grid (cell centers for C, the faces
-of each component for U) and cached, so sampling at a time t costs a few
-scaled array sums. The nonlinear potential term is evaluated through the
-same well object the solver uses.
+of each component for U) into padded buffers and cached, so sampling at a
+time t costs a few scaled sums over whole buffers. The nonlinear potential
+term is evaluated through the same well object the solver uses.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FaceVectorField, Grid, ScalarField, enforce_dirichlet
+from .grid import FaceVectorField, Grid, ScalarField, cell_field, enforce_dirichlet, face_field
 from .potential import DoubleWell
 from .solver import FluidParams, State, make_state, step
 
@@ -65,13 +65,14 @@ def _point_fields(x: np.ndarray, y: np.ndarray) -> dict:
 
 @dataclass
 class _GridTables:
-    """The time-independent factors of the exact fields and sources on one grid."""
+    """The time-independent factors of the exact fields and sources on one
+    grid, each in the padded buffer of its field (``ScalarField.padded``)."""
 
     C0: np.ndarray  # cells
     adv_c: np.ndarray  # cells: V.grad C0
-    V: list[np.ndarray]  # faces of component a: V_a
-    nonlin: list[np.ndarray]  # faces: (V.grad) V_a + eps lap(C0) d_a C0
-    visc: list[np.ndarray]  # faces: -(nu/2) lap(V_a)
+    V: np.ndarray  # face block, [a] on the faces of component a: V_a
+    nonlin: np.ndarray  # face block: (V.grad) V_a + eps lap(C0) d_a C0
+    visc: np.ndarray  # face block: -(nu/2) lap(V_a)
 
     @classmethod
     def build(cls, grid: Grid, params: FluidParams) -> "_GridTables":
@@ -93,7 +94,13 @@ class _GridTables:
             )
             visc.append(-(params.nu / 2) * f["lapV"][a])
         adv_c = cell["V"][0] * cell["dC0"][0] + cell["V"][1] * cell["dC0"][1]
-        return cls(C0=cell["C0"], adv_c=adv_c, V=V, nonlin=nonlin, visc=visc)
+        return cls(
+            C0=ScalarField(grid, cell["C0"]).padded(),
+            adv_c=ScalarField(grid, adv_c).padded(),
+            V=FaceVectorField(grid, V).padded(),
+            nonlin=FaceVectorField(grid, nonlin).padded(),
+            visc=FaceVectorField(grid, visc).padded(),
+        )
 
 
 class ManufacturedSolution:
@@ -121,21 +128,24 @@ class ManufacturedSolution:
         tab = self._tables_for(grid)
         g = _g(t)
         # V vanishes on the walls only up to the roundoff of sin(pi)
-        u = enforce_dirichlet(FaceVectorField(grid, [g * v for v in tab.V]))
-        c = ScalarField(grid, g * tab.C0)
-        return make_state(grid, t=t, u=u, c=c)
+        u = enforce_dirichlet(face_field(grid, g * tab.V))
+        return make_state(grid, t=t, u=u, c=cell_field(grid, g * tab.C0))
 
     def sources_at(self, grid: Grid, t: float) -> tuple[ScalarField, FaceVectorField]:
         tab = self._tables_for(grid)
         eps = self.params.eps
         g, dg = _g(t), _dg(t)
         g2 = g * g
-        sc = (dg + 2 * eps * PI**2 * g) * tab.C0 + g2 * tab.adv_c
-        sc += self.well.eval_Fprime(g * tab.C0) / eps
-        comps = [
-            dg * v + g2 * n + g * d for v, n, d in zip(tab.V, tab.nonlin, tab.visc)
-        ]
-        return ScalarField(grid, sc), FaceVectorField(grid, comps)
+        # whole padded buffers, summed in place
+        sc = (dg + 2 * eps * PI**2 * g) * tab.C0
+        sc += g2 * tab.adv_c
+        fp = self.well.eval_Fprime(g * tab.C0)
+        fp /= eps
+        sc += fp
+        su = dg * tab.V
+        su += g2 * tab.nonlin
+        su += g * tab.visc
+        return cell_field(grid, sc), face_field(grid, su)
 
     # -- forced runs --------------------------------------------------------
 

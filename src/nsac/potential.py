@@ -54,8 +54,15 @@ def _extended(base_F, base_Fp, base_Fpp, f1: float, f2: float):
     F1, Fp1, Fpp1 = base_F(f1), base_Fp(f1), base_Fpp(f1)
     F2, Fp2, Fpp2 = base_F(f2), base_Fp(f2), base_Fpp(f2)
 
+    # With every c in [f1, f2] the overshoot terms below add exact zeros, so
+    # the base well alone gives the same bits.
+    def in_range(c):
+        return f1 <= c.min() and c.max() <= f2
+
     def F(c):
         c = np.asarray(c, dtype=float)
+        if in_range(c):
+            return base_F(c)
         mid = base_F(np.clip(c, f1, f2))
         dlo = np.minimum(c - f1, 0.0)
         dhi = np.maximum(c - f2, 0.0)
@@ -64,6 +71,8 @@ def _extended(base_F, base_Fp, base_Fpp, f1: float, f2: float):
     def Fp(c):
         # one clip: d = c - m is the overshoot below f1 (< 0) or above f2
         c = np.asarray(c, dtype=float)
+        if in_range(c):
+            return base_Fp(c)
         m = np.clip(c, f1, f2)
         out = base_Fp(m)
         d = c - m

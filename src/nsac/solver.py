@@ -18,14 +18,15 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    SIDES,
     FaceVectorField,
     Grid,
     ScalarField,
     _axslice,
-    _walled,
+    cell_field,
     divergence,
+    face_field,
     gradient,
+    padded_cells,
 )
 from .potential import DoubleWell
 
@@ -98,11 +99,11 @@ class StepReport:
 
 def make_state(grid: Grid, t: float = 0.0, u=None, c=None, p=None) -> State:
     if u is None:
-        u = FaceVectorField(grid, [np.zeros(grid.face_shape(a)) for a in range(grid.dim)])
+        u = face_field(grid, np.zeros(grid.block_shape))
     if c is None:
-        c = ScalarField(grid, np.zeros(grid.n))
+        c = cell_field(grid, np.zeros(grid.padded_shape))
     if p is None:
-        p = ScalarField(grid, np.zeros(grid.n))
+        p = cell_field(grid, np.zeros(grid.padded_shape))
     return State(t=t, u=u, c=c, p=p)
 
 
@@ -113,16 +114,19 @@ def advect_scalar(u: FaceVectorField, grad_c: FaceVectorField) -> ScalarField:
     to cells; boundary faces contribute nothing (both factors vanish there).
     """
     grid = grad_c.grid
-    out = np.empty(grid.n)
-    buf = np.empty(grid.n)
-    for a in range(grid.dim):
-        sides = SIDES[grid.dim, a]
-        prod = u.components[a] * grad_c.components[a]
-        np.add(prod[sides.lo], prod[sides.hi], out=out if a == 0 else buf)
+    m = grid.size - grid.offsets[0]
+    out = np.empty(grid.padded_shape)
+    flat = out.ravel()
+    buf = np.empty(m)
+    for a, (ua, ga) in enumerate(zip(u.padded(), grad_c.padded())):
+        s = grid.offsets[a]
+        prod = np.multiply(ua, ga).ravel()
+        np.add(prod[:m], prod[s:s + m], out=flat[:m] if a == 0 else buf)
         if a > 0:
-            out += buf
+            flat[:m] += buf
+    flat[m:] = 0.0
     out *= 0.5
-    return ScalarField(grid, out)
+    return cell_field(grid, out)
 
 
 # boundary kind -> (cos or sin, grid points in half cells, wavenumbers) for an
@@ -180,12 +184,15 @@ def _along_axes(x: np.ndarray, mats: list[tuple[np.ndarray, np.ndarray]]) -> np.
     """Apply ``m`` along axis ``a`` of x for each ``(m, m^T) = mats[a]``.
 
     The last axis is a right product with m^T; every other axis a left
-    product on the view that folds the axes after it, so no axis is moved.
+    product on the view that folds the axes after it, so no axis is moved
+    (for the last axis but one that view is x itself).
     """
     last = x.ndim - 1
     for a, (m, mt) in enumerate(mats):
         if a == last:
             x = x @ mt
+        elif a == last - 1:
+            x = m @ x
         else:
             shape = x.shape
             x = (m @ x.reshape(shape[: a + 1] + (-1,))).reshape(shape)
@@ -229,16 +236,17 @@ def capillary_force(grad_c: FaceVectorField, lap_c: np.ndarray, eps: float) -> F
     part absorbed into the pressure.
     """
     grid = grad_c.grid
-    comps = []
-    for a in range(grid.dim):
-        sides = SIDES[grid.dim, a]
-        # lap c averaged to the interior faces; the wall faces stay 0
-        force, inner = _walled(grid, a)
-        np.add(lap_c[sides.lo], lap_c[sides.hi], out=inner)
+    flat_lap = padded_cells(grid, lap_c).ravel()
+    out = np.empty(grid.block_shape)
+    for a, (force, ga) in enumerate(zip(out, grad_c.padded())):
+        s = grid.offsets[a]
+        # lap c averaged to the faces k >= s_a, then the wall planes zeroed
+        inner = force.ravel()[s:]
+        np.add(flat_lap[:-s], flat_lap[s:], out=inner)
         inner *= -0.5 * eps
-        inner *= grad_c.components[a][sides.inner]
-        comps.append(force)
-    return FaceVectorField(grid, comps)
+        inner *= ga.ravel()[s:]
+        force[grid.walls[a]] = 0.0
+    return face_field(grid, out)
 
 
 def _component_laplacian(comp: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -281,33 +289,37 @@ def advection_term(u: FaceVectorField) -> FaceVectorField:
     the pinned normal velocity 0, so the wall ghosts of u_a drop out.
     """
     grid = u.grid
-    dim = grid.dim
-    comps = []
-    for a in range(dim):
-        ua = u.components[a]
-        side_a = SIDES[dim, a]
-        # b = a: the midpoints are the cells, between every pair of faces, so
-        # these terms reach every face and start the sum
-        acc = np.empty_like(ua)
-        v = (ua[side_a.lo] + ua[side_a.hi]) * (0.25 / grid.h[a])
-        np.multiply(v, ua[side_a.hi], out=acc[side_a.lo])
-        acc[side_a.last] = 0.0
-        acc[side_a.hi] -= v * ua[side_a.lo]
-        acc_inner, ua_inner = acc[side_a.inner], ua[side_a.inner]
-        for b in range(dim):
+    size = grid.size
+    flat_u = [buf.ravel() for buf in u.padded()]
+    out = np.empty(grid.block_shape)
+    # V and each product V u go through two scratch arrays
+    v_buf, w_buf = np.empty(size), np.empty(size)
+    for a, (ua, acc) in enumerate(zip(flat_u, out)):
+        sa = grid.offsets[a]
+        # b = a: V(k) sits at the cell between faces k and k + s_a, so these
+        # terms reach every face and start the sum
+        flat = acc.ravel()
+        v, w = v_buf[:size - sa], w_buf[:size - sa]
+        np.add(ua[:-sa], ua[sa:], out=v)
+        v *= 0.25 / grid.h[a]
+        np.multiply(v, ua[sa:], out=flat[:-sa])
+        flat[-sa:] = 0.0
+        flat[sa:] -= np.multiply(v, ua[:-sa], out=w)
+        for b, ub in enumerate(flat_u):
             if b == a:
                 continue
-            ub = u.components[b]
-            side_b = SIDES[dim, b]
-            # midpoints are the interior a/b edges, between interior faces
-            ub_lo, ub_hi = ub[side_a.lo], ub[side_a.hi]
-            v = (ub_lo[side_b.inner] + ub_hi[side_b.inner]) * (0.25 / grid.h[b])
-            acc_inner[side_b.lo] += v * ua_inner[side_b.hi]
-            acc_inner[side_b.hi] -= v * ua_inner[side_b.lo]
-        acc[side_a.first] = 0.0
-        acc[side_a.last] = 0.0
-        comps.append(acc)
-    return FaceVectorField(grid, comps)
+            sb = grid.offsets[b]
+            # V(k) = u_b averaged along a to the a/b edge between faces k and
+            # k + s_b, for k in [s_a, size - s_b). On a wall edge V is the
+            # pinned wall value 0, so the term it adds to a face next to the
+            # wall is a signed zero, whatever finite pad it multiplies.
+            v, w = v_buf[:size - sa - sb], w_buf[:size - sa - sb]
+            np.add(ub[sb:size - sa], ub[sa + sb:], out=v)
+            v *= 0.25 / grid.h[b]
+            flat[sa:size - sb] += np.multiply(v, ua[sa + sb:], out=w)
+            flat[sa + sb:] -= np.multiply(v, ua[sa:size - sb], out=w)
+        acc[grid.walls[a]] = 0.0
+    return face_field(grid, out)
 
 
 def advective_cfl(u: FaceVectorField, dt: float) -> float:
@@ -347,18 +359,22 @@ def allen_cahn_step(
     else:
         grad_c, lap_c = carried
     state.carry = None
-    adv = advect_scalar(state.u, grad_c).values
-    rhs = eps * lap_c
+    # whole padded buffers throughout; the solve reads the cell view
+    adv = advect_scalar(state.u, grad_c).padded()
+    c_buf = c.padded()
+    rhs = eps * padded_cells(grid, lap_c)
     rhs -= adv
-    rhs -= well.eval_Fprime(c.values) / eps
+    rhs -= well.eval_Fprime(c_buf) / eps
     if source is not None:
-        rhs += source.values
-    delta = _spectral_solve(grid, rhs, ("neumann",) * grid.dim, 1.0 / dt + sigma, eps)
-    c_new = ScalarField(grid, c.values + delta)
+        rhs += source.padded()
+    delta = np.zeros(grid.padded_shape)
+    cells = grid.cell_view
+    delta[cells] = _spectral_solve(grid, rhs[cells], ("neumann",) * grid.dim, 1.0 / dt + sigma, eps)
+    c_new = cell_field(grid, c_buf + delta)
     # delta becomes the material derivative in place
     delta /= dt
     delta += adv
-    return c_new, ScalarField(grid, delta)
+    return c_new, cell_field(grid, delta)
 
 
 def momentum_step(
@@ -373,8 +389,9 @@ def momentum_step(
     Returns the new state (with t unchanged; ``step`` advances it) and the
     realized advective CFL. The new state carries grad ``c_new`` and its
     divergence lap ``c_new``; ``c_new.values`` becomes read-only so that the
-    carry cannot go stale. The viscous right-hand sides are formed on the
-    interior faces only, and the projection updates u* in place.
+    carry cannot go stale. The viscous right-hand sides are formed over the
+    whole block of face buffers and solved on the interior faces, and the
+    projection updates u* in place.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -390,36 +407,37 @@ def momentum_step(
     for arr in (c_new.values, *grad_c.components, lap_c):
         arr.flags.writeable = False
     force = capillary_force(grad_c, lap_c, params.eps)
-    half_nu = 0.5 * params.nu
 
-    star_comps = []
+    # every component at once, then one solve per component into the
+    # interior faces of u*, whose walls and pads stay zero
+    rhs = state.u.padded() / dt
+    rhs -= adv.padded()
+    rhs += force.padded()
+    if source is not None:
+        rhs += source.padded()
+    star = np.zeros(grid.block_shape)
     for a in range(dim):
-        inner = SIDES[dim, a].inner
-        rhs = state.u.components[a][inner] / dt
-        rhs -= adv.components[a][inner]
-        rhs += force.components[a][inner]
-        if source is not None:
-            rhs += source.components[a][inner]
         kinds = tuple("wall" if b == a else "ghost" for b in range(dim))
-        # the wall faces stay pinned at zero
-        sol, sol_inner = _walled(grid, a)
-        sol_inner[...] = _spectral_solve(grid, rhs, kinds, 1.0 / dt, half_nu)
-        star_comps.append(sol)
-    u_star = FaceVectorField(grid, star_comps)
+        inner = grid.inner_face_views[a]
+        star[inner] = _spectral_solve(grid, rhs[inner], kinds, 1.0 / dt, 0.5 * params.nu)
+    u_star = face_field(grid, star)
 
-    # pressure projection: lap(p) = div(u*)/dt with Neumann, zero mean
-    rhs_p = divergence(u_star).values
-    rhs_p /= dt
+    # pressure projection: lap(p) = div(u*)/dt with Neumann, zero mean; rhs_p
+    # is a contiguous array, so its sum does not depend on the storage
+    rhs_p = divergence(u_star).values / dt
     rhs_p -= rhs_p.sum() / rhs_p.size
-    p = solve_neumann_poisson(grid, rhs_p)
-    # u* becomes u_new: u*[inner] -= dt grad p on the interior faces
-    for a, comp in enumerate(u_star.components):
-        sides = SIDES[dim, a]
-        gp = p[sides.hi] - p[sides.lo]
+    p = np.zeros(grid.padded_shape)
+    p[grid.cell_view] = solve_neumann_poisson(grid, rhs_p)
+    flat_p = p.ravel()
+    # u* becomes u_new: u*[k] -= dt (p[k] - p[k - s_a]) / h_a, then the walls
+    # that pass ran over are zeroed again
+    for a, comp in enumerate(star):
+        s = grid.offsets[a]
+        gp = flat_p[s:] - flat_p[:-s]
         gp *= dt / grid.h[a]
-        comp[sides.inner] -= gp
-    p_field = ScalarField(grid, p)
-    new_state = State(t=state.t, u=u_star, c=c_new, p=p_field, carry=(c_new.values, grad_c, lap_c))
+        comp.ravel()[s:] -= gp
+        comp[grid.walls[a]] = 0.0
+    new_state = State(t=state.t, u=u_star, c=c_new, p=cell_field(grid, p), carry=(c_new.values, grad_c, lap_c))
     return new_state, cfl
 
 

@@ -371,6 +371,18 @@ def test_cli_non_finite_state_exit_2(tmp_path, capsys, monkeypatch):
     assert "non-finite c" in capsys.readouterr().err
 
 
+def test_cli_simulate_names_snapshots_by_step(tmp_path, monkeypatch):
+    # 10 steps sampled every 3: the last, short chunk ends at step 10, not 12
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.dt = 1e-3\ntime.t_end = 0.01\n"
+                               "output.samples = 3\noutput.every = 1\ninit.kind = bubble\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    names = sorted(p.name for p in out.glob("snapshot_*.vtk"))
+    assert names == [f"snapshot_{i:06d}.vtk" for i in (0, 3, 6, 9, 10)]
+    assert (out / "snapshot_000010.vtk").read_text().splitlines()[1] == "t=0.010000"
+
+
 @pytest.mark.parametrize("command", ["simulate", "energy-audit", "perturb", "wsu"])
 @pytest.mark.parametrize("t_end", ["1e-5", "3e-4"])
 def test_cli_schedule_not_whole_steps_exit_1(tmp_path, capsys, monkeypatch, command, t_end):

@@ -117,3 +117,33 @@ def test_extended_Fprime_matches_two_sided_form(c):
     ref = _two_sided_Fprime(c, well.f1, well.f2)
     got = well.eval_Fprime(c)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
+
+
+def _clip_form(c, f1, f2):
+    """Reference: the extended quartic F and F' through the clip and both
+    overshoot terms, as computed for every array before the in-range path."""
+    Fp1, Fpp1 = f1 * f1 * f1 - f1, 3.0 * f1**2 - 1.0
+    Fp2, Fpp2 = f2 * f2 * f2 - f2, 3.0 * f2**2 - 1.0
+    m = np.clip(c, f1, f2)
+    dlo = np.minimum(c - f1, 0.0)
+    dhi = np.maximum(c - f2, 0.0)
+    F = 0.25 * (m**2 - 1.0) ** 2 + Fp1 * dlo + 0.5 * Fpp1 * dlo**2 + Fp2 * dhi + 0.5 * Fpp2 * dhi**2
+    Fp = m * m * m - m
+    d = c - m
+    Fp += np.where(d < 0.0, Fpp1, Fpp2) * d
+    return F, Fp
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inside=st.lists(st.floats(-3.0, 1.5), min_size=1, max_size=12),
+    outside=st.lists(st.floats(-6.0, 4.5), max_size=3),
+)
+def test_in_range_path_gives_the_clip_form_bits(inside, outside):
+    # arrays within [f1, f2] take the base well alone; ones that straddle
+    # f1 or f2 take the clip form; both must give its bits
+    well = quartic_well(-3.0, 1.5)
+    for c in (np.array(inside), np.array(inside + outside)):
+        F, Fp = _clip_form(c, well.f1, well.f2)
+        assert well.eval_F(c).tobytes() == F.tobytes()
+        assert well.eval_Fprime(c).tobytes() == Fp.tobytes()
