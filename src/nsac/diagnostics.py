@@ -24,11 +24,12 @@ from .grid import (
     Grid,
     ScalarField,
     avg_to_cells,
+    cell_field,
     cell_speed_squared,
     divergence,
+    face_field,
     face_inner,
     gradient,
-    integrate,
 )
 from .potential import DoubleWell
 from .solver import FluidParams, State, StepReport
@@ -61,9 +62,8 @@ def total_energy(state: State, well: DoubleWell, params: FluidParams) -> EnergyR
     carried = state.carried()
     g = gradient(state.c) if carried is None else carried[0]
     interfacial = 0.5 * params.eps * face_inner(g, g)
-    potential = integrate(
-        ScalarField(state.grid, well.eval_F(state.c.values))
-    ) / params.eps
+    # F(c) is a new, contiguous array, so its sum does not depend on how c is stored
+    potential = float(well.eval_F(state.c.values).sum() * state.grid.cell_volume) / params.eps
     return EnergyReport(
         t=state.t,
         kinetic=kinetic_energy(state.u),
@@ -110,12 +110,12 @@ def velocity_gradient(u: FaceVectorField) -> dict[tuple[int, int], np.ndarray]:
     grid = u.grid
     dim = grid.dim
     out = {}
-    for a in range(dim):
+    for a, comp in enumerate(u.components):
         for b in range(dim):
             if a == b:
-                out[(a, b)] = np.diff(u.components[a], axis=a) / grid.h[a]
+                out[(a, b)] = np.diff(comp, axis=a) / grid.h[a]
             else:
-                out[(a, b)] = _dcomp_dnode(u.components[a], grid, b)
+                out[(a, b)] = _dcomp_dnode(comp, grid, b)
     return out
 
 
@@ -144,7 +144,8 @@ def dissipation_rates(
     """Viscous and Allen-Cahn dissipation rates after one step."""
     visc = viscous_dissipation(state.u, params.nu)
     m = report.material_derivative
-    ac = integrate(ScalarField(state.grid, m.values**2))
+    # summed as a new, contiguous array, like F(c) in total_energy
+    ac = float((m.values**2).sum() * state.grid.cell_volume)
     return visc, ac
 
 
@@ -218,10 +219,9 @@ def _differences(
     """u - U, c - C and grad(c - C) of a weak/strong pair on one grid."""
     if weak.grid != strong.grid:
         raise ValueError("states live on different grids")
-    u, U = weak.u, strong.u
-    comps = [u.components[a] - U.components[a] for a in range(u.grid.dim)]
-    w = FaceVectorField(u.grid, comps)
-    d = ScalarField(weak.grid, weak.c.values - strong.c.values)
+    grid = weak.grid
+    w = face_field(grid, weak.u.padded() - strong.u.padded())
+    d = cell_field(grid, weak.c.padded() - strong.c.padded())
     return w, d, gradient(d)
 
 

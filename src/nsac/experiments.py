@@ -267,7 +267,7 @@ def restrict_velocity(fine: FaceVectorField, coarse_grid: Grid) -> FaceVectorFie
             shape[b] = shape[b] // r
             shape.insert(b + 1, r)
             vals = vals.reshape(shape).mean(axis=b + 1)
-        comps.append(vals.copy())
+        comps.append(vals)
     return FaceVectorField(coarse_grid, comps)
 
 

@@ -19,21 +19,21 @@ adjoints under midpoint quadrature, and divergence(gradient(q)) equals the
 2*dim+1 point Laplacian entrywise. Every energy/entropy identity computed
 downstream leans on those two facts.
 
-Storage: every array on a grid is the leading-corner view of a C-order
-buffer of shape ``n + 1`` (one extra plane per axis; the components of a
-face field share one block of such buffers), so a neighbour along
-axis ``a`` is the same flat offset ``grid.offsets[a]`` for cells and every
-face component alike, and each stencil is one contiguous pass over whole
-buffers. Entries outside the view are pads: they hold finite values (zero,
-or a stencil of finite data) and are never read as data. An array that no
-padded buffer backs (initial data, a test field, a restriction) is packed
-into one, by one copy, when it enters an operator.
+Storage: a field is its padded buffer, a C-order array of shape ``n + 1``
+(one extra plane per axis; the components of a face field share one block
+of such buffers), so a neighbour along axis ``a`` is the same flat offset
+``grid.offsets[a]`` for cells and every face component alike, and each
+stencil is one contiguous pass over whole buffers. ``values`` and
+``components`` are the leading-corner views of that buffer and cannot be
+rebound. The constructors pack their arrays once; ``cell_field`` and
+``face_field`` wrap an operator's buffer without a copy. Entries outside
+the view are pads: they hold finite values (zero, or a stencil of finite
+data) and are never read as data.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -153,105 +153,84 @@ def _pack(grid: Grid, arr: np.ndarray) -> np.ndarray:
     return buf
 
 
-@dataclass
 class ScalarField:
-    """Cell-centered scalar field.
+    """Cell-centered scalar field: a padded buffer and its cell view ``values``.
 
-    An operator's output is the cell view of a padded buffer ``_buf``; its
-    ``padded()`` hands that buffer on for as long as ``values`` is that view.
+    The constructor packs ``values`` into a new buffer, by one copy;
+    ``cell_field`` wraps an operator's buffer without one. ``values`` cannot
+    be rebound, and each access makes a new view, so it is read-only
+    whenever the buffer is.
     """
 
-    grid: Grid
-    values: np.ndarray
-    _buf: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _view: np.ndarray | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("grid", "_buf")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.n:
-            raise ValueError(
-                f"scalar values shape {self.values.shape} != grid cells {self.grid.n}"
-            )
-        self._view = None if self._buf is None else self.values
+    def __init__(self, grid: Grid, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != grid.n:
+            raise ValueError(f"scalar values shape {values.shape} != grid cells {grid.n}")
+        self.grid = grid
+        self._buf = _pack(grid, values)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._buf[self.grid.cell_view]
 
     def padded(self) -> np.ndarray:
-        """The padded buffer behind ``values``; a new, packed one if there is none."""
-        if self.values is self._view:
-            return self._buf
-        return _pack(self.grid, self.values)
+        """The padded buffer behind ``values``."""
+        return self._buf
 
     def copy(self) -> "ScalarField":
-        buf = self.padded()
-        return cell_field(self.grid, buf.copy() if buf is self._buf else buf)
+        return cell_field(self.grid, self._buf.copy())
 
 
-@dataclass
 class FaceVectorField:
-    """Velocity-like field with one face-centered array per axis.
+    """Velocity-like field: a block of padded buffers, one per axis, and
+    their face views ``components``.
 
-    An operator's output views a block ``_block`` of padded buffers, one
-    per component; ``padded()`` hands the block on for as long as every
-    component is its view.
+    The constructor packs ``components`` into a new block, by one copy;
+    ``face_field`` wraps an operator's block without one. ``components`` is
+    a tuple that cannot be rebound, and each access makes new views, so
+    they are read-only whenever the block is.
     """
 
-    grid: Grid
-    components: list[np.ndarray]
-    _block: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _views: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("grid", "_block")
 
-    def __post_init__(self):
-        if len(self.components) != self.grid.dim:
-            raise ValueError(
-                f"need {self.grid.dim} components, got {len(self.components)}"
-            )
-        if self._block is None:
-            self.components = [np.asarray(c, dtype=float) for c in self.components]
-        for a, (comp, want) in enumerate(zip(self.components, self.grid._face_shapes)):
+    def __init__(self, grid: Grid, components):
+        if len(components) != grid.dim:
+            raise ValueError(f"need {grid.dim} components, got {len(components)}")
+        block = np.zeros(grid.block_shape)
+        for a, (buf, comp, want) in enumerate(zip(block, components, grid._face_shapes)):
+            comp = np.asarray(comp, dtype=float)
             if comp.shape != want:
-                raise ValueError(
-                    f"component {a} has shape {comp.shape}, expected {want}"
-                )
-        self._views = None if self._block is None else tuple(self.components)
+                raise ValueError(f"component {a} has shape {comp.shape}, expected {want}")
+            buf[_corner(want)] = comp
+        self.grid = grid
+        self._block = block
+
+    @property
+    def components(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._block[view] for view in self.grid.face_views)
 
     def padded(self) -> np.ndarray:
-        """The block behind the components (``[a]`` is component a's padded
-        buffer); a new, packed one if any component is not its view."""
-        if self._views is not None and all(map(operator.is_, self.components, self._views)):
-            return self._block
-        block = np.zeros(self.grid.block_shape)
-        for a, comp in enumerate(self.components):
-            block[(a,) + _corner(comp.shape)] = comp
-        return block
+        """The block behind the components: ``[a]`` is component a's padded buffer."""
+        return self._block
 
     def copy(self) -> "FaceVectorField":
-        block = self.padded()
-        return face_field(self.grid, block.copy() if block is self._block else block)
+        return face_field(self.grid, self._block.copy())
 
 
 def cell_field(grid: Grid, buf: np.ndarray) -> ScalarField:
-    """The scalar field whose values are the cell view of padded ``buf``."""
-    return ScalarField(grid, buf[grid.cell_view], buf)
+    """The scalar field whose buffer is the padded ``buf`` itself."""
+    f = ScalarField.__new__(ScalarField)
+    f.grid, f._buf = grid, buf
+    return f
 
 
 def face_field(grid: Grid, block: np.ndarray) -> FaceVectorField:
-    """The face field whose components view the block of padded buffers ``block``."""
-    return FaceVectorField(grid, [block[view] for view in grid.face_views], block)
-
-
-def padded_cells(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """The padded buffer whose cell view is the bare array ``values``; a new,
-    packed one if there is none."""
-    buf = values.base
-    if (
-        buf is not None
-        and buf.shape == grid.padded_shape
-        and values.shape == grid.n
-        and values.strides == buf.strides
-        # the view starts where the buffer does
-        and np.may_share_memory(values, buf.ravel()[:1])
-    ):
-        return buf
-    return _pack(grid, values)
+    """The face field whose block is the block of padded buffers ``block`` itself."""
+    v = FaceVectorField.__new__(FaceVectorField)
+    v.grid, v._block = grid, block
+    return v
 
 
 class Sides(NamedTuple):
@@ -364,8 +343,8 @@ def face_inner(v: FaceVectorField, w: FaceVectorField) -> float:
     """
     vol = v.grid.cell_volume
     total = 0.0
-    for a in range(v.grid.dim):
-        total += float(np.sum(v.components[a] * w.components[a]))
+    for vc, wc in zip(v.components, w.components):
+        total += float(np.sum(vc * wc))
     return total * vol
 
 
@@ -373,9 +352,9 @@ def avg_to_cells(v: FaceVectorField) -> list[np.ndarray]:
     """Arithmetic average of each face component to cell centers."""
     grid = v.grid
     out = []
-    for a in range(grid.dim):
+    for a, comp in enumerate(v.components):
         sides = SIDES[grid.dim, a]
-        out.append(0.5 * (v.components[a][sides.lo] + v.components[a][sides.hi]))
+        out.append(0.5 * (comp[sides.lo] + comp[sides.hi]))
     return out
 
 
@@ -383,8 +362,8 @@ def cell_speed_squared(v: FaceVectorField) -> np.ndarray:
     """|v|^2 at cell centers: per-axis average of squared face values."""
     grid = v.grid
     out = np.zeros(grid.n)
-    for a in range(grid.dim):
+    for a, comp in enumerate(v.components):
         sides = SIDES[grid.dim, a]
-        sq = v.components[a] ** 2
+        sq = comp**2
         out += 0.5 * (sq[sides.lo] + sq[sides.hi])
     return out

@@ -26,7 +26,6 @@ from .grid import (
     divergence,
     face_field,
     gradient,
-    padded_cells,
 )
 from .potential import DoubleWell
 
@@ -64,8 +63,8 @@ class FluidParams:
 class State:
     """Discrete (u, c, p) at one instant.
 
-    A stepped state's ``carry`` is ``(c.values, gradient(c), divergence(gradient(c)).values)``,
-    all read-only, for the next step and the energy to reuse.
+    A stepped state's ``carry`` is ``(c, gradient(c), divergence(gradient(c)))``,
+    fields with read-only buffers, for the next step and the energy to reuse.
     """
 
     t: float
@@ -78,9 +77,10 @@ class State:
     def grid(self) -> Grid:
         return self.c.grid
 
-    def carried(self) -> tuple[FaceVectorField, np.ndarray] | None:
-        """The carried gradient and Laplacian of c; None once c or c.values is rebound."""
-        if self.carry is None or self.carry[0] is not self.c.values:
+    def carried(self) -> tuple[FaceVectorField, ScalarField] | None:
+        """The carried gradient and Laplacian of c; None once c is rebound
+        (c's read-only buffer cannot change in place)."""
+        if self.carry is None or self.carry[0] is not self.c:
             return None
         return self.carry[1], self.carry[2]
 
@@ -229,14 +229,14 @@ def solve_neumann_poisson(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     return _spectral_solve(grid, rhs, ("neumann",) * grid.dim, 0.0, -1.0)
 
 
-def capillary_force(grad_c: FaceVectorField, lap_c: np.ndarray, eps: float) -> FaceVectorField:
+def capillary_force(grad_c: FaceVectorField, lap_c: ScalarField, eps: float) -> FaceVectorField:
     """Face-centered -eps * lap(c) * grad(c), from gradient(c) and lap(c) at the cells.
 
     Equivalent to -eps div(grad c x grad c) with the grad(|grad c|^2 / 2)
     part absorbed into the pressure.
     """
     grid = grad_c.grid
-    flat_lap = padded_cells(grid, lap_c).ravel()
+    flat_lap = lap_c.padded().ravel()
     out = np.empty(grid.block_shape)
     for a, (force, ga) in enumerate(zip(out, grad_c.padded())):
         s = grid.offsets[a]
@@ -324,8 +324,8 @@ def advection_term(u: FaceVectorField) -> FaceVectorField:
 
 def advective_cfl(u: FaceVectorField, dt: float) -> float:
     total = 0.0
-    for a in range(u.grid.dim):
-        total += float(np.max(np.abs(u.components[a]))) / u.grid.h[a]
+    for comp, h in zip(u.components, u.grid.h):
+        total += float(np.max(np.abs(comp))) / h
     return dt * total
 
 
@@ -355,14 +355,14 @@ def allen_cahn_step(
     carried = state.carried()
     if carried is None:
         grad_c = gradient(c)
-        lap_c = divergence(grad_c).values
+        lap_c = divergence(grad_c)
     else:
         grad_c, lap_c = carried
     state.carry = None
     # whole padded buffers throughout; the solve reads the cell view
     adv = advect_scalar(state.u, grad_c).padded()
     c_buf = c.padded()
-    rhs = eps * padded_cells(grid, lap_c)
+    rhs = eps * lap_c.padded()
     rhs -= adv
     rhs -= well.eval_Fprime(c_buf) / eps
     if source is not None:
@@ -388,10 +388,10 @@ def momentum_step(
 
     Returns the new state (with t unchanged; ``step`` advances it) and the
     realized advective CFL. The new state carries grad ``c_new`` and its
-    divergence lap ``c_new``; ``c_new.values`` becomes read-only so that the
-    carry cannot go stale. The viscous right-hand sides are formed over the
-    whole block of face buffers and solved on the interior faces, and the
-    projection updates u* in place.
+    divergence lap ``c_new``, and the buffers of all three become read-only
+    so that the carry cannot go stale. The viscous right-hand sides are
+    formed over the whole block of face buffers and solved on the interior
+    faces, and the projection updates u* in place.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -403,9 +403,9 @@ def momentum_step(
 
     adv = advection_term(state.u)
     grad_c = gradient(c_new)
-    lap_c = divergence(grad_c).values
-    for arr in (c_new.values, *grad_c.components, lap_c):
-        arr.flags.writeable = False
+    lap_c = divergence(grad_c)
+    for f in (c_new, grad_c, lap_c):
+        f.padded().flags.writeable = False
     force = capillary_force(grad_c, lap_c, params.eps)
 
     # every component at once, then one solve per component into the
@@ -437,7 +437,7 @@ def momentum_step(
         gp *= dt / grid.h[a]
         comp.ravel()[s:] -= gp
         comp[grid.walls[a]] = 0.0
-    new_state = State(t=state.t, u=u_star, c=c_new, p=cell_field(grid, p), carry=(c_new.values, grad_c, lap_c))
+    new_state = State(t=state.t, u=u_star, c=c_new, p=cell_field(grid, p), carry=(c_new, grad_c, lap_c))
     return new_state, cfl
 
 

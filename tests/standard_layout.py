@@ -169,8 +169,8 @@ def step(u, c, well, params, dt, source_c=None, source_u=None, carried=None):
         sol_inner[...] = _spectral_solve(grid, rhs, kinds, 1.0 / dt, 0.5 * params.nu)
         star.append(sol)
     u_star = FaceVectorField(grid, star)
-    rhs_p = divergence(u_star).values
-    rhs_p /= dt
+    # a new, contiguous array, so its sum does not depend on the storage
+    rhs_p = divergence(u_star).values / dt
     rhs_p -= rhs_p.sum() / rhs_p.size
     p = solve_neumann_poisson(grid, rhs_p)
     for a, comp in enumerate(u_star.components):

@@ -62,6 +62,14 @@ STEP_SPANS = (
     "potential.Fprime",
 )
 
+# calls in the 4-step simulate run below
+CARRY_SPANS = {
+    "grid.gradient": 6,
+    "grid.divergence": 9,
+    "diagnostics.total_energy": 5,
+    "diagnostics.dissipation_rates": 4,
+}
+
 
 def test_traced_simulate_calls_each_step_span_once_per_step(tmp_path, monkeypatch):
     spans = _load_spans()
@@ -80,6 +88,9 @@ def test_traced_simulate_calls_each_step_span_once_per_step(tmp_path, monkeypatc
     assert code == 0
     assert recorder.calls["solver.step"] == 4
     assert {span: recorder.calls.get(span, 0) for span in STEP_SPANS} == dict.fromkeys(STEP_SPANS, 4)
+    # the carried grad c and lap c: the first step and the first energy make
+    # them, every later step and energy reuses them, so a lost carry shows here
+    assert {span: recorder.calls.get(span, 0) for span in CARRY_SPANS} == CARRY_SPANS
     # the check perfbench/run.py makes on every traced repetition
     assert min(recorder.self_s.values()) >= 0.0
     assert abs(sum(recorder.self_s.values()) / recorder.root_s - 1.0) <= 1e-6
