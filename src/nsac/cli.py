@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import os
 import sys
@@ -38,6 +39,32 @@ from .solver import NumericalError
 
 AUDIT_TOL = 1e-6
 REI_SLACK_TOL = 1e-3
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def set_allocator_policy() -> None:
+    """Keep freed grid-sized arrays in the heap for the life of the process.
+
+    Every step and every pair row frees a burst of grid-sized temporaries.
+    With glibc's defaults each burst is handed back to the kernel (unmapped,
+    or trimmed off the top of the heap) and the next burst faults its pages
+    in again: a ``wsu`` process on ``perfbench/configs/wsu-bubble-dense.cfg``
+    makes about 122k minor page faults, against 8k with this policy. Arrays
+    up to 32 MiB come from the heap, and the heap is trimmed only above
+    64 MiB of free memory at its top. A no-op where the C library has no
+    ``mallopt``.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _now() -> str:
@@ -216,6 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # one policy for the whole process, before any command allocates
+    set_allocator_policy()
     try:
         code = _COMMANDS[args.command](run)
     except (ConfigError, ValueError) as exc:

@@ -8,6 +8,15 @@ cell-centered normal derivatives with edge-grid cross derivatives (trapezoid
 weights on wall planes, antisymmetric tangential ghosts), which makes the
 viscous quadratic form match the solver's implicit operator. Time integrals
 use the trapezoid rule on step boundaries.
+
+Like the step, the diagnostics work in flat passes over whole padded buffers
+(see ``nsac.grid``): each velocity-gradient entry and each cell average is
+one contiguous pass, and a pair row forms its products over all axis pairs
+in one pass. Each integral sums a new, contiguous array of the quantity's
+own shape (cells, faces or an edge grid), so its bits do not depend on the
+storage, and a sum over axes starts from zero, which makes a -0.0 term
++0.0. Every buffer is made per call; only the read-only edge-weight tables
+are cached.
 """
 
 from __future__ import annotations
@@ -19,10 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
-    SIDES,
     FaceVectorField,
     Grid,
     ScalarField,
+    _axslice,
     avg_to_cells,
     cell_field,
     cell_speed_squared,
@@ -88,34 +97,39 @@ def _edge_weights(grid: Grid, axes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _dcomp_dnode(comp: np.ndarray, grid: Grid, node_axis: int) -> np.ndarray:
-    """d(comp)/d(node_axis) at the node grid, with antisymmetric wall ghosts."""
-    sides = SIDES[grid.dim, node_axis]
-    h = grid.h[node_axis]
-    shape = list(comp.shape)
-    shape[node_axis] += 1
-    out = np.empty(shape)
-    out[sides.inner] = np.diff(comp, axis=node_axis) / h
-    out[sides.first] = 2.0 * comp[sides.first] / h
-    out[sides.last] = -2.0 * comp[sides.last] / h
-    return out
+def _entry_view(grid: Grid, a: int, b: int) -> tuple[slice, ...]:
+    """Index of entry (a, b) of ``velocity_gradient`` in its padded buffer:
+    the cells for a == b, the a/b edge grid (n + 1 along a and b) otherwise."""
+    return tuple(slice(0, m + 1 if a != b and c in (a, b) else m) for c, m in enumerate(grid.n))
 
 
-def velocity_gradient(u: FaceVectorField) -> dict[tuple[int, int], np.ndarray]:
-    """Discrete (grad u)_{ab} = d u_a / d x_b.
+def velocity_gradient(u: FaceVectorField) -> np.ndarray:
+    """Discrete (grad u)_{ab} = d u_a / d x_b, one padded buffer per entry.
 
-    Diagonal entries live at cell centers, off-diagonal ones on the a/b edge
-    grid with antisymmetric wall ghosts.
+    ``[a, b]`` holds the entry in its ``_entry_view``: diagonal entries at
+    cell centers, off-diagonal ones on the a/b edge grid with antisymmetric
+    wall ghosts (2 u / h on the first wall plane, -2 u / h on the last).
+    Each entry is one flat pass, (u_a[k + s_b] - u_a[k]) / h_b.
     """
     grid = u.grid
     dim = grid.dim
-    out = {}
-    for a, comp in enumerate(u.components):
-        for b in range(dim):
+    out = np.empty((dim,) + grid.block_shape)
+    for a, ua in enumerate(u.padded()):
+        flat_u = ua.ravel()
+        for b, g in enumerate(out[a]):
+            s = grid.offsets[b]
+            flat = g.ravel()
             if a == b:
-                out[(a, b)] = np.diff(comp, axis=a) / grid.h[a]
+                np.subtract(flat_u[s:], flat_u[:-s], out=flat[:-s])
+                flat[-s:] = 0.0
             else:
-                out[(a, b)] = _dcomp_dnode(comp, grid, b)
+                # node k >= s_b sits between u_a[k - s_b] and u_a[k]; every
+                # k < s_b lies on the first wall plane, rewritten below
+                np.subtract(flat_u[s:], flat_u[:-s], out=flat[s:])
+                first, last = _axslice(dim, b, 0), _axslice(dim, b, grid.n[b])
+                np.multiply(ua[first], 2.0, out=g[first])
+                np.multiply(ua[_axslice(dim, b, grid.n[b] - 1)], -2.0, out=g[last])
+            g /= grid.h[b]
     return out
 
 
@@ -124,16 +138,18 @@ def viscous_dissipation(u: FaceVectorField, nu: float) -> float:
     return _viscous_form(u.grid, velocity_gradient(u), nu)
 
 
-def _viscous_form(grid: Grid, grads: dict[tuple[int, int], np.ndarray], nu: float) -> float:
-    """``viscous_dissipation`` from the entries of ``velocity_gradient``."""
+def _viscous_form(grid: Grid, grads: np.ndarray, nu: float) -> float:
+    """``viscous_dissipation`` from ``velocity_gradient``; each sum runs over
+    a new, contiguous array of the entry's shape."""
     vol = grid.cell_volume
     total = 0.0
     for a in range(grid.dim):
-        total += nu * float(np.sum(grads[(a, a)] ** 2)) * vol
+        total += nu * float(np.sum(grads[a, a][grid.cell_view] ** 2)) * vol
     for a in range(grid.dim):
         for b in range(a + 1, grid.dim):
             w = _edge_weights(grid, (a, b))
-            sym = grads[(a, b)] + grads[(b, a)]
+            view = _entry_view(grid, a, b)
+            sym = grads[a, b][view] + grads[b, a][view]
             total += 0.5 * nu * float(np.sum(w * sym**2)) * vol
     return total
 
@@ -271,19 +287,22 @@ class REITrace:
     slack: np.ndarray
 
 
-def _cell_velocity_gradient(
-    grid: Grid, grads: dict[tuple[int, int], np.ndarray]
-) -> dict[tuple[int, int], np.ndarray]:
-    """The entries of ``velocity_gradient`` averaged to cell centers."""
-    out = {}
-    for (a, b), arr in grads.items():
-        if a == b:
-            out[(a, b)] = arr
-        else:
-            side_a, side_b = SIDES[grid.dim, a], SIDES[grid.dim, b]
-            tmp = 0.5 * (arr[side_a.lo] + arr[side_a.hi])
-            out[(a, b)] = 0.5 * (tmp[side_b.lo] + tmp[side_b.hi])
-    return out
+def _average_edges_to_cells(grid: Grid, grads: np.ndarray) -> None:
+    """Average the off-diagonal entries of ``velocity_gradient`` from their
+    edge grids to the cells, in place: along a, then along b."""
+    scratch = np.empty(grid.size)
+    for a in range(grid.dim):
+        for b in range(grid.dim):
+            if a == b:
+                continue
+            sa, sb = grid.offsets[a], grid.offsets[b]
+            g = grads[a, b].ravel()
+            np.add(g[:-sa], g[sa:], out=scratch[:-sa])
+            scratch[-sa:] = 0.0
+            scratch *= 0.5
+            np.add(scratch[:-sb], scratch[sb:], out=g[:-sb])
+            g[-sb:] = 0.0
+            g *= 0.5
 
 
 class PairRow(NamedTuple):
@@ -328,45 +347,52 @@ def pair_row(
     eps = params.eps
     grid = weak.grid
     vol = grid.cell_volume
-    wdiff, d, gd_face = _differences(weak, strong)
-    mdiff = weak_material.values - strong_material.values
+    wdiff, _, gd_face = _differences(weak, strong)
+    carried = strong.carried()
+    gC_face = gradient(strong.c) if carried is None else carried[0]
+    mdiff = weak_material.padded() - strong_material.padded()
+    # F' acts entrywise, so it runs over whole padded buffers, once for a twin
+    fp = well.eval_Fprime(strong.c.padded())
+    fp_diff = (fp if weak.c is strong.c else well.eval_Fprime(weak.c.padded())) - fp
 
     grads = velocity_gradient(wdiff)
     visc = _viscous_form(grid, grads, params.nu)
-    ac = float(np.sum(mdiff**2)) * vol
-
-    gw = _cell_velocity_gradient(grid, grads)
-    del grads  # the edge-grid entries would stay live through the products below
+    _average_edges_to_cells(grid, grads)
     w_cell = avg_to_cells(wdiff)
     U_cell = avg_to_cells(strong.u)
     gd = avg_to_cells(gd_face)
-    gC = avg_to_cells(gradient(strong.c))
-    lap_d = divergence(gd_face).values
+    gC = avg_to_cells(gC_face)
+    lap_d = divergence(gd_face).padded()
 
-    conv = np.zeros(grid.n)
-    eps2 = np.zeros(grid.n)
-    eps3 = np.zeros(grid.n)
-    for a in range(grid.dim):
-        for b in range(grid.dim):
-            conv += w_cell[a] * U_cell[b] * gw[(a, b)]
-            eps2 += gC[a] * gd[b] * gw[(a, b)]
-            eps3 += gd[a] * gC[b] * gw[(a, b)]
-    u_dot_gd = sum(U_cell[a] * gd[a] for a in range(grid.dim))
-    w_dot_gC = sum(w_cell[a] * gC[a] for a in range(grid.dim))
-    fp_diff = well.eval_Fprime(weak.c.values) - well.eval_Fprime(strong.c.values)
-    g2 = sum(comp**2 for comp in gC)
+    def cell_sum(buf: np.ndarray) -> float:
+        # over a new, contiguous array of the cell shape, whose bits do not
+        # depend on the storage
+        return float(np.ascontiguousarray(buf[grid.cell_view]).sum())
+
+    def axis_sum(stack: np.ndarray) -> np.ndarray:
+        # the sum over the axes (the axis pairs in row order) from a zero
+        # start, which makes a -0.0 term +0.0
+        return np.add.reduce(stack.reshape((-1,) + grid.padded_shape), axis=0, initial=0.0)
+
+    def pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # sum over (a, b) of left[a] right[b] grad(u - U)[a, b]
+        prod = left[:, None] * right[None, :]
+        prod *= grads
+        return axis_sum(prod)
+
     return PairRow(
         t=weak.t,
         E=_entropy(wdiff, gd_face, eps),
         visc=visc,
-        ac=ac,
-        conv=float(np.sum(conv)) * vol,
-        eps1=eps * float(np.sum(lap_d * u_dot_gd)) * vol,
-        eps2=eps * float(np.sum(eps2)) * vol,
-        eps3=eps * float(np.sum(eps3)) * vol,
-        eps4=eps * float(np.sum(lap_d * w_dot_gC)) * vol,
-        f=-(1.0 / eps) * float(np.sum(fp_diff * mdiff)) * vol,
-        omega=1.0 + float(np.max(cell_speed_squared(strong.u))) + float(np.max(g2)),
+        ac=cell_sum(mdiff * mdiff) * vol,
+        conv=cell_sum(pair_sum(w_cell, U_cell)) * vol,
+        eps1=eps * cell_sum(lap_d * axis_sum(U_cell * gd)) * vol,
+        eps2=eps * cell_sum(pair_sum(gC, gd)) * vol,
+        eps3=eps * cell_sum(pair_sum(gd, gC)) * vol,
+        eps4=eps * cell_sum(lap_d * axis_sum(w_cell * gC)) * vol,
+        f=-(1.0 / eps) * cell_sum(fp_diff * mdiff) * vol,
+        omega=(1.0 + float(np.max(cell_speed_squared(strong.u)))
+               + float(np.max(axis_sum(gC * gC)[grid.cell_view]))),
     )
 
 

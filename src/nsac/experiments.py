@@ -272,11 +272,16 @@ def restrict_velocity(fine: FaceVectorField, coarse_grid: Grid) -> FaceVectorFie
 
 
 def restrict_state(fine: State, coarse_grid: Grid) -> State:
-    return State(
+    """u and c restricted onto a coarser grid, with p = 0.
+
+    Nothing reads a restricted pressure: a step computes p afresh from u
+    and c, and a pair row reads none.
+    """
+    return make_state(
+        coarse_grid,
         t=fine.t,
         u=restrict_velocity(fine.u, coarse_grid),
         c=restrict_scalar(fine.c, coarse_grid),
-        p=restrict_scalar(fine.p, coarse_grid),
     )
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -233,25 +232,6 @@ def face_field(grid: Grid, block: np.ndarray) -> FaceVectorField:
     return v
 
 
-class Sides(NamedTuple):
-    """Index tuples along one axis: ``lo`` drops the last entry, ``hi`` the
-    first, ``inner`` both; ``first`` and ``last`` pick the end planes."""
-
-    lo: tuple
-    hi: tuple
-    inner: tuple
-    first: tuple
-    last: tuple
-
-
-# (dim, axis) -> Sides
-SIDES = {
-    (dim, a): Sides(*(_axslice(dim, a, s) for s in (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)))
-    for dim in (2, 3)
-    for a in range(dim)
-}
-
-
 def enforce_dirichlet(v: FaceVectorField) -> FaceVectorField:
     """Zero the wall faces of ``v`` in place and return ``v``.
 
@@ -331,8 +311,12 @@ def laplacian(c: ScalarField) -> ScalarField:
 
 
 def integrate(f: ScalarField) -> float:
-    """Midpoint-rule integral over the box."""
-    return float(f.values.sum() * f.grid.cell_volume)
+    """Midpoint-rule integral over the box.
+
+    Sums a contiguous copy of the cells: a sum over the strided cell view
+    would depend on the storage in its last bits.
+    """
+    return float(np.ascontiguousarray(f.values).sum() * f.grid.cell_volume)
 
 
 def face_inner(v: FaceVectorField, w: FaceVectorField) -> float:
@@ -348,22 +332,29 @@ def face_inner(v: FaceVectorField, w: FaceVectorField) -> float:
     return total * vol
 
 
-def avg_to_cells(v: FaceVectorField) -> list[np.ndarray]:
-    """Arithmetic average of each face component to cell centers."""
+def avg_to_cells(v: FaceVectorField) -> np.ndarray:
+    """Arithmetic average of each face component to the cell centers.
+
+    A block of padded buffers: the cell view of ``[a]`` holds
+    0.5 (v_a[k] + v_a[k + s_a]), one flat pass per component.
+    """
     grid = v.grid
-    out = []
-    for a, comp in enumerate(v.components):
-        sides = SIDES[grid.dim, a]
-        out.append(0.5 * (comp[sides.lo] + comp[sides.hi]))
+    out = np.empty(grid.block_shape)
+    for a, (comp, avg) in enumerate(zip(v.padded(), out)):
+        s = grid.offsets[a]
+        flat_v, flat = comp.ravel(), avg.ravel()
+        np.add(flat_v[:-s], flat_v[s:], out=flat[:-s])
+        flat[-s:] = 0.0
+    out *= 0.5
     return out
 
 
 def cell_speed_squared(v: FaceVectorField) -> np.ndarray:
-    """|v|^2 at cell centers: per-axis average of squared face values."""
+    """|v|^2 at cell centers: per-axis average of squared face values.
+
+    A new, contiguous array of the cell shape, summed over the axes from 0.
+    """
     grid = v.grid
-    out = np.zeros(grid.n)
-    for a, comp in enumerate(v.components):
-        sides = SIDES[grid.dim, a]
-        sq = comp**2
-        out += 0.5 * (sq[sides.lo] + sq[sides.hi])
-    return out
+    block = v.padded()
+    avg = avg_to_cells(face_field(grid, block * block))
+    return np.add.reduce(avg[(slice(None),) + grid.cell_view], axis=0, initial=0.0)

@@ -264,7 +264,7 @@ def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
         scalars(fh, "c", state.c.values)
         scalars(fh, "p", state.p.values)
         for a in range(grid.dim):
-            scalars(fh, f"u_{'xyz'[a]}", u_cells[a])
+            scalars(fh, f"u_{'xyz'[a]}", u_cells[a][grid.cell_view])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The step's stencils in the standard layout, as the bitwise reference.
+"""The step's stencils and the weak/strong pair row in the standard layout,
+as the bitwise reference.
 
 Every array here has its logical shape (cells ``n``, face component ``a``
 with ``n[a] + 1`` along ``a``), and each stencil slices it per axis. This is
@@ -10,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from nsac.diagnostics import PairRow, _edge_weights
 from nsac.grid import FaceVectorField, ScalarField, _axslice
 from nsac.solver import CFLError, CFL_LIMIT, _spectral_solve, advective_cfl, solve_neumann_poisson
 
@@ -179,3 +181,134 @@ def step(u, c, well, params, dt, source_c=None, source_u=None, carried=None):
         gp *= dt / grid.h[a]
         comp[side.inner] -= gp
     return Step(u_star, c_new, ScalarField(grid, p), delta, cfl, grad_new, lap_new)
+
+
+# ---------------------------------------------------------------------------
+# the weak/strong pair row, per-axis slices on arrays of logical shape
+
+
+def avg_to_cells(v):
+    out = []
+    for a, comp in enumerate(v.components):
+        side = sides(v.grid.dim, a)
+        out.append(0.5 * (comp[side.lo] + comp[side.hi]))
+    return out
+
+
+def cell_speed_squared(v):
+    out = np.zeros(v.grid.n)
+    for a, comp in enumerate(v.components):
+        side = sides(v.grid.dim, a)
+        sq = comp**2
+        out += 0.5 * (sq[side.lo] + sq[side.hi])
+    return out
+
+
+def face_inner(v, w):
+    total = 0.0
+    for vc, wc in zip(v.components, w.components):
+        total += float(np.sum(vc * wc))
+    return total * v.grid.cell_volume
+
+
+def entropy(w, gd, eps):
+    kinetic = 0.5 * float(np.sum(cell_speed_squared(w))) * w.grid.cell_volume
+    return kinetic + 0.5 * eps * face_inner(gd, gd)
+
+
+def _dcomp_dnode(comp, grid, node_axis):
+    side = sides(grid.dim, node_axis)
+    h = grid.h[node_axis]
+    shape = list(comp.shape)
+    shape[node_axis] += 1
+    out = np.empty(shape)
+    out[side.inner] = np.diff(comp, axis=node_axis) / h
+    out[side.first] = 2.0 * comp[side.first] / h
+    out[side.last] = -2.0 * comp[side.last] / h
+    return out
+
+
+def velocity_gradient(u):
+    """Entry (a, b) at the cells for a == b, on the a/b edge grid otherwise."""
+    grid = u.grid
+    out = {}
+    for a, comp in enumerate(u.components):
+        for b in range(grid.dim):
+            if a == b:
+                out[(a, b)] = np.diff(comp, axis=a) / grid.h[a]
+            else:
+                out[(a, b)] = _dcomp_dnode(comp, grid, b)
+    return out
+
+
+def viscous_form(grid, grads, nu):
+    vol = grid.cell_volume
+    total = 0.0
+    for a in range(grid.dim):
+        total += nu * float(np.sum(grads[(a, a)] ** 2)) * vol
+    for a in range(grid.dim):
+        for b in range(a + 1, grid.dim):
+            w = _edge_weights(grid, (a, b))
+            sym = grads[(a, b)] + grads[(b, a)]
+            total += 0.5 * nu * float(np.sum(w * sym**2)) * vol
+    return total
+
+
+def _cell_velocity_gradient(grid, grads):
+    out = {}
+    for (a, b), arr in grads.items():
+        if a == b:
+            out[(a, b)] = arr
+        else:
+            side_a, side_b = sides(grid.dim, a), sides(grid.dim, b)
+            tmp = 0.5 * (arr[side_a.lo] + arr[side_a.hi])
+            out[(a, b)] = 0.5 * (tmp[side_b.lo] + tmp[side_b.hi])
+    return out
+
+
+def pair_row(weak, strong, weak_material, strong_material, well, params):
+    """``nsac.diagnostics.pair_row`` on standard-layout arrays: each term a
+    loop over the axis pairs, from zero starts that make a -0.0 term +0.0."""
+    eps = params.eps
+    grid = weak.grid
+    vol = grid.cell_volume
+    wdiff = FaceVectorField(grid, [wc - sc for wc, sc in zip(weak.u.components, strong.u.components)])
+    gd_face = gradient(ScalarField(grid, weak.c.values - strong.c.values))
+    mdiff = weak_material.values - strong_material.values
+
+    grads = velocity_gradient(wdiff)
+    visc = viscous_form(grid, grads, params.nu)
+    ac = float(np.sum(mdiff**2)) * vol
+
+    gw = _cell_velocity_gradient(grid, grads)
+    w_cell = avg_to_cells(wdiff)
+    U_cell = avg_to_cells(strong.u)
+    gd = avg_to_cells(gd_face)
+    gC = avg_to_cells(gradient(strong.c))
+    lap_d = divergence(gd_face).values
+
+    conv = np.zeros(grid.n)
+    eps2 = np.zeros(grid.n)
+    eps3 = np.zeros(grid.n)
+    for a in range(grid.dim):
+        for b in range(grid.dim):
+            conv += w_cell[a] * U_cell[b] * gw[(a, b)]
+            eps2 += gC[a] * gd[b] * gw[(a, b)]
+            eps3 += gd[a] * gC[b] * gw[(a, b)]
+    u_dot_gd = sum(U_cell[a] * gd[a] for a in range(grid.dim))
+    w_dot_gC = sum(w_cell[a] * gC[a] for a in range(grid.dim))
+    fp_diff = well.eval_Fprime(weak.c.values) - well.eval_Fprime(strong.c.values)
+    g2 = sum(comp**2 for comp in gC)
+    return PairRow(
+        t=weak.t,
+        E=entropy(wdiff, gd_face, eps),
+        visc=visc,
+        ac=ac,
+        conv=float(np.sum(conv)) * vol,
+        eps1=eps * float(np.sum(lap_d * u_dot_gd)) * vol,
+        eps2=eps * float(np.sum(eps2)) * vol,
+        eps3=eps * float(np.sum(eps3)) * vol,
+        eps4=eps * float(np.sum(lap_d * w_dot_gC)) * vol,
+        f=-(1.0 / eps) * float(np.sum(fp_diff * mdiff)) * vol,
+        omega=1.0 + float(np.max(cell_speed_squared(strong.u))) + float(np.max(g2)),
+    )

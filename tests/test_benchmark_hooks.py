@@ -94,3 +94,28 @@ def test_traced_simulate_calls_each_step_span_once_per_step(tmp_path, monkeypatc
     # the check perfbench/run.py makes on every traced repetition
     assert min(recorder.self_s.values()) >= 0.0
     assert abs(sum(recorder.self_s.values()) / recorder.root_s - 1.0) <= 1e-6
+
+
+def test_traced_wsu_reuses_the_carried_gradient(tmp_path, monkeypatch):
+    """A pair row takes grad C from a strong state that carries it: the twin
+    rows after t = 0. A restricted strong state carries nothing."""
+    spans = _load_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 8\ntime.dt = 1e-3\ntime.t_end = 0.004\n"
+                   "init.kind = bubble\nwsu.levels = 8,16,32\n")
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        code = recorder.run_root(
+            nsac.cli.main,
+            ["wsu", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"],
+        )
+    finally:
+        recorder.uninstall()
+    assert code == 0
+    steps, rows, coarse = 4 + 8 + 16, 5, 2
+    assert recorder.calls["solver.step"] == steps
+    # one per step, one more for the first step of each level; per row, grad(c - C)
+    # and grad C on each coarse level, and on the twin grad(c - C), plus grad C at t = 0
+    assert recorder.calls["grid.gradient"] == steps + 3 + rows * (2 * coarse + 1) + 1

@@ -281,7 +281,7 @@ def test_vtk_bytes_match_per_value_writes(tmp_path, n):
     from nsac.io import FLOAT_FMT
 
     fields = [("c", state.c.values), ("p", state.p.values)]
-    fields += [(f"u_{'xyz'[a]}", v) for a, v in enumerate(avg_to_cells(state.u))]
+    fields += [(f"u_{'xyz'[a]}", v[grid.cell_view]) for a, v in enumerate(avg_to_cells(state.u))]
     expected = text[: text.index("SCALARS")]
     for name, values in fields:
         expected += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
@@ -589,3 +589,41 @@ def test_cli_determinism_bitwise(tmp_path):
             assert r.returncode == 0, r.stderr
             outs.append((out / "energy.csv").read_bytes())
         assert outs[0] == outs[1], name
+
+
+# two bursts of twenty 129^2 arrays, allocated, filled and freed together, in
+# a fresh process: it prints the minor page faults of the second burst
+_BURSTS = """
+import resource
+import numpy as np
+from nsac.cli import set_allocator_policy
+
+set_allocator_policy()
+
+
+def burst():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.empty((129, 129)) for _ in range(20)]
+    for a in arrays:
+        a.fill(1.0)
+    del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+burst()
+print(burst())
+"""
+
+
+def test_allocator_policy_reuses_freed_arrays():
+    """With glibc's defaults the second burst faults its pages in again
+    (the first is unmapped when freed, the second trimmed off the heap)."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        libc = None
+    if not libc:
+        pytest.skip("the allocator policy is glibc's mallopt")
+    r = subprocess.run([sys.executable, "-c", _BURSTS], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 50

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nsac.grid
 from nsac.diagnostics import _edge_weights, kinetic_energy, pair_row, pair_traces
 from nsac.experiments import (
     ExperimentConfig,
@@ -122,6 +123,28 @@ def test_restrict_velocity_preserves_divergence_free():
     u = stream_function_velocity(fine, 0.5)
     r = restrict_velocity(u, coarse)
     assert np.max(np.abs(divergence(r).values)) < 1e-13
+
+
+def test_run_wsu_packs_two_scalars_per_sample(monkeypatch):
+    """Each coarse level restricts c and the material at every sample, and c
+    of the fine initial state once: p is never restricted (it stays 0)."""
+    calls = []
+    pack = nsac.grid._pack
+
+    def counting_pack(grid, arr):
+        calls.append(grid.n)
+        return pack(grid, arr)
+
+    monkeypatch.setattr(nsac.grid, "_pack", counting_pack)
+    cfg = small_cfg(init_kind="bubble", t_end=0.01)
+    report = run_wsu(cfg)
+    rows = len(report.levels[0].trace.times)
+    for n in cfg.wsu_levels[:-1]:
+        assert calls.count((n, n)) == 1 + 2 * rows
+    assert len(calls) == len(cfg.wsu_levels[:-1]) * (1 + 2 * rows)
+    fine = initial_state(cfg, cfg.grid(32))
+    fine.p.values[:] = 1.0
+    assert np.all(restrict_state(fine, cfg.grid(8)).p.values == 0.0)
 
 
 def test_restrict_incompatible_grids():

@@ -8,10 +8,11 @@ came out of an operator with junk in its pads.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import standard_layout as ref
+from nsac.diagnostics import PairRow, pair_row
 from nsac.experiments import bubble_concentration
 from nsac.grid import FaceVectorField, ScalarField, divergence, enforce_dirichlet, gradient, make_grid
 from nsac.potential import quartic_well
@@ -144,3 +145,36 @@ def test_long_runs_raise_no_floating_point_error():
             for _ in range(steps):
                 state, report = step(state, WELL, PARAMS, 2.5e-4)
             assert np.isfinite(report.cfl) and report.cfl > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=boxes(),
+    seed=st.integers(0, 2**32 - 1),
+    twin=st.booleans(),
+    stepped=st.booleans(),
+)
+# above 8192 cells a sum over a strided view has other bits than a contiguous sum
+@example(grid=make_grid(2, (130, 90), (1.0, 0.7)), seed=5, twin=False, stepped=True)
+@example(grid=make_grid(2, (129, 129), (1.0, 1.0)), seed=6, twin=True, stepped=True)
+def test_pair_row_matches_standard_layout_bitwise(grid, seed, twin, stepped):
+    """Every field of a row, the sign of a zero included; a stepped strong
+    state brings its carried grad C and a material with junk in its pads."""
+    rng = np.random.default_rng(seed)
+
+    def sample(scale):
+        state = make_state(grid, u=_random_velocity(grid, rng, scale))
+        state.c.values[:] = rng.uniform(-scale, scale, grid.n)
+        material = ScalarField(grid, rng.standard_normal(grid.n))
+        if stepped:
+            state, report = step(state, WELL, PARAMS, 1e-4)
+            material = report.material_derivative
+        return state, material
+
+    weak, weak_m = sample(0.25)
+    strong, strong_m = (weak, weak_m) if twin else sample(0.2)
+    assert (strong.carried() is not None) == stepped
+    got = pair_row(weak, strong, weak_m, strong_m, WELL, PARAMS)
+    want = ref.pair_row(weak, strong, weak_m, strong_m, WELL, PARAMS)
+    for name, g, w in zip(PairRow._fields, got, want):
+        assert same(np.float64(g), np.float64(w)), (name, g, w)
