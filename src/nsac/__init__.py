@@ -12,9 +12,8 @@ from .grid import (
     gradient,
     divergence,
     laplacian,
-    integrate,
 )
-from .potential import DoubleWell, quartic_well
+from .potential import DoubleWell
 from .solver import FluidParams, State, StepReport, step
 
 __version__ = "0.1.0"
@@ -27,9 +26,7 @@ __all__ = [
     "gradient",
     "divergence",
     "laplacian",
-    "integrate",
     "DoubleWell",
-    "quartic_well",
     "FluidParams",
     "State",
     "StepReport",

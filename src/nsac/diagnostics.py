@@ -165,6 +165,16 @@ def dissipation_rates(
     return visc, ac
 
 
+def audit_values(reports: list[EnergyReport]) -> list[float]:
+    """Relative violation (E(t) + cumulative dissipation - E(0)) / E(0) of
+    each row (scaled by 1 if E(0) <= 0); negative means margin."""
+    if not reports:
+        return []
+    e0 = reports[0].total
+    scale = e0 if e0 > 0 else 1.0
+    return [(r.total + r.cumulative_diss - e0) / scale for r in reports]
+
+
 def energy_audit(reports: list[EnergyReport]) -> float:
     """Worst relative violation of E(t) + cumulative dissipation <= E(0).
 
@@ -172,13 +182,11 @@ def energy_audit(reports: list[EnergyReport]) -> float:
     """
     if not reports:
         raise ValueError("empty report list")
-    e0 = reports[0].total
-    scale = e0 if e0 > 0 else 1.0
     if len(reports) == 1:
         return 0.0
     # the t = 0 row is identically zero; audit the later ones. np.max, unlike
     # the builtin, propagates a NaN from any row.
-    return float(np.max([(r.total + r.cumulative_diss - e0) / scale for r in reports[1:]]))
+    return float(np.max(audit_values(reports)[1:]))
 
 
 # ---------------------------------------------------------------------------

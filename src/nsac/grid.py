@@ -310,20 +310,11 @@ def laplacian(c: ScalarField) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def integrate(f: ScalarField) -> float:
-    """Midpoint-rule integral over the box.
-
-    Sums a contiguous copy of the cells: a sum over the strided cell view
-    would depend on the storage in its last bits.
-    """
-    return float(np.ascontiguousarray(f.values).sum() * f.grid.cell_volume)
-
-
 def face_inner(v: FaceVectorField, w: FaceVectorField) -> float:
     """Inner product of two face fields with cell-volume face weights.
 
-    Pairs with ``integrate`` so that for Neumann q and Dirichlet v:
-    integrate(q * divergence(v)) + face_inner(v, gradient(q)) == 0.
+    Pairs with the midpoint cell sum so that for Neumann q and Dirichlet v:
+    sum(q * divergence(v)) * cell_volume + face_inner(v, gradient(q)) == 0.
     """
     vol = v.grid.cell_volume
     total = 0.0

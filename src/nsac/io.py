@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import EnergyReport, REITrace, RelEntropyTrace
+from .diagnostics import EnergyReport, REITrace, RelEntropyTrace, audit_values
 from .experiments import ExperimentConfig
 from .solver import State
 
@@ -175,8 +175,6 @@ def _read_table(path: str, header: tuple[str, ...]) -> list[np.ndarray]:
 
 def write_energy_csv(reports: list[EnergyReport], path: str):
     """Energy trace with the running audit violation in the last column."""
-    e0 = reports[0].total if reports else 0.0
-    scale = e0 if e0 > 0 else 1.0
     cols = [
         np.array([r.t for r in reports]),
         np.array([r.kinetic for r in reports]),
@@ -185,7 +183,7 @@ def write_energy_csv(reports: list[EnergyReport], path: str):
         np.array([r.viscous_diss for r in reports]),
         np.array([r.ac_diss for r in reports]),
         np.array([r.cumulative_diss for r in reports]),
-        np.array([(r.total + r.cumulative_diss - e0) / scale for r in reports]),
+        np.array(audit_values(reports)),
     ]
     _write_table(path, ENERGY_COLUMNS, cols if reports else [])
 

@@ -155,14 +155,3 @@ class ManufacturedSolution:
             sc, su = self.sources_at(grid, state.t)
             state, _ = step(state, self.well, self.params, dt, source_c=sc, source_u=su)
         return state
-
-    def run_error(self, grid: Grid, dt: float, n_steps: int) -> float:
-        """Combined L2 error of (u, c) against the exact fields at t_end."""
-        state = self.run_final_state(grid, dt, n_steps)
-        exact = self.state_at(grid, state.t)
-        vol = grid.cell_volume
-        err = float(np.sum((state.c.values - exact.c.values) ** 2)) * vol
-        for a in range(grid.dim):
-            d = state.u.components[a] - exact.u.components[a]
-            err += float(np.sum(d**2)) * vol
-        return float(np.sqrt(err))

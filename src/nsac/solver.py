@@ -21,7 +21,6 @@ from .grid import (
     FaceVectorField,
     Grid,
     ScalarField,
-    _axslice,
     cell_field,
     divergence,
     face_field,
@@ -249,35 +248,6 @@ def capillary_force(grad_c: FaceVectorField, lap_c: ScalarField, eps: float) -> 
     return face_field(grid, out)
 
 
-def _component_laplacian(comp: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Laplacian of velocity component ``axis`` with homogeneous Dirichlet.
-
-    Along the component's own axis the boundary faces carry the (zero)
-    Dirichlet value directly; along transverse axes the wall sits half a cell
-    outside and ghosts are antisymmetric, giving (v[1] - 3 v[0]) / h^2 rows.
-    Output is zero on the boundary faces of ``axis``.
-    """
-    dim = grid.dim
-    out = np.zeros_like(comp)
-    for b in range(dim):
-        h2 = grid.h[b] ** 2
-        mid = _axslice(dim, b, slice(1, -1))
-        lo = _axslice(dim, b, slice(None, -2))
-        hi = _axslice(dim, b, slice(2, None))
-        out[mid] += (comp[hi] - 2.0 * comp[mid] + comp[lo]) / h2
-        if b != axis:
-            first = _axslice(dim, b, slice(0, 1))
-            second = _axslice(dim, b, slice(1, 2))
-            last = _axslice(dim, b, slice(-1, None))
-            penult = _axslice(dim, b, slice(-2, -1))
-            out[first] += (comp[second] - 3.0 * comp[first]) / h2
-            out[last] += (comp[penult] - 3.0 * comp[last]) / h2
-    # pin the normal boundary faces
-    out[_axslice(dim, axis, 0)] = 0.0
-    out[_axslice(dim, axis, -1)] = 0.0
-    return out
-
-
 def advection_term(u: FaceVectorField) -> FaceVectorField:
     """Skew-symmetric (divergence/advective average) centered advection.
 
@@ -351,7 +321,7 @@ def allen_cahn_step(
     grid = state.grid
     c = state.c
     eps = params.eps
-    sigma = well.lipschitz_constant() / (2.0 * eps)
+    sigma = well.L / (2.0 * eps)
     carried = state.carried()
     if carried is None:
         grad_c = gradient(c)

@@ -4,7 +4,9 @@ as the bitwise reference.
 Every array here has its logical shape (cells ``n``, face component ``a``
 with ``n[a] + 1`` along ``a``), and each stencil slices it per axis. This is
 the arithmetic the padded layout of ``nsac.grid`` must reproduce bit for
-bit: same operations, same order, for each entry.
+bit: same operations, same order, for each entry. The module also holds
+oracles that only the tests use: the midpoint integral ``integrate`` and
+the viscous operator ``_component_laplacian``.
 """
 
 from typing import NamedTuple
@@ -12,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nsac.diagnostics import PairRow, _edge_weights
-from nsac.grid import FaceVectorField, ScalarField, _axslice
+from nsac.grid import FaceVectorField, Grid, ScalarField, _axslice
 from nsac.solver import CFLError, CFL_LIMIT, _spectral_solve, advective_cfl, solve_neumann_poisson
 
 
@@ -134,7 +136,7 @@ def step(u, c, well, params, dt, source_c=None, source_u=None, carried=None):
     carries the new ones.
     """
     grid, dim, eps = c.grid, c.grid.dim, params.eps
-    sigma = well.lipschitz_constant() / (2.0 * eps)
+    sigma = well.L / (2.0 * eps)
     if carried is None:
         grad_c = gradient(c)
         lap_c = divergence(grad_c).values
@@ -312,3 +314,47 @@ def pair_row(weak, strong, weak_material, strong_material, well, params):
         f=-(1.0 / eps) * float(np.sum(fp_diff * mdiff)) * vol,
         omega=1.0 + float(np.max(cell_speed_squared(strong.u))) + float(np.max(g2)),
     )
+
+
+# ---------------------------------------------------------------------------
+# test-only oracles: the midpoint integral of a cell field, and the Dirichlet
+# component Laplacian that the viscous solve and the grad-norm identity are
+# checked against
+
+
+def integrate(f: ScalarField) -> float:
+    """Midpoint-rule integral over the box.
+
+    Sums a contiguous copy of the cells: a sum over the strided cell view
+    would depend on the storage in its last bits.
+    """
+    return float(np.ascontiguousarray(f.values).sum() * f.grid.cell_volume)
+
+
+def _component_laplacian(comp: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Laplacian of velocity component ``axis`` with homogeneous Dirichlet.
+
+    Along the component's own axis the boundary faces carry the (zero)
+    Dirichlet value directly; along transverse axes the wall sits half a cell
+    outside and ghosts are antisymmetric, giving (v[1] - 3 v[0]) / h^2 rows.
+    Output is zero on the boundary faces of ``axis``.
+    """
+    dim = grid.dim
+    out = np.zeros_like(comp)
+    for b in range(dim):
+        h2 = grid.h[b] ** 2
+        mid = _axslice(dim, b, slice(1, -1))
+        lo = _axslice(dim, b, slice(None, -2))
+        hi = _axslice(dim, b, slice(2, None))
+        out[mid] += (comp[hi] - 2.0 * comp[mid] + comp[lo]) / h2
+        if b != axis:
+            first = _axslice(dim, b, slice(0, 1))
+            second = _axslice(dim, b, slice(1, 2))
+            last = _axslice(dim, b, slice(-1, None))
+            penult = _axslice(dim, b, slice(-2, -1))
+            out[first] += (comp[second] - 3.0 * comp[first]) / h2
+            out[last] += (comp[penult] - 3.0 * comp[last]) / h2
+    # pin the normal boundary faces
+    out[_axslice(dim, axis, 0)] = 0.0
+    out[_axslice(dim, axis, -1)] = 0.0
+    return out

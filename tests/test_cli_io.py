@@ -337,6 +337,17 @@ def test_cli_validation_error_exit_1(tmp_path):
     assert "fluid.eps" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "energy-audit", "wsu", "perturb", "rei-check", "mms"])
+def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, "grid.n = 16\npotential.kind = logarithmic\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "unknown potential kind 'logarithmic'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_wsu_two_levels_exit_1(tmp_path):
     cfg = _write_cfg(tmp_path, "init.kind = bubble\nwsu.levels = 8,16\n"
                                "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n")

@@ -1,5 +1,7 @@
 """Energy, maximum-principle, relative-entropy, REI, Gronwall."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,11 @@ from nsac.diagnostics import (
     viscous_dissipation,
 )
 from nsac.grid import FaceVectorField, ScalarField, enforce_dirichlet, make_grid
-from nsac.potential import DoubleWell, quartic_well
-from nsac.solver import FluidParams, StepReport, _component_laplacian, make_state
+from nsac.potential import DoubleWell
+from nsac.solver import FluidParams, StepReport, make_state
+from standard_layout import _component_laplacian
 
-WELL = quartic_well()
+WELL = DoubleWell()
 PARAMS = FluidParams(nu=0.01, eps=0.05)
 
 
@@ -330,7 +333,8 @@ def test_rei_terms_r_f_quadratic_well_oracle():
     def Fp(c):
         return f2pp * np.asarray(c)
 
-    well = DoubleWell(f1=-10.0, f2=10.0, y1=-1.0, y2=1.0, L=f2pp, F=F, Fprime=Fp)
+    # pair_row reads only eval_Fprime, so a duck-typed well is enough
+    well = types.SimpleNamespace(eval_F=F, eval_Fprime=Fp)
     grid = make_grid(2, (12, 12), (1, 1))
     rng = np.random.default_rng(37)
     weak, strong = _make_pair(grid, rng)

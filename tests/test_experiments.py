@@ -5,11 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsac.grid
 from nsac.diagnostics import _edge_weights, kinetic_energy, pair_row, pair_traces
 from nsac.experiments import (
     ExperimentConfig,
+    _block_mean,
+    _state_distance,
     bubble_concentration,
     energy_history,
     initial_state,
@@ -24,10 +28,11 @@ from nsac.experiments import (
     step_count,
     stream_function_velocity,
 )
-from nsac.grid import ScalarField, divergence, integrate, make_grid
+from nsac.grid import FaceVectorField, ScalarField, divergence, make_grid
 from nsac.manufactured import ManufacturedSolution
 from nsac.solver import FluidParams, _basis, _plan, step
-from nsac.potential import quartic_well
+from nsac.potential import DoubleWell
+from standard_layout import integrate
 
 
 def small_cfg(**kw):
@@ -123,6 +128,59 @@ def test_restrict_velocity_preserves_divergence_free():
     u = stream_function_velocity(fine, 0.5)
     r = restrict_velocity(u, coarse)
     assert np.max(np.abs(divergence(r).values)) < 1e-13
+
+
+def _reshape_mean(vals, axis, r):
+    """Reference block average: the reduction of a reshaped view."""
+    shape = list(vals.shape)
+    shape[axis] //= r
+    shape.insert(axis + 1, r)
+    return vals.reshape(shape).mean(axis=axis + 1)
+
+
+def _signed_data(rng, shape, zeros):
+    """Normal entries with a share of +0.0 and -0.0, so some blocks are all -0.0."""
+    vals = rng.standard_normal(shape)
+    vals[rng.random(shape) < zeros] = 0.0
+    return np.copysign(vals, rng.choice([-1.0, 1.0], size=shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    data=st.data(),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restriction_matches_reshape_mean_bits(dim, data, zeros, seed):
+    ratios = data.draw(st.lists(st.sampled_from([2, 4]), min_size=dim, max_size=dim))
+    coarse_n = data.draw(st.lists(st.integers(4, 5), min_size=dim, max_size=dim))
+    fine = make_grid(dim, [m * r for m, r in zip(coarse_n, ratios)], [1.0] * dim)
+    coarse = make_grid(dim, coarse_n, [1.0] * dim)
+    rng = np.random.default_rng(seed)
+    # .values and .components are strided views of the padded buffers
+    c = ScalarField(fine, _signed_data(rng, fine.n, zeros))
+    u = FaceVectorField(fine, [_signed_data(rng, fine.face_shape(a), zeros) for a in range(dim)])
+
+    want = c.values
+    for a, r in enumerate(ratios):
+        want = _reshape_mean(want, a, r)
+    assert restrict_scalar(c, coarse).values.tobytes() == want.tobytes()
+
+    got = restrict_velocity(u, coarse)
+    for a in range(dim):
+        sel = [slice(None)] * dim
+        sel[a] = slice(None, None, ratios[a])
+        want = u.components[a][tuple(sel)]
+        for b in range(dim):
+            if b != a:
+                want = _reshape_mean(want, b, ratios[b])
+        assert got.components[a].tobytes() == want.tobytes()
+
+    # single axes, on a contiguous array and on the strided cell view
+    for vals in (np.ascontiguousarray(c.values), c.values):
+        for a, r in enumerate(ratios):
+            assert _block_mean(vals, a, r).tobytes() == _reshape_mean(vals, a, r).tobytes()
 
 
 def test_run_wsu_packs_two_scalars_per_sample(monkeypatch):
@@ -345,7 +403,7 @@ def test_run_perturbation_initial_entropy_matches_delta():
 
 def test_manufactured_state_satisfies_boundary_conditions():
     params = FluidParams(nu=0.01, eps=0.05)
-    ms = ManufacturedSolution(params, quartic_well())
+    ms = ManufacturedSolution(params, DoubleWell())
     grid = make_grid(2, (32, 32), (1, 1))
     state = ms.state_at(grid, 0.3)
     _assert_walls_zero(state.u)
@@ -355,7 +413,7 @@ def test_manufactured_state_satisfies_boundary_conditions():
 def test_manufactured_zero_forcing_equilibrium_exact():
     """With no sources and equilibrium data the forced-run error is zero."""
     params = FluidParams(nu=0.01, eps=0.05)
-    well = quartic_well()
+    well = DoubleWell()
     ms = ManufacturedSolution(params, well)
     grid = make_grid(2, (16, 16), (1, 1))
     from nsac.solver import make_state, step
@@ -370,9 +428,10 @@ def test_manufactured_zero_forcing_equilibrium_exact():
 
 def test_manufactured_error_decreases_with_resolution():
     params = FluidParams(nu=0.01, eps=0.05)
-    ms = ManufacturedSolution(params, quartic_well())
+    ms = ManufacturedSolution(params, DoubleWell())
     errs = []
     for n, dt in ((16, 1.28e-3), (32, 3.2e-4)):
         grid = make_grid(2, (n, n), (1, 1))
-        errs.append(ms.run_error(grid, dt, int(round(6.4e-3 / dt))))
+        final = ms.run_final_state(grid, dt, int(round(6.4e-3 / dt)))
+        errs.append(_state_distance(final, ms.state_at(grid, final.t)))
     assert errs[1] < 0.4 * errs[0]

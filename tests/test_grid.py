@@ -12,10 +12,10 @@ from nsac.grid import (
     enforce_dirichlet,
     face_inner,
     gradient,
-    integrate,
     laplacian,
     make_grid,
 )
+from standard_layout import integrate
 
 
 def random_scalar(grid, rng):

@@ -15,7 +15,7 @@ import standard_layout as ref
 from nsac.diagnostics import PairRow, pair_row
 from nsac.experiments import bubble_concentration
 from nsac.grid import FaceVectorField, ScalarField, divergence, enforce_dirichlet, gradient, make_grid
-from nsac.potential import quartic_well
+from nsac.potential import DoubleWell
 from nsac.solver import (
     FluidParams,
     advect_scalar,
@@ -25,7 +25,7 @@ from nsac.solver import (
     step,
 )
 
-WELL = quartic_well()
+WELL = DoubleWell()
 PARAMS = FluidParams(nu=0.01, eps=0.05)
 
 

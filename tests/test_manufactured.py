@@ -10,7 +10,7 @@ import numpy as np
 
 from nsac.grid import make_grid
 from nsac.manufactured import ManufacturedSolution
-from nsac.potential import quartic_well
+from nsac.potential import DoubleWell
 from nsac.solver import FluidParams
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,7 +56,7 @@ def _rel_err(got, want):
 
 def test_closed_form_matches_symbolic_derivation():
     params = FluidParams(nu=0.01, eps=0.05)
-    well = quartic_well()
+    well = DoubleWell()
     ms = ManufacturedSolution(params, well)
     U, C, s_c, s_u = _symbolic_fields(params)
     for n in (16, 32, 64):
@@ -85,7 +85,7 @@ def test_closed_form_matches_symbolic_derivation():
 
 def test_sampled_fields_are_fresh_arrays():
     """Callers may write into sampled fields without touching the cached tables."""
-    ms = ManufacturedSolution(FluidParams(nu=0.01, eps=0.05), quartic_well())
+    ms = ManufacturedSolution(FluidParams(nu=0.01, eps=0.05), DoubleWell())
     grid = make_grid(2, (8, 8), (1, 1))
     first = ms.state_at(grid, 0.0)
     first.c.values[:] = 7.0

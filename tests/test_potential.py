@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsac.potential import DoubleWell, make_well, quartic_lipschitz_constant, quartic_well
+from nsac.experiments import ExperimentConfig
+from nsac.potential import DoubleWell
 
 
 def test_quartic_values():
-    well = quartic_well()
+    well = DoubleWell()
     assert well.eval_F(1.0) == pytest.approx(0.0, abs=1e-15)
     assert well.eval_F(-1.0) == pytest.approx(0.0, abs=1e-15)
     assert well.eval_F(0.0) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_quartic_derivative_values():
-    well = quartic_well()
+    well = DoubleWell()
     assert well.eval_Fprime(0.0) == pytest.approx(0.0, abs=1e-15)
     assert well.eval_Fprime(2.0) == pytest.approx(6.0, abs=1e-12)
     assert well.eval_Fprime(well.y1) == pytest.approx(0.0, abs=1e-12)
@@ -24,7 +25,7 @@ def test_quartic_derivative_values():
 
 
 def test_derivative_matches_finite_difference():
-    well = quartic_well()
+    well = DoubleWell()
     rng = np.random.default_rng(10)
     # include the extension region [f1 - 1, f2 + 1]
     c = rng.uniform(well.f1 - 1.0, well.f2 + 1.0, size=1000)
@@ -36,13 +37,13 @@ def test_derivative_matches_finite_difference():
 
 
 def test_lipschitz_constant_values():
-    assert quartic_well().lipschitz_constant() == pytest.approx(11.0)
-    assert quartic_lipschitz_constant(-2.0, 2.0) == pytest.approx(11.0)
-    assert quartic_lipschitz_constant(-1.0, 1.0) == pytest.approx(2.0)
+    assert DoubleWell().L == 11.0
+    assert DoubleWell(-2.0, 2.0).L == 11.0
+    assert DoubleWell(-3.0, 1.5).L == 26.0
 
 
 def test_lipschitz_bound_on_random_pairs():
-    well = quartic_well()
+    well = DoubleWell()
     rng = np.random.default_rng(11)
     a = rng.uniform(well.f1, well.f2, size=10_000)
     b = rng.uniform(well.f1, well.f2, size=10_000)
@@ -50,12 +51,12 @@ def test_lipschitz_bound_on_random_pairs():
     ratios = np.abs(well.eval_Fprime(a[keep]) - well.eval_Fprime(b[keep])) / np.abs(
         a[keep] - b[keep]
     )
-    assert np.max(ratios) <= well.lipschitz_constant() * (1 + 1e-12)
+    assert np.max(ratios) <= well.L * (1 + 1e-12)
 
 
 def test_lipschitz_bound_holds_globally():
     # the quadratic extension keeps the same constant valid outside [f1, f2]
-    well = quartic_well()
+    well = DoubleWell()
     rng = np.random.default_rng(12)
     a = rng.uniform(well.f1 - 3.0, well.f2 + 3.0, size=10_000)
     b = rng.uniform(well.f1 - 3.0, well.f2 + 3.0, size=10_000)
@@ -63,11 +64,11 @@ def test_lipschitz_bound_holds_globally():
     ratios = np.abs(well.eval_Fprime(a[keep]) - well.eval_Fprime(b[keep])) / np.abs(
         a[keep] - b[keep]
     )
-    assert np.max(ratios) <= well.lipschitz_constant() * (1 + 1e-12)
+    assert np.max(ratios) <= well.L * (1 + 1e-12)
 
 
 def test_F_nonnegative_and_monotone_outside_wells():
-    well = quartic_well()
+    well = DoubleWell()
     c = np.linspace(well.f1 - 1.0, well.f2 + 1.0, 4001)
     assert np.all(well.eval_F(c) >= 0.0)
     below = c[(c < well.y1) & (c < well.y1 - 1e-9)]
@@ -77,7 +78,7 @@ def test_F_nonnegative_and_monotone_outside_wells():
 
 
 def test_extension_is_c1_at_interval_ends():
-    well = quartic_well()
+    well = DoubleWell()
     for edge in (well.f1, well.f2):
         inner = well.eval_Fprime(edge - 1e-9)
         outer = well.eval_Fprime(edge + 1e-9)
@@ -85,18 +86,17 @@ def test_extension_is_c1_at_interval_ends():
 
 
 def test_well_record_validation():
-    with pytest.raises(ValueError):
-        DoubleWell(f1=1.0, f2=-1.0, y1=-0.5, y2=0.5, L=1.0, F=None, Fprime=None)
-    with pytest.raises(ValueError):
-        make_well("logarithmic")
-    with pytest.raises(ValueError):
-        quartic_well(-0.5, 2.0)
+    for f1, f2 in ((1.0, -1.0), (-0.5, 2.0), (-2.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="f1 < -1 < 1 < f2"):
+            DoubleWell(f1, f2)
+    with pytest.raises(ValueError, match="unknown potential kind 'logarithmic'"):
+        ExperimentConfig(potential_kind="logarithmic")
 
 
-def test_make_well_custom_interval():
-    well = make_well("quartic", f1=-1.5, f2=1.5)
-    assert well.f1 == -1.5
-    assert well.lipschitz_constant() == pytest.approx(3 * 1.5**2 - 1)
+def test_custom_interval():
+    well = ExperimentConfig(potential_f1=-1.5, potential_f2=1.5).well
+    assert (well.f1, well.f2, well.y1, well.y2) == (-1.5, 1.5, -1.0, 1.0)
+    assert well.L == pytest.approx(3 * 1.5**2 - 1)
 
 
 def _two_sided_Fprime(c, f1, f2):
@@ -112,7 +112,7 @@ def _two_sided_Fprime(c, f1, f2):
 @given(c=st.lists(st.floats(-6.0, 4.5), min_size=1, max_size=8))
 def test_extended_Fprime_matches_two_sided_form(c):
     # asymmetric well, so F''(f1) = 26 and F''(f2) = 5.75 cannot be confused
-    well = quartic_well(-3.0, 1.5)
+    well = DoubleWell(-3.0, 1.5)
     c = np.array(c)
     ref = _two_sided_Fprime(c, well.f1, well.f2)
     got = well.eval_Fprime(c)
@@ -142,7 +142,7 @@ def _clip_form(c, f1, f2):
 def test_in_range_path_gives_the_clip_form_bits(inside, outside):
     # arrays within [f1, f2] take the base well alone; ones that straddle
     # f1 or f2 take the clip form; both must give its bits
-    well = quartic_well(-3.0, 1.5)
+    well = DoubleWell(-3.0, 1.5)
     for c in (np.array(inside), np.array(inside + outside)):
         F, Fp = _clip_form(c, well.f1, well.f2)
         assert well.eval_F(c).tobytes() == F.tobytes()

@@ -15,14 +15,13 @@ from nsac.grid import (
     laplacian,
     make_grid,
 )
-from nsac.potential import quartic_well
+from nsac.potential import DoubleWell
 from nsac.solver import (
     CFLError,
     FluidParams,
     NumericalError,
     State,
     _basis,
-    _component_laplacian,
     _spectral_solve,
     advect_scalar,
     advection_term,
@@ -34,8 +33,9 @@ from nsac.solver import (
     solve_neumann_poisson,
     step,
 )
+from standard_layout import _component_laplacian
 
-WELL = quartic_well()
+WELL = DoubleWell()
 PARAMS = FluidParams(nu=0.01, eps=0.05)
 DT = 2.5e-4
 
@@ -100,7 +100,7 @@ def test_allen_cahn_uniform_matches_scalar_update():
     state = make_state(grid)
     state.c.values[:] = 0.5
     c_new, _ = allen_cahn_step(state, WELL, PARAMS, DT)
-    sigma = WELL.lipschitz_constant() / (2 * PARAMS.eps)
+    sigma = WELL.L / (2 * PARAMS.eps)
     expected = (0.5 / DT - WELL.eval_Fprime(0.5) / PARAMS.eps + sigma * 0.5) / (
         1.0 / DT + sigma
     )
@@ -115,7 +115,7 @@ def test_allen_cahn_step_consistency_residual():
     state = make_state(grid)
     state.c.values[:] = 0.3 * np.cos(np.pi * grid.cell_centers(0))[:, None] + 0.05 * rng.standard_normal(grid.n)
     c_new, material = allen_cahn_step(state, WELL, PARAMS, DT)
-    sigma = WELL.lipschitz_constant() / (2 * PARAMS.eps)
+    sigma = WELL.L / (2 * PARAMS.eps)
     resid = (
         PARAMS.eps * laplacian(c_new).values
         - WELL.eval_Fprime(state.c.values) / PARAMS.eps
@@ -289,7 +289,7 @@ def _reference_step(state, well, params, dt, source_c=None, source_u=None):
     rhs = eps * laplacian(c).values - adv - well.eval_Fprime(c.values) / eps
     if source_c is not None:
         rhs = rhs + source_c.values
-    sigma = well.lipschitz_constant() / (2.0 * eps)
+    sigma = well.L / (2.0 * eps)
     delta = _spectral_solve(grid, rhs, ("neumann",) * dim, 1.0 / dt + sigma, eps)
     c_new = ScalarField(grid, c.values + delta)
     material = (c_new.values - c.values) / dt + adv
@@ -569,7 +569,7 @@ def test_spectral_solves_are_exact(grid, seed):
     def rel(resid, rhs):
         return np.max(np.abs(resid)) / np.max(np.abs(rhs))
 
-    shift = 1.0 / DT + WELL.lipschitz_constant() / (2 * PARAMS.eps)
+    shift = 1.0 / DT + WELL.L / (2 * PARAMS.eps)
     rhs = rng.standard_normal(grid.n)
     x = _spectral_solve(grid, rhs, ("neumann",) * dim, shift, PARAMS.eps)
     resid = shift * x - PARAMS.eps * laplacian(ScalarField(grid, x)).values - rhs
