@@ -28,6 +28,7 @@ from .experiments import (
 from .io import (
     ConfigError,
     RunManifest,
+    _write_table,
     config_echo,
     parse_config,
     write_energy_csv,
@@ -179,8 +180,6 @@ def _cmd_rei_check(run: _Run) -> int:
 
 def _cmd_mms(run: _Run) -> int:
     table = run_manufactured(run.cfg)
-    from .io import _write_table
-
     _write_table(
         run.path("mms_spatial.csv"),
         ("n", "error"),

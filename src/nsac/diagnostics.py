@@ -90,9 +90,7 @@ def _edge_weights(grid: Grid, axes: tuple[int, ...]) -> np.ndarray:
         line = np.ones(grid.n[a] + 1)
         line[0] = 0.5
         line[-1] = 0.5
-        sl = [None] * grid.dim
-        sl[a] = slice(None)
-        out = out * line[tuple(sl)]
+        out = out * line.reshape([-1 if b == a else 1 for b in range(grid.dim)])
     out.flags.writeable = False
     return out
 
@@ -211,26 +209,6 @@ def max_principle_bounds(c0: ScalarField, well: DoubleWell) -> MaxPrincipleBound
             f"initial range [{lo}, {hi}] is not within admissible [{well.f1}, {well.f2}]"
         )
     return MaxPrincipleBounds(m=min(lo, well.y1), M=max(hi, well.y2))
-
-
-def check_max_principle(
-    c_fields: list[ScalarField], bounds: MaxPrincipleBounds, tol: float
-) -> tuple[int, float]:
-    """Count cells outside [m - tol, M + tol]; report the worst excursion.
-
-    A non-finite cell counts as a violation and makes ``worst`` non-finite.
-    """
-    violations = 0
-    worst = 0.0
-    for c in c_fields:
-        below = bounds.m - c.values
-        above = c.values - bounds.M
-        excursion = np.maximum(below, above)
-        # a NaN excursion fails every comparison: count what is not within tol
-        violations += int(np.count_nonzero(~(excursion <= tol)))
-        # np.max, unlike the builtin, propagates a NaN
-        worst = float(np.max((worst, np.max(excursion))))
-    return violations, worst
 
 
 # ---------------------------------------------------------------------------

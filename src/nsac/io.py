@@ -16,6 +16,7 @@ import numpy as np
 
 from .diagnostics import EnergyReport, REITrace, RelEntropyTrace, audit_values
 from .experiments import ExperimentConfig
+from .grid import avg_to_cells
 from .solver import State
 
 FLOAT_FMT = "%.17g"
@@ -233,8 +234,6 @@ def read_rei_csv(path: str) -> REITrace:
 
 def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
     """Legacy ASCII STRUCTURED_POINTS file with cell data c, p, u (averaged)."""
-    from .grid import avg_to_cells
-
     grid = state.grid
     n = list(grid.n) + [1] * (3 - grid.dim)
     h = list(grid.h) + [1.0] * (3 - grid.dim)

@@ -10,16 +10,18 @@ forcing term is a fixed spatial field times g, g^2 or g' = 2 cos(4t):
     s_c = (g' + 2 eps pi^2 g) C0 + g^2 V.grad C0 + F'(C) / eps
     s_u = g' V + g^2 ((V.grad) V + eps lap(C0) grad C0) - (nu/2) g lap(V)
 
-The spatial fields are sampled once per grid (cell centers for C, the faces
-of each component for U) into padded buffers and cached, so sampling at a
-time t costs a few scaled sums over whole buffers. The nonlinear potential
-term is evaluated through the same well object the solver uses.
+The spatial fields are sampled once per grid and parameters (cell centers
+for C, the faces of each component for U) into read-only padded buffers and
+cached, so sampling at a time t costs a few scaled sums over whole buffers.
+The nonlinear potential term is evaluated through the same well object the
+solver uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,33 +76,36 @@ class _GridTables:
     nonlin: np.ndarray  # face block: (V.grad) V_a + eps lap(C0) d_a C0
     visc: np.ndarray  # face block: -(nu/2) lap(V_a)
 
-    @classmethod
-    def build(cls, grid: Grid, params: FluidParams) -> "_GridTables":
-        def mesh(coords):
-            return coords[0][:, None], coords[1][None, :]
 
-        cell = _point_fields(*mesh([grid.cell_centers(b) for b in range(2)]))
-        V, nonlin, visc = [], [], []
-        for a in range(2):
-            f = _point_fields(*mesh([
-                grid.face_coords(b) if b == a else grid.cell_centers(b) for b in range(2)
-            ]))
-            lap_c0 = -2 * PI**2 * f["C0"]
-            V.append(f["V"][a])
-            nonlin.append(
-                f["V"][0] * f["dV"][a][0]
-                + f["V"][1] * f["dV"][a][1]
-                + params.eps * lap_c0 * f["dC0"][a]
-            )
-            visc.append(-(params.nu / 2) * f["lapV"][a])
-        adv_c = cell["V"][0] * cell["dC0"][0] + cell["V"][1] * cell["dC0"][1]
-        return cls(
-            C0=ScalarField(grid, cell["C0"]).padded(),
-            adv_c=ScalarField(grid, adv_c).padded(),
-            V=FaceVectorField(grid, V).padded(),
-            nonlin=FaceVectorField(grid, nonlin).padded(),
-            visc=FaceVectorField(grid, visc).padded(),
+# one table set per grid and parameters; convergence studies keep every level's live.
+@lru_cache(maxsize=64)
+def _tables(grid: Grid, params: FluidParams) -> _GridTables:
+    """The ``_GridTables`` of ``grid``, with read-only buffers."""
+    centers = [grid.cell_centers(b) for b in range(2)]
+    cell = _point_fields(*np.meshgrid(*centers, indexing="ij", sparse=True))
+    V, nonlin, visc = [], [], []
+    for a in range(2):
+        coords = [grid.face_coords(b) if b == a else grid.cell_centers(b) for b in range(2)]
+        f = _point_fields(*np.meshgrid(*coords, indexing="ij", sparse=True))
+        lap_c0 = -2 * PI**2 * f["C0"]
+        V.append(f["V"][a])
+        nonlin.append(
+            f["V"][0] * f["dV"][a][0]
+            + f["V"][1] * f["dV"][a][1]
+            + params.eps * lap_c0 * f["dC0"][a]
         )
+        visc.append(-(params.nu / 2) * f["lapV"][a])
+    adv_c = cell["V"][0] * cell["dC0"][0] + cell["V"][1] * cell["dC0"][1]
+    tables = _GridTables(
+        C0=ScalarField(grid, cell["C0"]).padded(),
+        adv_c=ScalarField(grid, adv_c).padded(),
+        V=FaceVectorField(grid, V).padded(),
+        nonlin=FaceVectorField(grid, nonlin).padded(),
+        visc=FaceVectorField(grid, visc).padded(),
+    )
+    for buf in vars(tables).values():
+        buf.flags.writeable = False
+    return tables
 
 
 class ManufacturedSolution:
@@ -114,25 +119,18 @@ class ManufacturedSolution:
     def __init__(self, params: FluidParams, well: DoubleWell):
         self.params = params
         self.well = well
-        self._tables: dict[Grid, _GridTables] = {}
-
-    def _tables_for(self, grid: Grid) -> _GridTables:
-        tables = self._tables.get(grid)
-        if tables is None:
-            tables = self._tables[grid] = _GridTables.build(grid, self.params)
-        return tables
 
     # -- sampling -----------------------------------------------------------
 
     def state_at(self, grid: Grid, t: float) -> State:
-        tab = self._tables_for(grid)
+        tab = _tables(grid, self.params)
         g = _g(t)
         # V vanishes on the walls only up to the roundoff of sin(pi)
         u = enforce_dirichlet(face_field(grid, g * tab.V))
         return make_state(grid, t=t, u=u, c=cell_field(grid, g * tab.C0))
 
     def sources_at(self, grid: Grid, t: float) -> tuple[ScalarField, FaceVectorField]:
-        tab = self._tables_for(grid)
+        tab = _tables(grid, self.params)
         eps = self.params.eps
         g, dg = _g(t), _dg(t)
         g2 = g * g

@@ -20,7 +20,9 @@ class DoubleWell:
     """The quartic well on [f1, f2], f1 < -1 < 1 < f2.
 
     ``L`` = sup |F''| = max(|3 f1^2 - 1|, |3 f2^2 - 1|, 1) on [f1, f2] is an
-    exact Lipschitz constant for F' (11 on [-2, 2]), valid on all of R.
+    exact Lipschitz constant for F' (11 on [-2, 2]), valid on all of R. An
+    interval whose L is not finite (an infinite end, or an |f| above about
+    7.7e153) is rejected: the stabilised solve would then freeze c.
     """
 
     f1: float = -2.0
@@ -33,7 +35,9 @@ class DoubleWell:
         f1, f2 = self.f1, self.f2
         if not (f1 < -1.0 and f2 > 1.0):
             raise ValueError(f"quartic well needs f1 < -1 < 1 < f2, got [{f1}, {f2}]")
-        L = max(abs(3.0 * f1**2 - 1.0), abs(3.0 * f2**2 - 1.0), 1.0)
+        L = max(abs(3.0 * (f1 * f1) - 1.0), abs(3.0 * (f2 * f2) - 1.0), 1.0)
+        if not np.isfinite(L):
+            raise ValueError(f"quartic well on [{f1}, {f2}] has no finite Lipschitz constant")
         object.__setattr__(self, "L", float(L))
 
     # With every c in [f1, f2] the overshoot terms of the clip form add exact

@@ -21,6 +21,7 @@ from .grid import (
     FaceVectorField,
     Grid,
     ScalarField,
+    avg_to_cells,
     cell_field,
     divergence,
     face_field,
@@ -111,21 +112,13 @@ def advect_scalar(u: FaceVectorField, grad_c: FaceVectorField) -> ScalarField:
 
     Face-gradient values are multiplied by face velocities and averaged back
     to cells; boundary faces contribute nothing (both factors vanish there).
+    Halving is exact, so the sum of the per-axis averages is half the sum.
     """
     grid = grad_c.grid
-    m = grid.size - grid.offsets[0]
-    out = np.empty(grid.padded_shape)
-    flat = out.ravel()
-    buf = np.empty(m)
-    for a, (ua, ga) in enumerate(zip(u.padded(), grad_c.padded())):
-        s = grid.offsets[a]
-        prod = np.multiply(ua, ga).ravel()
-        np.add(prod[:m], prod[s:s + m], out=flat[:m] if a == 0 else buf)
-        if a > 0:
-            flat[:m] += buf
-    flat[m:] = 0.0
-    out *= 0.5
-    return cell_field(grid, out)
+    avg = avg_to_cells(face_field(grid, u.padded() * grad_c.padded()))
+    for a in range(1, grid.dim):
+        avg[0] += avg[a]
+    return cell_field(grid, avg[0])
 
 
 # boundary kind -> (cos or sin, grid points in half cells, wavenumbers) for an
@@ -170,10 +163,8 @@ def _inverse_symbol(grid: Grid, kinds: tuple[str, ...], shift: float, coef: floa
     lam = np.full((1,) * grid.dim, float(shift))
     for a, kind in enumerate(kinds):
         k = _BASES[kind][2](grid.n[a])
-        shape = [1] * grid.dim
-        shape[a] = -1
         eig = (2.0 * np.cos(np.pi * k / grid.n[a]) - 2.0) / grid.h[a] ** 2
-        lam = lam - coef * eig.reshape(shape)
+        lam = lam - coef * eig.reshape([-1 if b == a else 1 for b in range(grid.dim)])
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
     inv.flags.writeable = False
     return inv

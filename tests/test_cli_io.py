@@ -107,8 +107,10 @@ _positive_reals = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
         eps=_positive_reals,
         dt=_positive_reals,
         t_end=_positive_reals,
-        potential_f1=_reals,
-        potential_f2=_reals,
+        # admissible wells only: test_cli_bad_potential_kind_writes_nothing
+        # covers the rejected ones
+        potential_f1=st.floats(-1e150, -1.0, exclude_max=True),
+        potential_f2=st.floats(1.0, 1e150, exclude_min=True),
         init_kind=st.sampled_from(INIT_KINDS),
         init_seed=st.integers(0, 2**63),
         init_amplitude=_reals,
@@ -339,13 +341,20 @@ def test_cli_validation_error_exit_1(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "energy-audit", "wsu", "perturb", "rei-check", "mms"])
 def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    """A bad well kind or interval fails at config load, before any output."""
     monkeypatch.delenv("NSAC_OUT", raising=False)
-    cfg = _write_cfg(tmp_path, "grid.n = 16\npotential.kind = logarithmic\n")
-    out = tmp_path / "out"
-    code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
-    assert code == 1
-    assert "unknown potential kind 'logarithmic'" in capsys.readouterr().err
-    assert not out.exists()
+    for entry, message in [
+        ("potential.kind = logarithmic", "unknown potential kind 'logarithmic'"),
+        ("potential.f1 = 0", "quartic well needs f1 < -1 < 1 < f2, got [0.0, 2.0]"),
+        ("potential.f2 = inf", "quartic well on [-2.0, inf] has no finite"),
+        ("potential.f1 = -1e200", "quartic well on [-1e+200, 2.0] has no finite"),
+    ]:
+        cfg = _write_cfg(tmp_path, f"grid.n = 16\n{entry}\n")
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+        assert code == 1, entry
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_wsu_two_levels_exit_1(tmp_path):
@@ -444,9 +453,13 @@ def test_cli_mms_non_unit_box_exit_1(tmp_path, capsys, monkeypatch):
     assert "grid.length = 1.5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overshoot, code", [(1e-3, 2), (5e-7, 0)])
+@pytest.mark.parametrize(
+    "overshoot, code",
+    [(1e-3, 2), (5e-7, 0), (np.nan, 2), (np.inf, 2), (-np.inf, 2)],
+)
 def test_cli_energy_audit_max_principle(tmp_path, capsys, monkeypatch, overshoot, code):
-    """An excursion of c beyond the bounds plus 1e-6 after step 3 fails the audit."""
+    """An excursion of c beyond the bounds plus 1e-6 after step 3 fails the
+    audit, and so does a non-finite c (1 + nan, 1 + inf, 1 - inf)."""
     import nsac.experiments
 
     real_step = nsac.experiments.step

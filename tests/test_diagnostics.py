@@ -9,9 +9,7 @@ from nsac.diagnostics import (
     _edge_weights,
     _entry_view,
     EnergyReport,
-    MaxPrincipleBounds,
     RelEntropyTrace,
-    check_max_principle,
     dissipation_rates,
     energy_audit,
     gronwall_fit,
@@ -208,31 +206,6 @@ def test_max_principle_bounds_hull():
     c.values[0, 0] = 5.0
     with pytest.raises(ValueError):
         max_principle_bounds(c, WELL)
-
-
-def test_check_max_principle_counts():
-    grid = make_grid(2, (8, 8), (1, 1))
-    b = max_principle_bounds(ScalarField(grid, np.zeros(grid.n)), WELL)
-    good = ScalarField(grid, np.full(grid.n, 0.5))
-    bad = ScalarField(grid, np.full(grid.n, 0.5))
-    bad.values[2, 3] = 1.0 + 5e-4
-    count, worst = check_max_principle([good, bad], b, tol=1e-6)
-    assert count == 1
-    assert worst == pytest.approx(5e-4, rel=1e-9)
-    count, worst = check_max_principle([good], b, tol=1e-6)
-    assert count == 0
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_check_max_principle_fails_on_non_finite(bad):
-    grid = make_grid(2, (8, 8), (1, 1))
-    c = ScalarField(grid, np.zeros(grid.n))
-    c.values[3, 4] = bad
-    good = ScalarField(grid, np.full(grid.n, 0.5))
-    for fields in ([c], [c, good], [good, c]):
-        count, worst = check_max_principle(fields, MaxPrincipleBounds(-1.0, 1.0), 1e-6)
-        assert count == 1
-        assert not np.isfinite(worst)
 
 
 def test_max_principle_bounds_reject_non_finite_range():
