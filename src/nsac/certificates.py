@@ -1,0 +1,101 @@
+"""Numerical certificates: the one table of thresholds, and the gates each
+study's result is judged by.
+
+A gate is one named check of one value against its bound. Every predicate
+is written so that a NaN value fails it. A command returns the gates of its
+study; the CLI exits 2 if any failed and names each failed gate.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+AUDIT_TOL = 1e-6  # energy inequality: worst (E(t) + int D - E(0)) / E(0)
+MAX_PRINCIPLE_TOL = 1e-6  # c beyond the hull of its initial range and the wells
+REI_SLACK_TOL = 1e-3  # REI slack >= -tol (1 + |LHS|) at the finest genuine pair
+REI_REFINEMENT = 2.0  # raw REI deficit falls at least this much per level
+WSU_RATIO = 2.0  # max E falls at least this much from the coarsest level
+SPATIAL_ORDERS = (1.7, 2.3)  # manufactured solution, second order in h
+TEMPORAL_ORDERS = (0.8, 1.2)  # and first order in dt
+GRONWALL_REL_TOL = 1e-6  # E may exceed the fitted bound by this, relative
+
+
+class Gate(NamedTuple):
+    """One certificate: ``value`` checked against ``bound``."""
+
+    name: str
+    value: object
+    bound: object
+    passed: bool
+
+
+def _at_most(name: str, value, bound) -> Gate:
+    return Gate(name, value, bound, bool(value <= bound))
+
+
+def _at_least(name: str, value, bound) -> Gate:
+    return Gate(name, value, bound, bool(bound <= value))
+
+
+def _within(name: str, value, bounds: tuple[float, float]) -> Gate:
+    lo, hi = bounds
+    return Gate(name, value, bounds, bool(lo <= value <= hi))
+
+
+def energy_gates(audit: float) -> list[Gate]:
+    """The energy inequality, from the worst audit value of a run."""
+    return [_at_most("energy.audit", audit, AUDIT_TOL)]
+
+
+def wsu_gates(report) -> list[Gate]:
+    """Criterion 7 on a ``WSUReport`` with its twin level.
+
+    The finest level paired with itself has E bitwise 0; max E falls
+    strictly from each level to the next finer one (the largest rise is
+    below 0); and the first refinement ratio of max E is at least
+    ``WSU_RATIO``.
+    """
+    rise = float(np.max(np.diff([lv.max_entropy for lv in report.levels])))
+    return [
+        _within("wsu.twin_zero", report.twin_entropy_max, (0.0, 0.0)),
+        Gate("wsu.monotone", rise, 0.0, bool(rise < 0.0)),
+        _at_least("wsu.ratio", report.refinement_ratios[0], WSU_RATIO),
+    ]
+
+
+def _raw_deficit(rei) -> float:
+    return float(np.max(np.maximum(0.0, -rei.slack)))
+
+
+def rei_gates(report) -> list[Gate]:
+    """Criterion 6 on the two finest genuine pairs of a ``WSUReport``.
+
+    The finest one meets the REI to within ``REI_SLACK_TOL`` (1 + |LHS|) at
+    every sample (the gated value is the worst excess), and the next coarser
+    one's raw deficit is at least ``REI_REFINEMENT`` times the finest's.
+    """
+    coarse, fine = (lv.rei for lv in report.pairs[-2:])
+    lhs = fine.lhs_entropy_gap + fine.lhs_visc + fine.lhs_ac
+    excess = np.maximum(0.0, -fine.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
+    return [
+        _at_most("rei.tolerance", float(np.max(excess, initial=0.0)), 0.0),
+        _at_least("rei.refinement", _raw_deficit(coarse), REI_REFINEMENT * _raw_deficit(fine)),
+    ]
+
+
+def gronwall_gates(fit) -> list[Gate]:
+    """E stays under the fitted exponential bound of a ``GronwallFit``."""
+    return [_at_most("gronwall.violated", fit.violated, False)]
+
+
+def mms_gates(table) -> list[Gate]:
+    """Every order of a ``ConvergenceTable`` within its range."""
+    return [
+        _within(f"mms.spatial.{i}", order, SPATIAL_ORDERS)
+        for i, order in enumerate(table.spatial_orders)
+    ] + [
+        _within(f"mms.temporal.{i}", order, TEMPORAL_ORDERS)
+        for i, order in enumerate(table.temporal_orders)
+    ]

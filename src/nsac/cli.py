@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure
-(failed audit, CFL rejection, or non-finite state).
+(a failed certificate, a CFL rejection, or a non-finite state).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
+from .certificates import Gate, energy_gates, gronwall_gates, mms_gates, rei_gates, wsu_gates
+from .diagnostics import energy_audit
 from .experiments import (
     ExperimentConfig,
     energy_history,
@@ -37,9 +39,6 @@ from .io import (
     write_vtk,
 )
 from .solver import NumericalError
-
-AUDIT_TOL = 1e-6
-REI_SLACK_TOL = 1e-3
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -97,14 +96,15 @@ class _Run:
         if not self.quiet:
             print(message)
 
-    def finish(self):
+    def finish(self, gates: list[Gate]):
         self.manifest.finished = _now()
+        self.manifest.gates = [dict(g._asdict(), value=repr(g.value)) for g in gates]
         path = os.path.join(self.dir, "manifest.json")
         self.manifest.write(path)
         self.say(f"wrote {path}")
 
 
-def _cmd_simulate(run: _Run) -> int:
+def _cmd_simulate(run: _Run) -> list[Gate]:
     """Energy trace plus a VTK snapshot at every sample that falls on an
     ``output.every`` multiple, and at the last one, written as it arrives."""
     cfg = run.cfg
@@ -121,64 +121,40 @@ def _cmd_simulate(run: _Run) -> int:
             write_vtk(state, run.path(f"snapshot_{i:06d}.vtk"), f"t={state.t:.6f}")
     write_energy_csv(reports, run.path("energy.csv"))
     run.say(f"simulated {n_steps} steps to t={state.t:.6f}")
-    return 0
+    return energy_gates(energy_audit(reports))
 
 
-def _cmd_energy_audit(run: _Run) -> int:
+def _cmd_energy_audit(run: _Run) -> list[Gate]:
     reports, violation = run_energy_audit(run.cfg)
     write_energy_csv(reports, run.path("energy.csv"))
-    run.say(f"audit violation: {violation:.3e} (tolerance {AUDIT_TOL:.0e})")
-    if not (violation <= AUDIT_TOL):
-        print(f"error: energy audit failed ({violation:.3e} > {AUDIT_TOL:.0e})",
-              file=sys.stderr)
-        return 2
-    return 0
+    return energy_gates(violation)
 
 
-def _cmd_wsu(run: _Run) -> int:
+def _cmd_wsu(run: _Run) -> list[Gate]:
     report = run_wsu(run.cfg)
     for lv in report.levels:
         write_entropy_csv(lv.trace, lv.fit.bound_curve, run.path(f"entropy_{lv.n}.csv"))
         write_rei_csv(lv.rei, run.path(f"rei_{lv.n}.csv"))
         run.say(f"level {lv.n}: max entropy {lv.max_entropy:.6e}, fitted k {lv.fit.k:.4g}")
     run.say(f"refinement ratios: {[f'{r:.2f}' for r in report.refinement_ratios]}")
-    maxima = [lv.max_entropy for lv in report.levels]
-    if not all(b < a for a, b in zip(maxima, maxima[1:])):
-        print("error: relative entropy did not decrease under refinement",
-              file=sys.stderr)
-        return 2
-    return 0
+    return wsu_gates(report)
 
 
-def _cmd_perturb(run: _Run) -> int:
+def _cmd_perturb(run: _Run) -> list[Gate]:
     trace, fit = run_perturbation(run.cfg, run.cfg.perturbation_delta)
     write_entropy_csv(trace, fit.bound_curve, run.path("entropy.csv"))
-    run.say(f"fitted k: {fit.k:.6g}, bound violated: {fit.violated}")
-    if fit.violated:
-        print("error: relative entropy exceeded the fitted exponential bound",
-              file=sys.stderr)
-        return 2
-    return 0
+    run.say(f"fitted k: {fit.k:.6g}")
+    return gronwall_gates(fit)
 
 
-def _cmd_rei_check(run: _Run) -> int:
+def _cmd_rei_check(run: _Run) -> list[Gate]:
     report = run_wsu(run.cfg, twin=False)
     for lv in report.levels:
         write_rei_csv(lv.rei, run.path(f"rei_{lv.n}.csv"))
-    lv = report.levels[-1]  # finest genuine weak/strong pair
-    lhs = lv.rei.lhs_entropy_gap + lv.rei.lhs_visc + lv.rei.lhs_ac
-    deficit = np.maximum(0.0, -lv.rei.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
-    worst = float(np.max(deficit)) if len(deficit) else 0.0
-    run.say(f"level {lv.n}: min slack {float(np.min(lv.rei.slack)):.3e}, "
-            f"worst deficit beyond tolerance {worst:.3e}")
-    if not (worst <= 0):
-        print("error: relative entropy inequality violated beyond tolerance",
-              file=sys.stderr)
-        return 2
-    return 0
+    return rei_gates(report)
 
 
-def _cmd_mms(run: _Run) -> int:
+def _cmd_mms(run: _Run) -> list[Gate]:
     table = run_manufactured(run.cfg)
     _write_table(
         run.path("mms_spatial.csv"),
@@ -190,16 +166,7 @@ def _cmd_mms(run: _Run) -> int:
         ("dt", "difference"),
         [np.array(table.dts[:-1]), np.array(table.temporal_diffs)],
     )
-    run.say(f"spatial orders: {[f'{o:.3f}' for o in table.spatial_orders]}")
-    run.say(f"temporal orders: {[f'{o:.3f}' for o in table.temporal_orders]}")
-    ok = all(1.7 <= o <= 2.3 for o in table.spatial_orders) and all(
-        0.8 <= o <= 1.2 for o in table.temporal_orders
-    )
-    if not ok:
-        print("error: observed convergence orders outside expected ranges",
-              file=sys.stderr)
-        return 2
-    return 0
+    return mms_gates(table)
 
 
 _COMMANDS = {
@@ -245,15 +212,20 @@ def main(argv: list[str] | None = None) -> int:
     # one policy for the whole process, before any command allocates
     set_allocator_policy()
     try:
-        code = _COMMANDS[args.command](run)
+        gates = _COMMANDS[args.command](run)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run.finish()
-    return code
+    run.finish(gates)
+    for g in gates:
+        run.say(f"certificate {g.name}: {g.value!r} against {g.bound}")
+        if not g.passed:
+            print(f"error: certificate {g.name} failed: {g.value!r} against {g.bound}",
+                  file=sys.stderr)
+    return 0 if all(g.passed for g in gates) else 2
 
 
 if __name__ == "__main__":

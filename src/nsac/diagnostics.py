@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .certificates import GRONWALL_REL_TOL
 from .grid import (
     FaceVectorField,
     Grid,
@@ -410,7 +411,9 @@ class GronwallFit:
     violated: bool
 
 
-def gronwall_fit(trace: RelEntropyTrace, lam: float = 0.5, rel_tol: float = 1e-6) -> GronwallFit:
+def gronwall_fit(
+    trace: RelEntropyTrace, lam: float = 0.5, rel_tol: float = GRONWALL_REL_TOL
+) -> GronwallFit:
     """Least k >= 0 with E(t) - E(0) + D(t) <= lam D(t) + k int_0^t omega E.
 
     D is the time-integrated dissipation difference. The bound curve is

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import MAX_PRINCIPLE_TOL
 from .diagnostics import (
     EnergyReport,
     GronwallFit,
@@ -28,7 +29,6 @@ from .potential import DoubleWell
 from .solver import FluidParams, NumericalError, State, StepReport, make_state, step
 
 INIT_KINDS = ("bubble", "spinodal", "vortex", "manufactured")
-MAX_PRINCIPLE_TOL = 1e-6
 
 
 @dataclass
@@ -318,15 +318,21 @@ class WSUReport:
     twin_entropy_max: float | None
 
     @property
-    def refinement_ratios(self) -> list[float]:
-        """max_t E ratios between consecutive coarse levels.
+    def pairs(self) -> list[LevelResult]:
+        """The levels whose weak run is paired with the restricted finest run.
 
         The finest level, when present, is its own strong proxy (entropy
-        identically zero), so it is excluded from the ratios.
+        identically zero), so it is left out.
         """
-        coarse = self.levels if self.twin_entropy_max is None else self.levels[:-1]
-        maxima = [lv.max_entropy for lv in coarse]
-        return [maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1)]
+        return self.levels if self.twin_entropy_max is None else self.levels[:-1]
+
+    @property
+    def refinement_ratios(self) -> list[float]:
+        """max_t E ratios between consecutive paired levels; a finer maximum
+        of 0 gives inf (or NaN over 0) rather than raising."""
+        maxima = [lv.max_entropy for lv in self.pairs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [float(np.divide(a, b)) for a, b in zip(maxima, maxima[1:])]
 
 
 def run_wsu(cfg: ExperimentConfig, twin: bool = True) -> WSUReport:

@@ -270,13 +270,15 @@ def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
 
 @dataclass
 class RunManifest:
-    """Record of one CLI invocation: resolved config, version, outputs."""
+    """Record of one CLI invocation: resolved config, version, outputs, and
+    each certificate gate (name, ``repr`` of its value, bound, passed)."""
 
     config: dict[str, str]
     version: str
     started: str
     finished: str = ""
     outputs: list[str] = field(default_factory=list)
+    gates: list[dict] = field(default_factory=list)
 
     def add(self, path: str) -> str:
         self.outputs.append(os.path.basename(path))

@@ -11,6 +11,15 @@ import time
 import numpy as np
 import pytest
 
+from nsac.certificates import (
+    AUDIT_TOL,
+    MAX_PRINCIPLE_TOL,
+    REI_REFINEMENT,
+    REI_SLACK_TOL,
+    SPATIAL_ORDERS,
+    TEMPORAL_ORDERS,
+    WSU_RATIO,
+)
 from nsac.diagnostics import (
     RelEntropyTrace,
     dissipation_rates,
@@ -93,14 +102,15 @@ def test_criterion_2_manufactured_convergence():
     t0 = time.time()
     table = run_manufactured(ExperimentConfig(init_kind="manufactured"))
     elapsed = time.time() - t0
-    sp_ok = all(1.7 <= o <= 2.3 for o in table.spatial_orders)
-    tm_ok = all(0.8 <= o <= 1.2 for o in table.temporal_orders)
+    (sp_lo, sp_hi), (tm_lo, tm_hi) = SPATIAL_ORDERS, TEMPORAL_ORDERS
+    sp_ok = all(sp_lo <= o <= sp_hi for o in table.spatial_orders)
+    tm_ok = all(tm_lo <= o <= tm_hi for o in table.temporal_orders)
     ok = sp_ok and tm_ok and elapsed < 300.0
     _report(
         "2 manufactured convergence",
         ok,
-        f"spatial orders {[f'{o:.2f}' for o in table.spatial_orders]} in [1.7,2.3], "
-        f"temporal {[f'{o:.2f}' for o in table.temporal_orders]} in [0.8,1.2], "
+        f"spatial orders {[f'{o:.2f}' for o in table.spatial_orders]} in {SPATIAL_ORDERS}, "
+        f"temporal {[f'{o:.2f}' for o in table.temporal_orders]} in {TEMPORAL_ORDERS}, "
         f"{elapsed:.0f}s < 300s",
     )
 
@@ -132,8 +142,8 @@ def spinodal_run():
         lo = float(np.min(state.c.values))
         hi = float(np.max(state.c.values))
         c_lo, c_hi = min(c_lo, lo), max(c_hi, hi)
-        outside += int(np.count_nonzero(state.c.values < bounds.m - 1e-6))
-        outside += int(np.count_nonzero(state.c.values > bounds.M + 1e-6))
+        outside += int(np.count_nonzero(state.c.values < bounds.m - MAX_PRINCIPLE_TOL))
+        outside += int(np.count_nonzero(state.c.values > bounds.M + MAX_PRINCIPLE_TOL))
     return dict(reports=reports, c_lo=c_lo, c_hi=c_hi, outside=outside,
                 bounds=bounds, elapsed=time.time() - t0)
 
@@ -152,26 +162,26 @@ def test_criterion_3_energy_inequality(spinodal_run):
         times[name] = time.time() - t0
     worst["spinodal"] = energy_audit(spinodal_run["reports"])
     times["spinodal"] = spinodal_run["elapsed"]
-    ok = all(v <= 1e-6 for v in worst.values()) and all(
+    ok = all(v <= AUDIT_TOL for v in worst.values()) and all(
         t < 120.0 for t in times.values()
     )
     detail = ", ".join(
         f"{k} {worst[k]:.2e} in {times[k]:.0f}s" for k in worst
     )
-    _report("3 energy inequality", ok, detail + " (tol 1e-6, < 120s per run)")
+    _report("3 energy inequality", ok, detail + f" (tol {AUDIT_TOL:g}, < 120s per run)")
 
 
 def test_criterion_4_maximum_principle(spinodal_run):
     ok = (
         spinodal_run["outside"] == 0
-        and spinodal_run["c_lo"] >= -1.0 - 1e-6
-        and spinodal_run["c_hi"] <= 1.0 + 1e-6
+        and spinodal_run["c_lo"] >= -1.0 - MAX_PRINCIPLE_TOL
+        and spinodal_run["c_hi"] <= 1.0 + MAX_PRINCIPLE_TOL
     )
     _report(
         "4 maximum principle",
         ok,
         f"c range [{spinodal_run['c_lo']:.6f}, {spinodal_run['c_hi']:.6f}], "
-        f"{spinodal_run['outside']} cells outside [-1-1e-6, 1+1e-6]",
+        f"{spinodal_run['outside']} cells outside [-1, 1] by more than {MAX_PRINCIPLE_TOL:g}",
     )
 
 
@@ -238,7 +248,7 @@ def test_criterion_6_rei_check(wsu_run):
 
     def deficit(lv):
         lhs = lv.rei.lhs_entropy_gap + lv.rei.lhs_visc + lv.rei.lhs_ac
-        return np.maximum(0.0, -lv.rei.slack - 1e-3 * (1.0 + np.abs(lhs)))
+        return np.maximum(0.0, -lv.rei.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
 
     d64 = deficit(by_n[64])
     d32 = deficit(by_n[32])
@@ -246,12 +256,12 @@ def test_criterion_6_rei_check(wsu_run):
     # raw (untoleranced) deficits for the refinement comparison
     raw32 = float(np.max(np.maximum(0.0, -by_n[32].rei.slack)))
     raw64 = float(np.max(np.maximum(0.0, -by_n[64].rei.slack)))
-    ok = worst64 == 0.0 and raw32 >= 2.0 * raw64
+    ok = worst64 == 0.0 and raw32 >= REI_REFINEMENT * raw64
     _report(
         "6 REI check",
         ok,
-        f"64^2 slack >= -1e-3(1+|LHS|) everywhere (worst excess {worst64:.2e}), "
-        f"raw deficit 32^2 {raw32:.3e} >= 2x 64^2 {raw64:.3e}",
+        f"64^2 slack >= -{REI_SLACK_TOL:g}(1+|LHS|) everywhere (worst excess {worst64:.2e}), "
+        f"raw deficit 32^2 {raw32:.3e} >= {REI_REFINEMENT:g}x 64^2 {raw64:.3e}",
     )
 
 
@@ -261,12 +271,12 @@ def test_criterion_7_weak_strong_uniqueness(wsu_run):
     monotone = all(b < a for a, b in zip(maxima, maxima[1:]))
     ratio = report.refinement_ratios[0]
     twin_zero = report.twin_entropy_max == 0.0
-    ok = twin_zero and monotone and ratio >= 2.0 and elapsed < 600.0
+    ok = twin_zero and monotone and ratio >= WSU_RATIO and elapsed < 600.0
     _report(
         "7 weak-strong uniqueness",
         ok,
         f"twin E = {report.twin_entropy_max} (bitwise 0), max E {maxima} monotone, "
-        f"ratio 32/64 {ratio:.2f} >= 2, {elapsed:.0f}s < 600s",
+        f"ratio 32/64 {ratio:.2f} >= {WSU_RATIO:g}, {elapsed:.0f}s < 600s",
     )
 
 

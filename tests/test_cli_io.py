@@ -1,5 +1,6 @@
 """Config format, CSV round trips, VTK output, CLI exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,9 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsac.cli
+import nsac.experiments
+from nsac.certificates import (
+    energy_gates,
+    gronwall_gates,
+    mms_gates,
+    rei_gates,
+    wsu_gates,
+)
 from nsac.diagnostics import EnergyReport, REITrace, RelEntropyTrace, gronwall_fit
 from nsac.experiments import (
     INIT_KINDS,
+    ConvergenceTable,
     ExperimentConfig,
     LevelResult,
     WSUReport,
@@ -485,20 +496,30 @@ def test_cli_energy_audit_max_principle(tmp_path, capsys, monkeypatch, overshoot
         assert "step 3," in err and "t=0.003" in err and repr(1.0 + overshoot) in err
 
 
-def _fake_wsu_report(maxima, slack):
-    """Three levels whose max entropies are ``maxima``; every REI slack is ``slack``."""
+def _fake_wsu_report(maxima, slack, twin=True):
+    """Levels 8, 16 and 32 whose max entropies are ``maxima``; level i's REI
+    slack is ``slack[i]`` at every sample. Without ``twin`` the report drops
+    the finest level, as ``run_wsu`` does."""
     times = np.array([0.0, 0.1, 0.2])
     zero = np.zeros_like(times)
     rei_cols = dict.fromkeys(["lhs_entropy_gap", "lhs_visc", "lhs_ac", "r_conv",
                               "r_eps1", "r_eps2", "r_eps3", "r_eps4", "r_f"], zero)
     levels = []
-    for n, m in zip((8, 16, 32), maxima):
+    for n, m, s in zip((8, 16, 32), maxima, slack):
         trace = RelEntropyTrace(times=times, E=np.full_like(times, m), D=zero,
                                 omega=np.ones_like(times))
-        rei = REITrace(times=times, slack=np.array(slack), **rei_cols)
+        rei = REITrace(times=times, slack=np.full_like(times, s), **rei_cols)
         levels.append(LevelResult(n=n, trace=trace, rei=rei, fit=gronwall_fit(trace),
                                   max_entropy=m))
+    if not twin:
+        return WSUReport(levels=levels[:-1], twin_entropy_max=None)
     return WSUReport(levels=levels, twin_entropy_max=maxima[-1])
+
+
+def _fake_run_wsu(monkeypatch, maxima, slack):
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    monkeypatch.setattr(nsac.cli, "run_wsu",
+                        lambda cfg, twin=True: _fake_wsu_report(maxima, slack, twin))
 
 
 @pytest.mark.parametrize(
@@ -509,13 +530,95 @@ def _fake_wsu_report(maxima, slack):
     ],
 )
 def test_cli_nan_certificate_fails_exit_2(tmp_path, monkeypatch, command, maxima, slack):
-    import nsac.cli
-
-    monkeypatch.delenv("NSAC_OUT", raising=False)
-    monkeypatch.setattr(nsac.cli, "run_wsu",
-                        lambda cfg, twin=True: _fake_wsu_report(maxima, slack))
+    _fake_run_wsu(monkeypatch, maxima, slack)
     code = main([command, "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, maxima, slack, gate",
+    [
+        ("wsu", [1e-2, 1e-3, 1e-30], [0.0, 0.0, 0.0], "wsu.twin_zero"),
+        ("wsu", [1e-3, 0.0, 0.0], [0.0, 0.0, 0.0], "wsu.monotone"),
+        # maxima that decrease, but by 1.5 from the coarsest level
+        ("wsu", [1.5e-3, 1e-3, 0.0], [0.0, 0.0, 0.0], "wsu.ratio"),
+        # within tolerance at 16, but the raw deficit does not halve from 8
+        ("rei-check", [1e-2, 1e-3, 0.0], [-1e-4, -1e-4, 0.0], "rei.refinement"),
+    ],
+)
+def test_cli_failed_gate_exit_2_names_it(tmp_path, capsys, monkeypatch, command, maxima,
+                                        slack, gate):
+    """One gate fails and every other passes: the command exits 2, names that
+    gate in one stderr line, and the manifest records it as the failed one."""
+    _fake_run_wsu(monkeypatch, maxima, slack)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: certificate {gate} failed: ")
+    recorded = json.loads((out / "manifest.json").read_text())["gates"]
+    failed = [g for g in recorded if not g["passed"]]
+    assert [g["name"] for g in failed] == [gate]
+    assert f" failed: {failed[0]['value']} against " in err[0]
+
+
+def test_cli_simulate_gates_the_energy_audit(tmp_path, capsys, monkeypatch):
+    """An energy that grows with t fails the audit, and simulate says so."""
+    total_energy = nsac.experiments.total_energy
+
+    def growing(state, *args):
+        report = total_energy(state, *args)
+        report.kinetic += state.t
+        return report
+
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    monkeypatch.setattr(nsac.experiments, "total_energy", growing)
+    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
+                               "init.kind = bubble\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: certificate energy.audit failed: ")
+
+
+def _gronwall(x):
+    times = np.array([0.0, 0.1, 0.2])
+    trace = RelEntropyTrace(times=times, E=np.array([1.0, x, 1.0]),
+                            D=np.zeros_like(times), omega=np.ones_like(times))
+    return gronwall_gates(gronwall_fit(trace))
+
+
+def _mms(spatial, temporal):
+    return mms_gates(ConvergenceTable(resolutions=[8, 16], spatial_errors=[1.0, 0.25],
+                                      spatial_orders=[spatial], dts=[4e-4, 2e-4, 1e-4],
+                                      temporal_diffs=[1.0, 0.5], temporal_orders=[temporal]))
+
+
+# each gate, built from a study result that holds x in the gated place
+GATE_INPUTS = {
+    "energy.audit": (energy_gates, 0.0),
+    "wsu.twin_zero": (lambda x: wsu_gates(_fake_wsu_report([1e-2, 1e-3, x], [0.0] * 3)), 0.0),
+    "wsu.monotone": (lambda x: wsu_gates(_fake_wsu_report([1e-2, x, 0.0], [0.0] * 3)), 1e-3),
+    "wsu.ratio": (lambda x: wsu_gates(_fake_wsu_report([x, 1e-3, 0.0], [0.0] * 3)), 1e-2),
+    "rei.tolerance": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [0.0, x, 0.0], False)),
+                      0.0),
+    "rei.refinement": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [x, 0.0, 0.0], False)),
+                       0.0),
+    "gronwall.violated": (_gronwall, 1.0),
+    "mms.spatial.0": (lambda x: _mms(x, 1.0), 2.0),
+    "mms.temporal.0": (lambda x: _mms(2.0, x), 1.0),
+}
+
+
+def test_gate_inputs_cover_every_gate():
+    names = set()
+    for build, clean in GATE_INPUTS.values():
+        names |= {g.name for g in build(clean)}
+    assert names == set(GATE_INPUTS)
+
+
+@pytest.mark.parametrize("name", GATE_INPUTS)
+def test_nan_fails_each_gate(name):
+    build, clean = GATE_INPUTS[name]
+    assert {g.name: g.passed for g in build(clean)}[name]
+    assert not {g.name: g.passed for g in build(np.nan)}[name]
 
 
 def test_rei_check_skips_the_twin_rows(tmp_path, monkeypatch):

@@ -1,0 +1,88 @@
+"""Golden outputs: each CLI command runs on a small config under
+``tests/golden/``, and every file it writes (the manifest, which holds
+timestamps, excepted) must match the sha256 recorded in
+``tests/golden/outputs.json``, as must its exit code.
+
+A change that is meant to alter the numerics records the hashes again in
+the same commit, with ``PYTHONPATH=src python tests/test_golden.py``, and
+names each altered file and its tolerance in ``CHANGES.md``.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nsac.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RECORD = GOLDEN / "outputs.json"
+RUNS = (
+    ("simulate", "spinodal-16.cfg"),
+    ("energy-audit", "spinodal-16.cfg"),
+    ("perturb", "bubble-8-32.cfg"),
+    ("wsu", "bubble-8-32.cfg"),
+    ("rei-check", "bubble-16-64.cfg"),
+    ("mms", "mms-8-16.cfg"),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(command: str, config: str, out: Path) -> dict:
+    """Exit code, and per output file its sha256 and a short hash per line
+    (the line hashes locate the first difference)."""
+    code = main([command, "--config", str(GOLDEN / config), "--out", str(out), "--quiet"])
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            data = path.read_bytes()
+            lines = " ".join(_sha256(line)[:8] for line in data.splitlines())
+            files[path.name] = {"sha256": _sha256(data), "lines": lines}
+    return {"code": code, "files": files}
+
+
+def _first_difference(name: str, want: dict, got: dict, out: Path) -> str:
+    lines = (out / name).read_bytes().splitlines()
+    recorded, now = want["lines"].split(), got["lines"].split()
+    for i, (a, b) in enumerate(zip(recorded, now)):
+        if a != b:
+            return f"{name} line {i + 1} differs, now {lines[i].decode()!r}"
+    return f"{name} has {len(now)} lines, recorded {len(recorded)}"
+
+
+@pytest.mark.parametrize("command, config", RUNS)
+def test_outputs_match_the_recorded_hashes(tmp_path, monkeypatch, command, config):
+    record = json.loads(RECORD.read_text())
+    want = record["runs"][f"{command} {config}"]
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    got = _run(command, config, tmp_path)
+    versions = f"hashes recorded with numpy {record['numpy']}, running {np.__version__}"
+    assert got["code"] == want["code"], versions
+    assert sorted(got["files"]) == sorted(want["files"]), versions
+    for name, digest in want["files"].items():
+        if got["files"][name]["sha256"] != digest["sha256"]:
+            pytest.fail(f"{_first_difference(name, digest, got['files'][name], tmp_path)}; "
+                        f"{versions}")
+
+
+def record():
+    """Run every golden command and rewrite ``outputs.json``."""
+    os.environ.pop("NSAC_OUT", None)
+    runs = {}
+    for command, config in RUNS:
+        with tempfile.TemporaryDirectory() as out:
+            runs[f"{command} {config}"] = _run(command, config, Path(out))
+    text = json.dumps({"numpy": np.__version__, "runs": runs}, indent=1, sort_keys=True)
+    RECORD.write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(record())
