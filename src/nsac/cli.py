@@ -72,9 +72,20 @@ def _now() -> str:
 
 
 def _load_config(arg: str) -> ExperimentConfig:
-    if arg == "default":
-        return ExperimentConfig()
-    return parse_config(arg)
+    """The config, with every grid it names built once, so that a bad cell
+    count or extent fails before the output directory is made."""
+    cfg = ExperimentConfig() if arg == "default" else parse_config(arg)
+    for n in (cfg.grid_n, *cfg.wsu_levels):
+        cfg.grid(n)
+    return cfg
+
+
+def _json_bound(bound):
+    """A gate bound as strict JSON: a non-finite number (``rei.refinement``'s
+    bound is 2 x a measured deficit) as its ``repr``, like every value."""
+    if isinstance(bound, float) and not np.isfinite(bound):
+        return repr(float(bound))
+    return bound
 
 
 class _Run:
@@ -98,7 +109,9 @@ class _Run:
 
     def finish(self, gates: list[Gate]):
         self.manifest.finished = _now()
-        self.manifest.gates = [dict(g._asdict(), value=repr(g.value)) for g in gates]
+        self.manifest.gates = [
+            dict(g._asdict(), value=repr(g.value), bound=_json_bound(g.bound)) for g in gates
+        ]
         path = os.path.join(self.dir, "manifest.json")
         self.manifest.write(path)
         self.say(f"wrote {path}")

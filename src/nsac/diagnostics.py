@@ -11,8 +11,9 @@ use the trapezoid rule on step boundaries.
 
 Like the step, the diagnostics work in flat passes over whole padded buffers
 (see ``nsac.grid``): each velocity-gradient entry and each cell average is
-one contiguous pass, and a pair row forms its products over all axis pairs
-in one pass. Each integral sums a new, contiguous array of the quantity's
+one contiguous pass. A pair row adds each sum over axes or axis pairs term
+by term into one buffer, and frees each of its buffers after the last term
+that reads it. Each integral sums a new, contiguous array of the quantity's
 own shape (cells, faces or an edge grid), so its bits do not depend on the
 storage, and a sum over axes starts from zero, which makes a -0.0 term
 +0.0. Every buffer is made per call; only the read-only edge-weight tables
@@ -216,16 +217,13 @@ def max_principle_bounds(c0: ScalarField, well: DoubleWell) -> MaxPrincipleBound
 # relative entropy
 
 
-def _differences(
-    weak: State, strong: State
-) -> tuple[FaceVectorField, ScalarField, FaceVectorField]:
-    """u - U, c - C and grad(c - C) of a weak/strong pair on one grid."""
+def _differences(weak: State, strong: State) -> tuple[FaceVectorField, FaceVectorField]:
+    """u - U and grad(c - C) of a weak/strong pair on one grid."""
     if weak.grid != strong.grid:
         raise ValueError("states live on different grids")
     grid = weak.grid
     w = face_field(grid, weak.u.padded() - strong.u.padded())
-    d = cell_field(grid, weak.c.padded() - strong.c.padded())
-    return w, d, gradient(d)
+    return w, gradient(cell_field(grid, weak.c.padded() - strong.c.padded()))
 
 
 def _entropy(w: FaceVectorField, gd: FaceVectorField, eps: float) -> float:
@@ -234,8 +232,7 @@ def _entropy(w: FaceVectorField, gd: FaceVectorField, eps: float) -> float:
 
 def relative_entropy(weak: State, strong: State, params: FluidParams) -> float:
     """E(u,c | U,C) = int ( |u-U|^2 / 2 + eps |grad(c-C)|^2 / 2 )."""
-    w, _, gd = _differences(weak, strong)
-    return _entropy(w, gd, params.eps)
+    return _entropy(*_differences(weak, strong), params.eps)
 
 
 def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -292,6 +289,28 @@ def _average_edges_to_cells(grid: Grid, grads: np.ndarray) -> None:
             g *= 0.5
 
 
+def _pair_sum(acc: np.ndarray, term: np.ndarray, left, right, grads: np.ndarray) -> np.ndarray:
+    """Sum over (a, b) of (left[a] right[b]) grads[a, b] into ``acc``.
+
+    The products are added in row order from +0.0, which makes a -0.0 term
+    +0.0; ``term`` holds each product. Returns ``acc``.
+    """
+    acc.fill(0.0)
+    for a, b in np.ndindex(len(left), len(right)):
+        np.multiply(left[a], right[b], out=term)
+        term *= grads[a, b]
+        acc += term
+    return acc
+
+
+def _dot(acc: np.ndarray, term: np.ndarray, left, right) -> np.ndarray:
+    """Sum over a of left[a] right[a] into ``acc``, as ``_pair_sum`` adds."""
+    acc.fill(0.0)
+    for la, ra in zip(left, right):
+        acc += np.multiply(la, ra, out=term)
+    return acc
+
+
 class PairRow(NamedTuple):
     """One sample of a weak/strong pair.
 
@@ -334,53 +353,47 @@ def pair_row(
     eps = params.eps
     grid = weak.grid
     vol = grid.cell_volume
-    wdiff, _, gd_face = _differences(weak, strong)
-    carried = strong.carried()
-    gC_face = gradient(strong.c) if carried is None else carried[0]
-    mdiff = weak_material.padded() - strong_material.padded()
-    # F' acts entrywise, so it runs over whole padded buffers, once for a twin
-    fp = well.eval_Fprime(strong.c.padded())
-    fp_diff = (fp if weak.c is strong.c else well.eval_Fprime(weak.c.padded())) - fp
-
-    grads = velocity_gradient(wdiff)
-    visc = _viscous_form(grid, grads, params.nu)
-    _average_edges_to_cells(grid, grads)
-    w_cell = avg_to_cells(wdiff)
-    U_cell = avg_to_cells(strong.u)
-    gd = avg_to_cells(gd_face)
-    gC = avg_to_cells(gC_face)
-    lap_d = divergence(gd_face).padded()
+    wdiff, gd_face = _differences(weak, strong)
+    # first, while few of the row's own buffers are live beside its temporaries
+    speed2 = float(np.max(cell_speed_squared(strong.u)))
+    E = _entropy(wdiff, gd_face, eps)
 
     def cell_sum(buf: np.ndarray) -> float:
         # over a new, contiguous array of the cell shape, whose bits do not
         # depend on the storage
         return float(np.ascontiguousarray(buf[grid.cell_view]).sum())
 
-    def axis_sum(stack: np.ndarray) -> np.ndarray:
-        # the sum over the axes (the axis pairs in row order) from a zero
-        # start, which makes a -0.0 term +0.0
-        return np.add.reduce(stack.reshape((-1,) + grid.padded_shape), axis=0, initial=0.0)
+    mdiff = weak_material.padded() - strong_material.padded()
+    ac = cell_sum(mdiff * mdiff) * vol
+    # F' acts entrywise, so it runs over whole padded buffers, once for a twin
+    fp = well.eval_Fprime(strong.c.padded())
+    fp_diff = (fp if weak.c is strong.c else well.eval_Fprime(weak.c.padded())) - fp
+    del fp
+    f = -(1.0 / eps) * cell_sum(fp_diff * mdiff) * vol
+    del mdiff, fp_diff
 
-    def pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # sum over (a, b) of left[a] right[b] grad(u - U)[a, b]
-        prod = left[:, None] * right[None, :]
-        prod *= grads
-        return axis_sum(prod)
+    grads = velocity_gradient(wdiff)
+    visc = _viscous_form(grid, grads, params.nu)
+    _average_edges_to_cells(grid, grads)
+    w_cell = avg_to_cells(wdiff)
+    del wdiff
+    gd = avg_to_cells(gd_face)
+    lap_d = divergence(gd_face).padded()
+    del gd_face
 
-    return PairRow(
-        t=weak.t,
-        E=_entropy(wdiff, gd_face, eps),
-        visc=visc,
-        ac=cell_sum(mdiff * mdiff) * vol,
-        conv=cell_sum(pair_sum(w_cell, U_cell)) * vol,
-        eps1=eps * cell_sum(lap_d * axis_sum(U_cell * gd)) * vol,
-        eps2=eps * cell_sum(pair_sum(gC, gd)) * vol,
-        eps3=eps * cell_sum(pair_sum(gd, gC)) * vol,
-        eps4=eps * cell_sum(lap_d * axis_sum(w_cell * gC)) * vol,
-        f=-(1.0 / eps) * cell_sum(fp_diff * mdiff) * vol,
-        omega=(1.0 + float(np.max(cell_speed_squared(strong.u)))
-               + float(np.max(axis_sum(gC * gC)[grid.cell_view]))),
-    )
+    # the one pair of buffers that every sum over axes accumulates in
+    acc, term = np.empty(grid.padded_shape), np.empty(grid.padded_shape)
+    U_cell = avg_to_cells(strong.u)
+    conv = cell_sum(_pair_sum(acc, term, w_cell, U_cell, grads)) * vol
+    eps1 = eps * cell_sum(np.multiply(lap_d, _dot(acc, term, U_cell, gd), out=acc)) * vol
+    del U_cell
+    carried = strong.carried()
+    gC = avg_to_cells(gradient(strong.c) if carried is None else carried[0])
+    eps2 = eps * cell_sum(_pair_sum(acc, term, gC, gd, grads)) * vol
+    eps3 = eps * cell_sum(_pair_sum(acc, term, gd, gC, grads)) * vol
+    eps4 = eps * cell_sum(np.multiply(lap_d, _dot(acc, term, w_cell, gC), out=acc)) * vol
+    omega = 1.0 + speed2 + float(np.max(_dot(acc, term, gC, gC)[grid.cell_view]))
+    return PairRow(weak.t, E, visc, ac, conv, eps1, eps2, eps3, eps4, f, omega)
 
 
 def pair_traces(rows: list[PairRow]) -> tuple[RelEntropyTrace, REITrace]:

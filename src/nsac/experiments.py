@@ -204,30 +204,33 @@ def _sample_chunks(cfg: ExperimentConfig, n: int) -> list[int]:
 
 
 def _lockstep(
-    runs: list[tuple[State, float, int]],
+    states: list[State],
+    steps: list[tuple[float, int]],
     chunks: list[int],
     well: DoubleWell,
     params: FluidParams,
 ) -> Iterator[tuple[list[State], list[ScalarField]]]:
     """Advance several runs together; yield their states and materials per sample.
 
-    ``runs`` holds ``(initial state, dt, m)`` per run. Between two samples a
-    run takes ``m * chunk`` steps, so with dt scaled as 1/m all runs reach
-    each sample time together. A material is the discrete material
-    derivative of the step that produced the state; the t = 0 sample carries
-    the first chunk's (constant extrapolation, consistent with first-order
-    stepping). Only the current states are held.
+    ``states`` holds the initial state of each run and ``steps`` its
+    ``(dt, m)``. Between two samples a run takes ``m * chunk`` steps, so
+    with dt scaled as 1/m all runs reach each sample time together. A
+    material is the discrete material derivative of the step that produced
+    the state; the t = 0 sample carries the first chunk's (constant
+    extrapolation, consistent with first-order stepping). Only the current
+    states are held: a caller that hands over its only reference to
+    ``states`` lets the initial states go once the first sample is paired.
     """
-    states = [state for state, _, _ in runs]
     for k, chunk in enumerate(chunks):
-        previous, states, materials = states, [], []
-        for state, (_, dt, m) in zip(previous, runs):
+        stepped, materials = [], []
+        for state, (dt, m) in zip(states, steps):
             for _ in range(m * chunk):
                 state, report = step(state, well, params, dt)
-            states.append(state)
+            stepped.append(state)
             materials.append(report.material_derivative)
         if k == 0:
-            yield previous, materials
+            yield states, materials
+        states = stepped
         yield states, materials
 
 
@@ -358,17 +361,18 @@ def run_wsu(cfg: ExperimentConfig, twin: bool = True) -> WSUReport:
             raise ValueError(f"level {n} is not a multiple of the coarsest level {n0}")
 
     grids = [cfg.grid(n) for n in levels]
-    fine = initial_state(cfg, grids[-1])
-    starts = [restrict_state(fine, grid) for grid in grids[:-1]] + [fine]
-    runs = [(s, cfg.dt_for(n), n // n0) for s, n in zip(starts, levels)]
+    fine0 = initial_state(cfg, grids[-1])
+    starts = [restrict_state(fine0, grid) for grid in grids[:-1]] + [fine0]
+    samples = _lockstep(starts, [(cfg.dt_for(n), n // n0) for n in levels], chunks, well, params)
+    # the generator holds the only references to the initial states now
+    del fine0, starts
     paired = levels if twin else levels[:-1]
     rows = [[] for _ in paired]
-    for states, materials in _lockstep(runs, chunks, well, params):
+    for states, materials in samples:
         fine, fine_m = states[-1], materials[-1]
         for i, grid in enumerate(grids[:-1]):
-            strong = restrict_state(fine, grid)
-            strong_m = restrict_scalar(fine_m, grid)
-            rows[i].append(pair_row(states[i], strong, materials[i], strong_m, well, params))
+            rows[i].append(pair_row(states[i], restrict_state(fine, grid), materials[i],
+                                    restrict_scalar(fine_m, grid), well, params))
         if twin:
             rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
 
@@ -395,16 +399,17 @@ def run_perturbation(
     chunks = _sample_chunks(cfg, cfg.grid_n)
 
     strong0 = initial_state(cfg, grid)
-    v = perturbation_velocity(grid)
     weak0 = strong0.copy()
     weak0.u = FaceVectorField(
         grid,
-        [weak0.u.components[a] + delta * v.components[a] for a in range(grid.dim)],
+        [u + delta * v for u, v in zip(weak0.u.components, perturbation_velocity(grid).components)],
     )
-    runs = [(weak0, cfg.dt, 1), (strong0, cfg.dt, 1)]
+    samples = _lockstep([weak0, strong0], [(cfg.dt, 1)] * 2, chunks, well, params)
+    # the generator holds the only references to the initial states now
+    del weak0, strong0
     rows = [
         pair_row(weak, strong, weak_m, strong_m, well, params)
-        for (weak, strong), (weak_m, strong_m) in _lockstep(runs, chunks, well, params)
+        for (weak, strong), (weak_m, strong_m) in samples
     ]
     trace, _ = pair_traces(rows)
     return trace, gronwall_fit(trace)

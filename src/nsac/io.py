@@ -290,7 +290,7 @@ class RunManifest:
             if not os.path.exists(full) or os.path.getsize(full) == 0:
                 raise IOError(f"manifest lists missing or empty output {name}")
         with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 

@@ -362,18 +362,17 @@ def momentum_step(
     if not (cfl <= CFL_LIMIT):
         raise CFLError(cfl)
 
-    adv = advection_term(state.u)
     grad_c = gradient(c_new)
     lap_c = divergence(grad_c)
     for f in (c_new, grad_c, lap_c):
         f.padded().flags.writeable = False
-    force = capillary_force(grad_c, lap_c, params.eps)
 
     # every component at once, then one solve per component into the
-    # interior faces of u*, whose walls and pads stay zero
+    # interior faces of u*, whose walls and pads stay zero; the advection
+    # block and the capillary force are freed once added
     rhs = state.u.padded() / dt
-    rhs -= adv.padded()
-    rhs += force.padded()
+    rhs -= advection_term(state.u).padded()
+    rhs += capillary_force(grad_c, lap_c, params.eps).padded()
     if source is not None:
         rhs += source.padded()
     star = np.zeros(grid.block_shape)
@@ -381,6 +380,7 @@ def momentum_step(
         kinds = tuple("wall" if b == a else "ghost" for b in range(dim))
         inner = grid.inner_face_views[a]
         star[inner] = _spectral_solve(grid, rhs[inner], kinds, 1.0 / dt, 0.5 * params.nu)
+    del rhs
     u_star = face_field(grid, star)
 
     # pressure projection: lap(p) = div(u*)/dt with Neumann, zero mean; rhs_p

@@ -368,6 +368,19 @@ def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, monkeypatch, co
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "wsu", "mms"])
+@pytest.mark.parametrize("entry", ["grid.n = 3", "wsu.levels = 2,8,16", "wsu.levels = -8,16,32"])
+def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, command, entry):
+    """A grid of fewer than 4 cells per axis fails at config load, before the
+    output directory is made."""
+    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cfg = _write_cfg(tmp_path, f"init.kind = bubble\n{entry}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert "cell counts must be >= 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_wsu_two_levels_exit_1(tmp_path):
     cfg = _write_cfg(tmp_path, "init.kind = bubble\nwsu.levels = 8,16\n"
                                "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n")
@@ -559,6 +572,21 @@ def test_cli_failed_gate_exit_2_names_it(tmp_path, capsys, monkeypatch, command,
     failed = [g for g in recorded if not g["passed"]]
     assert [g["name"] for g in failed] == [gate]
     assert f" failed: {failed[0]['value']} against " in err[0]
+
+
+def test_cli_manifest_is_strict_json(tmp_path, monkeypatch):
+    """A NaN slack at the finest pair makes rei.refinement's bound NaN; the
+    manifest writes it as a string, so a strict JSON reader accepts it."""
+    _fake_run_wsu(monkeypatch, [1e-3, 1e-4, 0.0], [0.0, np.nan, 0.0])
+    out = tmp_path / "out"
+    assert main(["rei-check", "--out", str(out), "--quiet"]) == 2
+
+    def no_constants(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    gates = json.loads((out / "manifest.json").read_text(), parse_constant=no_constants)["gates"]
+    refinement = {g["name"]: g for g in gates}["rei.refinement"]
+    assert refinement["bound"] == "nan" and not refinement["passed"]
 
 
 def test_cli_simulate_gates_the_energy_audit(tmp_path, capsys, monkeypatch):
