@@ -28,7 +28,6 @@ from .experiments import (
     step_count,
 )
 from .io import (
-    ConfigError,
     RunManifest,
     _write_table,
     config_echo,
@@ -71,15 +70,6 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_config(arg: str) -> ExperimentConfig:
-    """The config, with every grid it names built once, so that a bad cell
-    count or extent fails before the output directory is made."""
-    cfg = ExperimentConfig() if arg == "default" else parse_config(arg)
-    for n in (cfg.grid_n, *cfg.wsu_levels):
-        cfg.grid(n)
-    return cfg
-
-
 def _json_bound(bound):
     """A gate bound as strict JSON: a non-finite number (``rei.refinement``'s
     bound is 2 x a measured deficit) as its ``repr``, like every value."""
@@ -95,12 +85,15 @@ class _Run:
         self.cfg = cfg
         self.quiet = quiet
         self.dir = os.environ.get("NSAC_OUT") or out or cfg.output_dir
-        os.makedirs(self.dir, exist_ok=True)
         self.manifest = RunManifest(
             config=config_echo(cfg), version=__version__, started=_now()
         )
 
     def path(self, name: str) -> str:
+        """An output's path. The directory is made here, at a command's first
+        write (before its manifest), so a command that fails before it leaves
+        nothing on disk."""
+        os.makedirs(self.dir, exist_ok=True)
         return self.manifest.add(os.path.join(self.dir, name))
 
     def say(self, message: str):
@@ -216,17 +209,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    try:
-        cfg = _load_config(args.config)
-        run = _Run(cfg, args.out, args.quiet)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     # one policy for the whole process, before any command allocates
     set_allocator_policy()
     try:
+        cfg = ExperimentConfig() if args.config == "default" else parse_config(args.config)
+        run = _Run(cfg, args.out, args.quiet)
         gates = _COMMANDS[args.command](run)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # bad input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -4,7 +4,7 @@ perturbation/Gronwall study, and manufactured-solution convergence."""
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,36 +31,74 @@ from .solver import FluidParams, NumericalError, State, StepReport, make_state, 
 INIT_KINDS = ("bubble", "spinodal", "vortex", "manufactured")
 
 
+def _rule(ok, message: str):
+    """A check that raises ``ValueError(message.format(value))`` unless ``ok(value)``."""
+    def check(value):
+        if not ok(value):
+            raise ValueError(message.format(value))
+    return check
+
+
+_POSITIVE = _rule(lambda v: 0 < v < np.inf, "must be positive and finite, got {!r}")
+_NONNEGATIVE = _rule(lambda v: 0 <= v < np.inf, "must be nonnegative and finite, got {!r}")
+_FINITE = _rule(lambda v: -np.inf < v < np.inf, "must be finite, got {!r}")
+
+
+def _cells(n):
+    make_grid(2, (n, n), (1.0, 1.0))
+
+
+def _levels(levels):
+    for n in levels:
+        _cells(n)
+    if list(levels) != sorted(set(levels)):
+        raise ValueError(f"levels must be strictly increasing, got {levels}")
+
+
+def _key(key: str, default, rule=lambda value: None):
+    """A config field: its ``section.key``, its default, and ``check(value)``,
+    which raises ``ValueError`` naming the key unless ``rule`` admits the value."""
+    def check(value):
+        try:
+            rule(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return field(default=default, metadata={"key": key, "check": check})
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved run configuration (see cli_io for the file format)."""
+    """Resolved run configuration: each field declares its config-file key and
+    its admissible values, checked at construction for every caller (the two
+    well ends together, through ``DoubleWell``)."""
 
-    grid_n: int = 64
-    length: float = 1.0
-    nu: float = 0.01
-    eps: float = 0.05
-    dt: float = 2.5e-4
-    t_end: float = 0.5
-    potential_kind: str = "quartic"
-    potential_f1: float = -2.0
-    potential_f2: float = 2.0
-    init_kind: str = "spinodal"
-    init_seed: int = 42
-    init_amplitude: float = 0.25
-    perturbation_delta: float = 1e-3
-    wsu_levels: tuple[int, ...] = (32, 64, 128)
-    sample_count: int = 50
-    output_dir: str = "out"
-    output_every: int = 200
+    grid_n: int = _key("grid.n", 64, _cells)
+    length: float = _key("grid.length", 1.0, _POSITIVE)
+    nu: float = _key("fluid.nu", 0.01, _POSITIVE)
+    eps: float = _key("fluid.eps", 0.05, _POSITIVE)
+    dt: float = _key("time.dt", 2.5e-4, _POSITIVE)
+    t_end: float = _key("time.t_end", 0.5, _POSITIVE)
+    potential_kind: str = _key("potential.kind", "quartic",
+                               _rule(lambda k: k == "quartic", "unknown potential kind {!r}"))
+    potential_f1: float = _key("potential.f1", -2.0)
+    potential_f2: float = _key("potential.f2", 2.0)
+    init_kind: str = _key("init.kind", "spinodal",
+                          _rule(lambda k: k in INIT_KINDS, "unknown init kind {!r}"))
+    init_seed: int = _key("init.seed", 42, _NONNEGATIVE)
+    init_amplitude: float = _key("init.amplitude", 0.25, _FINITE)
+    perturbation_delta: float = _key("perturbation.delta", 1e-3, _NONNEGATIVE)
+    wsu_levels: tuple[int, ...] = _key("wsu.levels", (32, 64, 128), _levels)
+    output_dir: str = _key("output.dir", "out")
+    output_every: int = _key("output.every", 200, _POSITIVE)
+    sample_count: int = _key("output.samples", 50, _POSITIVE)
 
     def __post_init__(self):
-        if self.init_kind not in INIT_KINDS:
-            raise ValueError(f"unknown init kind {self.init_kind!r}")
-        if self.potential_kind != "quartic":
-            raise ValueError(f"unknown potential kind {self.potential_kind!r}")
-        DoubleWell(self.potential_f1, self.potential_f2)  # checks [f1, f2] at load
-        if list(self.wsu_levels) != sorted(set(self.wsu_levels)):
-            raise ValueError(f"levels must be strictly increasing, got {self.wsu_levels}")
+        for f in fields(self):
+            f.metadata["check"](getattr(self, f.name))
+        try:
+            DoubleWell(self.potential_f1, self.potential_f2)
+        except ValueError as exc:
+            raise ValueError(f"potential.f1, potential.f2: {exc}") from None
 
     @property
     def params(self) -> FluidParams:

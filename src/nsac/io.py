@@ -33,53 +33,13 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # config
 
-_KEYS = {
-    "grid.n": ("grid_n", int),
-    "grid.length": ("length", float),
-    "fluid.nu": ("nu", float),
-    "fluid.eps": ("eps", float),
-    "time.dt": ("dt", float),
-    "time.t_end": ("t_end", float),
-    "potential.kind": ("potential_kind", str),
-    "potential.f1": ("potential_f1", float),
-    "potential.f2": ("potential_f2", float),
-    "init.kind": ("init_kind", str),
-    "init.seed": ("init_seed", int),
-    "init.amplitude": ("init_amplitude", float),
-    "perturbation.delta": ("perturbation_delta", float),
-    "wsu.levels": ("wsu_levels", "int_list"),
-    "output.dir": ("output_dir", str),
-    "output.every": ("output_every", int),
-    "output.samples": ("sample_count", int),
-}
-
-_POSITIVE = {"grid.n", "grid.length", "fluid.nu", "fluid.eps", "time.dt",
-             "time.t_end", "output.every", "output.samples"}
-_NONNEGATIVE = {"perturbation.delta", "init.seed"}
-
-
-def _parse_value(key: str, raw: str, lineno: int):
-    _, kind = _KEYS[key]
-    try:
-        if kind is int:
-            value = int(raw)
-        elif kind is float:
-            value = float(raw)
-        elif kind == "int_list":
-            value = tuple(int(part) for part in raw.split(","))
-        else:
-            value = raw
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {raw!r} for {key}")
-    if key in _POSITIVE and not (value > 0):
-        raise ConfigError(f"line {lineno}: {key} must be positive, got {raw}")
-    if key in _NONNEGATIVE and not (value >= 0):
-        raise ConfigError(f"line {lineno}: {key} must be nonnegative, got {raw}")
-    return value
+_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ExperimentConfig)}
+# the one rule over two keys; a parse error on it names the later of their lines
+_WELL_KEYS = ("potential.f1", "potential.f2")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    kwargs = {}
+    kwargs, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -87,16 +47,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr = _KEYS[key][0]
-        if attr in kwargs:
+        if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        kwargs[attr] = _parse_value(key, raw, lineno)
+        f = _FIELDS[key]
+        kind = type(f.default)  # a tuple holds ints
+        try:
+            value = tuple(int(p) for p in raw.split(",")) if kind is tuple else kind(raw)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: cannot parse value {raw!r} for {key}")
+        try:
+            f.metadata["check"](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}")
+        kwargs[f.name], lines[key] = value, lineno
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"line {max(lines.get(k, 0) for k in _WELL_KEYS)}: {exc}")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -109,19 +78,23 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(text)
 
 
+def _format_value(f: dataclasses.Field, value) -> str:
+    kind = type(f.default)
+    if kind is float:
+        return FLOAT_FMT % value
+    if kind is tuple:
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def config_echo(cfg: ExperimentConfig) -> dict[str, str]:
+    """Every key with its value as a config file writes it."""
+    return {key: _format_value(f, getattr(cfg, f.name)) for key, f in _FIELDS.items()}
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Full key = value dump; parse_config_text on it reproduces cfg."""
-    lines = []
-    for key, (attr, kind) in _KEYS.items():
-        value = getattr(cfg, attr)
-        if kind is float:
-            text = FLOAT_FMT % value
-        elif kind == "int_list":
-            text = ",".join(str(v) for v in value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {text}\n" for key, text in config_echo(cfg).items())
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +265,3 @@ class RunManifest:
         with open(path, "w") as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
-
-
-def config_echo(cfg: ExperimentConfig) -> dict[str, str]:
-    lines = serialize_config(cfg).strip().splitlines()
-    return dict(line.split(" = ", 1) for line in lines)

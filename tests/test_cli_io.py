@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -112,7 +113,7 @@ _positive_reals = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
 @given(
     cfg=st.builds(
         ExperimentConfig,
-        grid_n=st.integers(1, 10**6),
+        grid_n=st.integers(4, 10**6),
         length=_positive_reals,
         nu=_positive_reals,
         eps=_positive_reals,
@@ -126,7 +127,7 @@ _positive_reals = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
         init_seed=st.integers(0, 2**63),
         init_amplitude=_reals,
         perturbation_delta=st.floats(min_value=0.0, allow_infinity=False),
-        wsu_levels=st.sets(st.integers(1, 10**6), min_size=1, max_size=5).map(
+        wsu_levels=st.sets(st.integers(4, 10**6), min_size=1, max_size=5).map(
             lambda s: tuple(sorted(s))
         ),
         sample_count=st.integers(1, 10**6),
@@ -141,6 +142,24 @@ def test_config_round_trip_property(cfg):
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/path.cfg")
+
+
+_REAL_KEYS = [
+    ("grid.length", "length"), ("fluid.nu", "nu"), ("fluid.eps", "eps"), ("time.dt", "dt"),
+    ("time.t_end", "t_end"), ("potential.f1", "potential_f1"), ("potential.f2", "potential_f2"),
+    ("init.amplitude", "init_amplitude"), ("perturbation.delta", "perturbation_delta"),
+]
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key, name", _REAL_KEYS, ids=[key for key, _ in _REAL_KEYS])
+def test_config_rejects_non_finite_reals(key, name, raw):
+    """Every real key must be finite; the error names the key, and the parser's
+    names the line too."""
+    with pytest.raises(ConfigError, match=rf"^line 2: .*{re.escape(key)}"):
+        parse_config_text(f"# header\n{key} = {raw}\n")
+    with pytest.raises(ValueError, match=re.escape(key)):
+        ExperimentConfig(**{name: float(raw)})
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +387,42 @@ def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, monkeypatch, co
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "wsu", "mms"])
-@pytest.mark.parametrize("entry", ["grid.n = 3", "wsu.levels = 2,8,16", "wsu.levels = -8,16,32"])
-def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, command, entry):
-    """A grid of fewer than 4 cells per axis fails at config load, before the
-    output directory is made."""
+_SMALL_RUN = "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
+
+
+def _fault(command, text, fragment, out="out", label=None):
+    label = label or text.splitlines()[-1]
+    return pytest.param(command, text, fragment, out, id=f"{label}-{command}")
+
+
+@pytest.mark.parametrize("command, text, fragment, out", [
+    *[_fault(command, f"init.kind = bubble\n{entry}", "cell counts must be >= 4")
+      for entry in ["grid.n = 3", "wsu.levels = 2,8,16", "wsu.levels = -8,16,32"]
+      for command in ["simulate", "wsu", "mms"]],
+    _fault("simulate", _SMALL_RUN + "fluid.nu = inf", "fluid.nu"),
+    _fault("wsu", "init.kind = spinodal", "bubble initial data"),
+    _fault("wsu", "init.kind = bubble\nwsu.levels = 8,16", "at least 3 refinement levels"),
+    _fault("rei-check", "init.kind = bubble\nwsu.levels = 12,16,32",
+           "not a multiple of the coarsest level"),
+    _fault("energy-audit", "init.kind = manufactured", "unforced runs only"),
+    _fault("mms", "init.kind = manufactured\nwsu.levels = 8,16\ngrid.length = 2", "grid.length"),
+    _fault("simulate", "init.kind = bubble\ntime.dt = 2.5e-4\ntime.t_end = 0.0003",
+           "not a whole number of steps"),
+    _fault("simulate", _SMALL_RUN + "init.kind = bubble", "Not a directory",
+           out="file/out", label="--out under a file"),
+])
+def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, command, text,
+                                           fragment, out):
+    """A config fault, a fault only a command checks, or an ``--out`` that
+    cannot be made exits 1 with an error line naming the key or rule, and
+    leaves no output directory."""
     monkeypatch.delenv("NSAC_OUT", raising=False)
-    cfg = _write_cfg(tmp_path, f"init.kind = bubble\n{entry}\n")
-    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, text + "\n")
+    (tmp_path / "file").write_text("a regular file\n")
+    out = tmp_path / out
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
-    assert "cell counts must be >= 4" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0], errors
     assert not out.exists()
 
 

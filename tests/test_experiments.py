@@ -55,6 +55,13 @@ def test_config_validation():
         ExperimentConfig(wsu_levels=(32, 32, 64))
 
 
+@pytest.mark.parametrize("kw", [dict(grid_n=3), dict(wsu_levels=(2, 8, 16))])
+def test_config_checks_cell_counts_at_construction(kw):
+    """A library caller gets the CLI's cell-count error at construction."""
+    with pytest.raises(ValueError, match="cell counts must be >= 4"):
+        ExperimentConfig(**kw)
+
+
 def test_config_dt_scaling_keeps_dt_n_constant():
     cfg = ExperimentConfig(grid_n=64, dt=2.5e-4)
     for n in (32, 64, 128):

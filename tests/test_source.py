@@ -2,8 +2,13 @@
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nsac"
+from nsac.experiments import ExperimentConfig
+from nsac.io import parse_config_text, serialize_config
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nsac"
 
 
 def test_no_imports_inside_functions():
@@ -21,3 +26,14 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 }
     assert not inside, sorted(inside)
+
+
+def test_readme_config_table_matches_the_schema():
+    """The README's table lists every config key, in schema order, with its
+    default."""
+    rows = re.findall(r"^\| `([a-z_]+\.[a-z0-9_]+)` \| `([^`]*)` \|",
+                      (ROOT / "README.md").read_text(), re.MULTILINE)
+    defaults = serialize_config(ExperimentConfig())
+    assert [key for key, _ in rows] == [line.split(" = ")[0] for line in defaults.splitlines()]
+    table = "".join(f"{key} = {value}\n" for key, value in rows)
+    assert serialize_config(parse_config_text(table)) == defaults
