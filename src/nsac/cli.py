@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import datetime
+import errno
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .certificates import Gate, energy_gates, gronwall_gates, mms_gates, rei_gates, wsu_gates
@@ -29,11 +27,11 @@ from .experiments import (
 )
 from .io import (
     RunManifest,
-    _write_table,
     config_echo,
     parse_config,
     write_energy_csv,
     write_entropy_csv,
+    write_mms_csv,
     write_rei_csv,
     write_vtk,
 )
@@ -66,28 +64,23 @@ def set_allocator_policy() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _json_bound(bound):
-    """A gate bound as strict JSON: a non-finite number (``rei.refinement``'s
-    bound is 2 x a measured deficit) as its ``repr``, like every value."""
-    if isinstance(bound, float) and not np.isfinite(bound):
-        return repr(float(bound))
-    return bound
-
-
 class _Run:
     """Output directory plus manifest bookkeeping for one invocation."""
 
     def __init__(self, cfg: ExperimentConfig, out: str | None, quiet: bool):
+        """Raises ``OSError`` unless the nearest existing one of the output
+        directory and its ancestors is a writable directory; makes nothing."""
         self.cfg = cfg
         self.quiet = quiet
-        self.dir = os.environ.get("NSAC_OUT") or out or cfg.output_dir
-        self.manifest = RunManifest(
-            config=config_echo(cfg), version=__version__, started=_now()
-        )
+        self.dir = out or cfg.output_dir
+        base = os.path.abspath(self.dir)
+        while not os.path.exists(base):
+            base = os.path.dirname(base)
+        if not os.path.isdir(base):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), base)
+        if not os.access(base, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), base)
+        self.manifest = RunManifest(config=config_echo(cfg), version=__version__)
 
     def path(self, name: str) -> str:
         """An output's path. The directory is made here, at a command's first
@@ -101,10 +94,7 @@ class _Run:
             print(message)
 
     def finish(self, gates: list[Gate]):
-        self.manifest.finished = _now()
-        self.manifest.gates = [
-            dict(g._asdict(), value=repr(g.value), bound=_json_bound(g.bound)) for g in gates
-        ]
+        self.manifest.record(gates)
         path = os.path.join(self.dir, "manifest.json")
         self.manifest.write(path)
         self.say(f"wrote {path}")
@@ -162,16 +152,7 @@ def _cmd_rei_check(run: _Run) -> list[Gate]:
 
 def _cmd_mms(run: _Run) -> list[Gate]:
     table = run_manufactured(run.cfg)
-    _write_table(
-        run.path("mms_spatial.csv"),
-        ("n", "error"),
-        [np.array(table.resolutions, dtype=float), np.array(table.spatial_errors)],
-    )
-    _write_table(
-        run.path("mms_temporal.csv"),
-        ("dt", "difference"),
-        [np.array(table.dts[:-1]), np.array(table.temporal_diffs)],
-    )
+    write_mms_csv(table, run.path("mms_spatial.csv"), run.path("mms_temporal.csv"))
     return mms_gates(table)
 
 

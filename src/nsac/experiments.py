@@ -12,6 +12,7 @@ from .certificates import MAX_PRINCIPLE_TOL
 from .diagnostics import (
     EnergyReport,
     GronwallFit,
+    MaxPrincipleBounds,
     REITrace,
     RelEntropyTrace,
     dissipation_rates,
@@ -55,10 +56,23 @@ def _levels(levels):
         raise ValueError(f"levels must be strictly increasing, got {levels}")
 
 
+def _typed(default, value) -> bool:
+    """Whether ``value`` has the type of ``default``: a real also takes an int,
+    a tuple holds ints, and no number is a bool."""
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_typed(0, v) for v in value)
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _key(key: str, default, rule=lambda value: None):
     """A config field: its ``section.key``, its default, and ``check(value)``,
-    which raises ``ValueError`` naming the key unless ``rule`` admits the value."""
+    which raises ``ValueError`` naming the key unless the value has the
+    default's type and ``rule`` admits it."""
     def check(value):
+        if not _typed(default, value):
+            raise ValueError(f"{key}: must have the type of its default {default!r}, "
+                             f"got {value!r}")
         try:
             rule(value)
         except (TypeError, ValueError) as exc:
@@ -209,6 +223,18 @@ def simulate(
         yield state, report
 
 
+def _check_max_principle(state: State, bounds: MaxPrincipleBounds, i: int):
+    """Raise ``NumericalError`` naming step ``i``, the time and the worst value
+    if ``c`` strays beyond ``bounds`` by more than ``MAX_PRINCIPLE_TOL``."""
+    # np.min and np.max propagate a NaN, which fails both comparisons
+    lo, hi = float(np.min(state.c.values)), float(np.max(state.c.values))
+    if not (bounds.m - lo <= MAX_PRINCIPLE_TOL and hi - bounds.M <= MAX_PRINCIPLE_TOL):
+        worst = lo if bounds.m - lo >= hi - bounds.M else hi
+        raise NumericalError(f"maximum principle violated at step {i}, t={state.t:.6g}: "
+                             f"c = {worst!r} outside [{bounds.m!r}, {bounds.M!r}] "
+                             f"beyond tolerance {MAX_PRINCIPLE_TOL:.0e}")
+
+
 def energy_history(
     state: State, well: DoubleWell, params: FluidParams, dt: float, n_steps: int
 ) -> Iterator[tuple[State, EnergyReport]]:
@@ -216,10 +242,16 @@ def energy_history(
 
     Cumulative dissipation uses the per-step rates measured after each step
     (the quadrature consistent with the implicit character of the scheme).
+    Each state's ``c`` is checked against the maximum-principle bounds of the
+    initial data before it is yielded; an initial range outside the well
+    raises ``ValueError``.
     """
+    bounds = max_principle_bounds(state.c, well)
+    _check_max_principle(state, bounds, 0)
     yield state, total_energy(state, well, params)
     cum = 0.0
-    for state, srep in simulate(state, well, params, dt, n_steps):
+    for i, (state, srep) in enumerate(simulate(state, well, params, dt, n_steps), start=1):
+        _check_max_principle(state, bounds, i)
         visc, ac = dissipation_rates(state, srep, params)
         cum += dt * (visc + ac)
         erep = total_energy(state, well, params)
@@ -454,30 +486,14 @@ def run_perturbation(
 
 
 def run_energy_audit(cfg: ExperimentConfig) -> tuple[list[EnergyReport], float]:
-    """Full unforced run; returns the energy trace and the audit violation.
-
-    ``c`` is checked against the maximum-principle bounds of the initial
-    data after every step; an excursion beyond ``MAX_PRINCIPLE_TOL`` raises
-    ``NumericalError`` naming the step, the time and the worst value.
-    """
+    """Full unforced run, checked against the maximum principle at every step
+    (see ``energy_history``); returns the energy trace and the audit violation."""
     if cfg.init_kind == "manufactured":
         raise ValueError("energy audit applies to unforced runs only")
     n_steps = step_count(cfg.t_end, cfg.dt)
     state = initial_state(cfg, cfg.grid())
-    bounds = max_principle_bounds(state.c, cfg.well)
-    reports = []
     history = energy_history(state, cfg.well, cfg.params, cfg.dt, n_steps)
-    for i, (state, report) in enumerate(history):
-        # np.min and np.max propagate a NaN, which fails both comparisons
-        lo, hi = float(np.min(state.c.values)), float(np.max(state.c.values))
-        if not (bounds.m - lo <= MAX_PRINCIPLE_TOL and hi - bounds.M <= MAX_PRINCIPLE_TOL):
-            worst = lo if bounds.m - lo >= hi - bounds.M else hi
-            raise NumericalError(
-                f"maximum principle violated at step {i}, t={state.t:.6g}: "
-                f"c = {worst!r} outside [{bounds.m!r}, {bounds.M!r}] "
-                f"beyond tolerance {MAX_PRINCIPLE_TOL:.0e}"
-            )
-        reports.append(report)
+    reports = [report for _, report in history]
     return reports, energy_audit(reports)
 
 

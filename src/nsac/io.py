@@ -1,21 +1,24 @@
-"""Config parsing and bit-stable on-disk formats (CSV, legacy VTK, manifest).
+"""Config parsing and every output format (CSV, legacy VTK, manifest).
 
-Reals are printed with 17 significant digits so binary64 values survive a
-write/read round trip bitwise. The config format is line-oriented
+Outputs are written, never read back here. Reals are printed with 17
+significant digits, so a correctly rounded parser (``numpy.loadtxt``, say)
+reads each binary64 value back bitwise. The config format is line-oriented
 ``section.key = value`` with ``#`` comments; unknown keys are hard errors.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificates import Gate
 from .diagnostics import EnergyReport, REITrace, RelEntropyTrace, audit_values
-from .experiments import ExperimentConfig
+from .experiments import ConvergenceTable, ExperimentConfig
 from .grid import avg_to_cells
 from .solver import State
 
@@ -24,10 +27,6 @@ FLOAT_FMT = "%.17g"
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration entry."""
-
-
-class SchemaError(ValueError):
-    """CSV file does not match the expected column schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +79,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def _format_value(f: dataclasses.Field, value) -> str:
     kind = type(f.default)
-    if kind is float:
-        return FLOAT_FMT % value
     if kind is tuple:
         return ",".join(str(v) for v in value)
-    return str(value)
+    return FLOAT_FMT % value if kind is float else str(value)
 
 
 def config_echo(cfg: ExperimentConfig) -> dict[str, str]:
@@ -105,100 +102,41 @@ ENERGY_COLUMNS = ("t", "kinetic", "interfacial", "potential", "viscous_diss",
 ENTROPY_COLUMNS = ("t", "E", "D", "omega", "bound_curve")
 REI_COLUMNS = ("t", "lhs_entropy_gap", "lhs_visc", "lhs_ac", "r_conv",
                "r_eps1", "r_eps2", "r_eps3", "r_eps4", "r_f", "slack")
+MMS_SPATIAL_COLUMNS = ("n", "error")
+MMS_TEMPORAL_COLUMNS = ("dt", "difference")
 
 
-def _write_table(path: str, header: tuple[str, ...], columns: list[np.ndarray]):
-    if columns and any(len(col) != len(columns[0]) for col in columns):
+def _write_table(path: str, header: tuple[str, ...], columns: list):
+    if len({len(col) for col in columns}) != 1:
         raise ValueError("ragged columns")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        if not columns:
-            return
-        for i in range(len(columns[0])):
-            fh.write(",".join(FLOAT_FMT % col[i] for col in columns) + "\n")
-
-
-def _read_table(path: str, header: tuple[str, ...]) -> list[np.ndarray]:
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines:
-        raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-    found = tuple(lines[0].split(","))
-    if found != header:
-        missing = [name for name in header if name not in found]
-        extra = [name for name in found if name not in header]
-        detail = []
-        if missing:
-            detail.append(f"missing column(s) {', '.join(missing)}")
-        if extra:
-            detail.append(f"unexpected column(s) {', '.join(extra)}")
-        raise SchemaError(f"{path}: {'; '.join(detail) or 'column order mismatch'}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise SchemaError(
-                f"{path}: line {lineno} has {len(parts)} fields, expected {len(header)}"
-            )
-        rows.append([float(p) for p in parts])
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    return [data[:, j].copy() for j in range(len(header))]
+        for row in zip(*columns):
+            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
 def write_energy_csv(reports: list[EnergyReport], path: str):
     """Energy trace with the running audit violation in the last column."""
-    cols = [
-        np.array([r.t for r in reports]),
-        np.array([r.kinetic for r in reports]),
-        np.array([r.interfacial for r in reports]),
-        np.array([r.potential for r in reports]),
-        np.array([r.viscous_diss for r in reports]),
-        np.array([r.ac_diss for r in reports]),
-        np.array([r.cumulative_diss for r in reports]),
-        np.array(audit_values(reports)),
-    ]
-    _write_table(path, ENERGY_COLUMNS, cols if reports else [])
-
-
-def read_energy_csv(path: str) -> tuple[list[EnergyReport], np.ndarray]:
-    cols = _read_table(path, ENERGY_COLUMNS)
-    if not cols or len(cols[0]) == 0:
-        return [], np.empty(0)
-    reports = [
-        EnergyReport(
-            t=cols[0][i], kinetic=cols[1][i], interfacial=cols[2][i],
-            potential=cols[3][i], viscous_diss=cols[4][i], ac_diss=cols[5][i],
-            cumulative_diss=cols[6][i],
-        )
-        for i in range(len(cols[0]))
-    ]
-    return reports, cols[7]
+    cols = [[getattr(r, name) for r in reports] for name in ENERGY_COLUMNS[:-1]]
+    _write_table(path, ENERGY_COLUMNS, cols + [audit_values(reports)])
 
 
 def write_entropy_csv(trace: RelEntropyTrace, bound_curve: np.ndarray, path: str):
-    cols = [np.asarray(trace.times), np.asarray(trace.E), np.asarray(trace.D),
-            np.asarray(trace.omega), np.asarray(bound_curve)]
-    _write_table(path, ENTROPY_COLUMNS, cols)
-
-
-def read_entropy_csv(path: str) -> tuple[RelEntropyTrace, np.ndarray]:
-    cols = _read_table(path, ENTROPY_COLUMNS)
-    trace = RelEntropyTrace(times=cols[0], E=cols[1], D=cols[2], omega=cols[3])
-    return trace, cols[4]
+    _write_table(path, ENTROPY_COLUMNS,
+                 [trace.times, trace.E, trace.D, trace.omega, bound_curve])
 
 
 def write_rei_csv(trace: REITrace, path: str):
-    cols = [np.asarray(getattr(trace, name if name != "t" else "times"))
-            for name in REI_COLUMNS]
-    _write_table(path, REI_COLUMNS, cols)
+    _write_table(path, REI_COLUMNS,
+                 [getattr(trace, "times" if name == "t" else name) for name in REI_COLUMNS])
 
 
-def read_rei_csv(path: str) -> REITrace:
-    cols = _read_table(path, REI_COLUMNS)
-    names = ["times"] + list(REI_COLUMNS[1:])
-    return REITrace(**dict(zip(names, cols)))
+def write_mms_csv(table: ConvergenceTable, spatial_path: str, temporal_path: str):
+    """The spatial study's error per resolution (``n`` as a real) and the
+    temporal study's difference per halving, keyed by the larger dt."""
+    _write_table(spatial_path, MMS_SPATIAL_COLUMNS,
+                 [[float(n) for n in table.resolutions], table.spatial_errors])
+    _write_table(temporal_path, MMS_TEMPORAL_COLUMNS, [table.dts[:-1], table.temporal_diffs])
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +179,27 @@ def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
 # run manifest
 
 
+def _json_bound(bound):
+    """A gate bound as strict JSON: a non-finite number (``rei.refinement``'s
+    bound is 2 x a measured deficit) as its ``repr``, like every value."""
+    if isinstance(bound, float) and not np.isfinite(bound):
+        return repr(float(bound))
+    return bound
+
+
+def _now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
 @dataclass
 class RunManifest:
-    """Record of one CLI invocation: resolved config, version, outputs, and
-    each certificate gate (name, ``repr`` of its value, bound, passed)."""
+    """Record of one CLI invocation: resolved config, version, start and
+    finish times, outputs, and each certificate gate (name, ``repr`` of its
+    value, bound, passed)."""
 
     config: dict[str, str]
     version: str
-    started: str
+    started: str = field(default_factory=_now)
     finished: str = ""
     outputs: list[str] = field(default_factory=list)
     gates: list[dict] = field(default_factory=list)
@@ -256,6 +207,12 @@ class RunManifest:
     def add(self, path: str) -> str:
         self.outputs.append(os.path.basename(path))
         return path
+
+    def record(self, gates: list[Gate]):
+        """Stamp the finish time and keep each gate, with the ``repr`` of its value."""
+        self.finished = _now()
+        self.gates = [dict(g._asdict(), value=repr(g.value), bound=_json_bound(g.bound))
+                      for g in gates]
 
     def write(self, path: str):
         for name in self.outputs:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import nsac.cli
 import nsac.experiments
+import nsac.solver
 from nsac.certificates import (
     energy_gates,
     gronwall_gates,
@@ -27,19 +28,20 @@ from nsac.experiments import (
     ExperimentConfig,
     LevelResult,
     WSUReport,
-    initial_state,
 )
 from nsac.io import (
+    ENERGY_COLUMNS,
+    ENTROPY_COLUMNS,
+    MMS_SPATIAL_COLUMNS,
+    MMS_TEMPORAL_COLUMNS,
+    REI_COLUMNS,
     ConfigError,
-    SchemaError,
     parse_config,
     parse_config_text,
-    read_energy_csv,
-    read_entropy_csv,
-    read_rei_csv,
     serialize_config,
     write_energy_csv,
     write_entropy_csv,
+    write_mms_csv,
     write_rei_csv,
     write_vtk,
 )
@@ -162,6 +164,25 @@ def test_config_rejects_non_finite_reals(key, name, raw):
         ExperimentConfig(**{name: float(raw)})
 
 
+_WRONG_TYPES = [
+    ("grid_n", 4.5, "grid.n"),
+    ("init_seed", 1.5, "init.seed"),
+    ("output_every", True, "output.every"),
+    ("nu", True, "fluid.nu"),
+    ("wsu_levels", [32, 64, 128], "wsu.levels"),
+    ("output_dir", 5, "output.dir"),
+]
+
+
+@pytest.mark.parametrize("name, value, key", _WRONG_TYPES,
+                         ids=[f"{key}={value!r}" for _, value, key in _WRONG_TYPES])
+def test_config_checks_types_at_construction(name, value, key):
+    """A key takes only its default's type (a real also takes an int, and no
+    number takes a bool), so every config can be written as a config file."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)}: must have the type "):
+        ExperimentConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -180,19 +201,25 @@ def _random_energy_reports(rng, n):
     return reports
 
 
+def _load_csv(path, header):
+    """The columns of a CSV output, read with numpy's correctly rounded parser,
+    after checking its header line."""
+    with open(path) as fh:
+        assert fh.readline() == ",".join(header) + "\n"
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+
 def test_energy_csv_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(60)
     reports = _random_energy_reports(rng, 20)
     path = str(tmp_path / "energy.csv")
     write_energy_csv(reports, path)
-    back, audit = read_energy_csv(path)
-    for a, b in zip(reports, back):
-        for name in ("t", "kinetic", "interfacial", "potential",
-                     "viscous_diss", "ac_diss", "cumulative_diss"):
-            assert getattr(a, name) == getattr(b, name)
+    cols = _load_csv(path, ENERGY_COLUMNS)
+    for name, col in zip(ENERGY_COLUMNS[:-1], cols):
+        assert np.array_equal(col, [getattr(r, name) for r in reports]), name
     e0 = reports[0].total
     expect = np.array([(r.total + r.cumulative_diss - e0) / e0 for r in reports])
-    assert np.array_equal(audit, expect)
+    assert np.array_equal(cols[-1], expect)
 
 
 def test_entropy_csv_round_trip_bitwise(tmp_path):
@@ -205,52 +232,42 @@ def test_entropy_csv_round_trip_bitwise(tmp_path):
     bound = rng.standard_normal(n)
     path = str(tmp_path / "entropy.csv")
     write_entropy_csv(trace, bound, path)
-    back, bound2 = read_entropy_csv(path)
-    for name in ("times", "E", "D", "omega"):
-        assert np.array_equal(getattr(trace, name), getattr(back, name))
-    assert np.array_equal(bound, bound2)
+    cols = _load_csv(path, ENTROPY_COLUMNS)
+    for name, col in zip(("times", "E", "D", "omega"), cols):
+        assert np.array_equal(getattr(trace, name), col), name
+    assert np.array_equal(bound, cols[-1])
 
 
 def test_rei_csv_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(62)
     n = 12
-    fields = {name: rng.standard_normal(n) for name in (
-        "times", "lhs_entropy_gap", "lhs_visc", "lhs_ac", "r_conv", "r_eps1",
-        "r_eps2", "r_eps3", "r_eps4", "r_f", "slack")}
+    fields = {name: rng.standard_normal(n) for name in ("times",) + REI_COLUMNS[1:]}
     trace = REITrace(**fields)
     path = str(tmp_path / "rei.csv")
     write_rei_csv(trace, path)
-    back = read_rei_csv(path)
-    for name, arr in fields.items():
-        assert np.array_equal(arr, getattr(back, name))
+    for (name, arr), col in zip(fields.items(), _load_csv(path, REI_COLUMNS)):
+        assert np.array_equal(arr, col), name
+
+
+def test_mms_csv_layouts(tmp_path):
+    """The resolutions are written as reals; the temporal table has one row
+    per halving, keyed by the larger dt of the pair."""
+    table = ConvergenceTable(resolutions=[16, 32], spatial_errors=[0.1 / 3, 5e-324],
+                             spatial_orders=[2.0], dts=[5e-4, 2.5e-4, 1.25e-4],
+                             temporal_diffs=[1.0 / 3, 1e300], temporal_orders=[1.0])
+    spatial, temporal = tmp_path / "mms_spatial.csv", tmp_path / "mms_temporal.csv"
+    write_mms_csv(table, str(spatial), str(temporal))
+    assert spatial.read_text() == "n,error\n16,0.033333333333333333\n32,4.9406564584124654e-324\n"
+    n, error = _load_csv(spatial, MMS_SPATIAL_COLUMNS)
+    assert np.array_equal(n, [16.0, 32.0]) and np.array_equal(error, table.spatial_errors)
+    dts, diffs = _load_csv(temporal, MMS_TEMPORAL_COLUMNS)
+    assert np.array_equal(dts, table.dts[:-1]) and np.array_equal(diffs, table.temporal_diffs)
 
 
 def test_empty_trace_header_only(tmp_path):
-    path = str(tmp_path / "energy.csv")
-    write_energy_csv([], path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    assert len(lines) == 1
-    back, audit = read_energy_csv(path)
-    assert back == [] and len(audit) == 0
-
-
-def test_csv_schema_mismatch_names_column(tmp_path):
-    path = str(tmp_path / "entropy.csv")
-    with open(path, "w") as fh:
-        fh.write("t,E,D,omega\n")  # bound_curve missing
-    with pytest.raises(SchemaError) as err:
-        read_entropy_csv(path)
-    assert "bound_curve" in str(err.value)
-
-
-def test_csv_ragged_row_rejected(tmp_path):
-    path = str(tmp_path / "entropy.csv")
-    with open(path, "w") as fh:
-        fh.write("t,E,D,omega,bound_curve\n1,2,3\n")
-    with pytest.raises(SchemaError) as err:
-        read_entropy_csv(path)
-    assert "line 2" in str(err.value)
+    path = tmp_path / "energy.csv"
+    write_energy_csv([], str(path))
+    assert path.read_text() == ",".join(ENERGY_COLUMNS) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +362,6 @@ def _write_cfg(tmp_path, text):
 
 def _run_cli(args, out, env_extra=None):
     env = dict(os.environ)
-    env.pop("NSAC_OUT", None)
     env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "nsac.cli", *args, "--out", out],
@@ -370,9 +386,8 @@ def test_cli_validation_error_exit_1(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "energy-audit", "wsu", "perturb", "rei-check", "mms"])
-def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, monkeypatch, command):
+def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, command):
     """A bad well kind or interval fails at config load, before any output."""
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     for entry, message in [
         ("potential.kind = logarithmic", "unknown potential kind 'logarithmic'"),
         ("potential.f1 = 0", "quartic well needs f1 < -1 < 1 < f2, got [0.0, 2.0]"),
@@ -410,19 +425,39 @@ def _fault(command, text, fragment, out="out", label=None):
            "not a whole number of steps"),
     _fault("simulate", _SMALL_RUN + "init.kind = bubble", "Not a directory",
            out="file/out", label="--out under a file"),
+    _fault("wsu", _SMALL_RUN + "init.kind = bubble\nwsu.levels = 8,16,32", "Not a directory",
+           out="file/out", label="--out under a file"),
 ])
 def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, command, text,
                                            fragment, out):
     """A config fault, a fault only a command checks, or an ``--out`` that
-    cannot be made exits 1 with an error line naming the key or rule, and
-    leaves no output directory."""
-    monkeypatch.delenv("NSAC_OUT", raising=False)
+    cannot be made exits 1 before the first step, with an error line naming
+    the key or rule, and leaves no output directory."""
+    steps = []
+    real_allen_cahn_step = nsac.solver.allen_cahn_step
+
+    def counting_allen_cahn_step(*args, **kwargs):
+        steps.append(1)
+        return real_allen_cahn_step(*args, **kwargs)
+
+    monkeypatch.setattr(nsac.solver, "allen_cahn_step", counting_allen_cahn_step)
     cfg = _write_cfg(tmp_path, text + "\n")
     (tmp_path / "file").write_text("a regular file\n")
     out = tmp_path / out
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and fragment in errors[0], errors
+    assert not out.exists() and not steps
+
+
+def test_cli_out_without_write_permission_exit_1(tmp_path, capsys, monkeypatch):
+    """An output directory whose nearest existing ancestor is not writable is
+    refused before the study starts."""
+    monkeypatch.setattr(nsac.cli.os, "access", lambda path, mode: False)
+    cfg = _write_cfg(tmp_path, _SMALL_RUN + "init.kind = bubble\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert "Permission denied" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -444,15 +479,15 @@ def test_cli_cfl_violation_exit_2(tmp_path):
 
 
 def test_cli_non_finite_state_exit_2(tmp_path, capsys, monkeypatch):
-    import nsac.cli
+    real_allen_cahn_step = nsac.solver.allen_cahn_step
 
-    def nan_state(cfg, grid):
-        state = initial_state(cfg, grid)
-        state.c.values[3, 5] = np.nan
-        return state
+    def nan_allen_cahn_step(*args, **kwargs):
+        c, material = real_allen_cahn_step(*args, **kwargs)
+        c = c.copy()
+        c.values[3, 5] = np.nan
+        return c, material
 
-    monkeypatch.delenv("NSAC_OUT", raising=False)
-    monkeypatch.setattr(nsac.cli, "initial_state", nan_state)
+    monkeypatch.setattr(nsac.solver, "allen_cahn_step", nan_allen_cahn_step)
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
                                "init.kind = bubble\n")
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
@@ -460,9 +495,8 @@ def test_cli_non_finite_state_exit_2(tmp_path, capsys, monkeypatch):
     assert "non-finite c" in capsys.readouterr().err
 
 
-def test_cli_simulate_names_snapshots_by_step(tmp_path, monkeypatch):
+def test_cli_simulate_names_snapshots_by_step(tmp_path):
     # 10 steps sampled every 3: the last, short chunk ends at step 10, not 12
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.dt = 1e-3\ntime.t_end = 0.01\n"
                                "output.samples = 3\noutput.every = 1\ninit.kind = bubble\n")
     out = tmp_path / "out"
@@ -474,8 +508,7 @@ def test_cli_simulate_names_snapshots_by_step(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["simulate", "energy-audit", "perturb", "wsu"])
 @pytest.mark.parametrize("t_end", ["1e-5", "3e-4"])
-def test_cli_schedule_not_whole_steps_exit_1(tmp_path, capsys, monkeypatch, command, t_end):
-    monkeypatch.delenv("NSAC_OUT", raising=False)
+def test_cli_schedule_not_whole_steps_exit_1(tmp_path, capsys, command, t_end):
     cfg = _write_cfg(tmp_path, f"grid.n = 16\ntime.t_end = {t_end}\ntime.dt = 2.5e-4\n"
                                "init.kind = bubble\nwsu.levels = 8,16,32\n")
     code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
@@ -491,8 +524,7 @@ def test_cli_schedule_not_whole_steps_exit_1(tmp_path, capsys, monkeypatch, comm
         ("16,20", ("t_end", "dt")),  # 31.25 steps at n = 20
     ],
 )
-def test_cli_mms_bad_levels_exit_1(tmp_path, capsys, monkeypatch, levels, fragments):
-    monkeypatch.delenv("NSAC_OUT", raising=False)
+def test_cli_mms_bad_levels_exit_1(tmp_path, capsys, levels, fragments):
     cfg = _write_cfg(tmp_path, f"init.kind = manufactured\nwsu.levels = {levels}\n")
     code = main(["mms", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 1
@@ -500,9 +532,8 @@ def test_cli_mms_bad_levels_exit_1(tmp_path, capsys, monkeypatch, levels, fragme
     assert all(f in err for f in fragments)
 
 
-def test_cli_mms_order_uses_level_ratio(tmp_path, monkeypatch):
+def test_cli_mms_order_uses_level_ratio(tmp_path):
     """Levels 16 and 24 refine h by 1.5, not 2; the order is still about 2."""
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     cfg = _write_cfg(tmp_path, "init.kind = manufactured\nwsu.levels = 16,24\n")
     out = tmp_path / "out"
     code = main(["mms", "--config", cfg, "--out", str(out), "--quiet"])
@@ -512,9 +543,8 @@ def test_cli_mms_order_uses_level_ratio(tmp_path, monkeypatch):
     assert 1.7 <= np.log(errors[0] / errors[1]) / np.log(24 / 16) <= 2.3
 
 
-def test_cli_mms_non_unit_box_exit_1(tmp_path, capsys, monkeypatch):
+def test_cli_mms_non_unit_box_exit_1(tmp_path, capsys):
     """The manufactured solution lives on the unit box; 1.5 is a config error."""
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     cfg = _write_cfg(tmp_path, "init.kind = manufactured\ngrid.length = 1.5\n"
                                "wsu.levels = 8,16\n")
     code = main(["mms", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
@@ -522,15 +552,10 @@ def test_cli_mms_non_unit_box_exit_1(tmp_path, capsys, monkeypatch):
     assert "grid.length = 1.5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "overshoot, code",
-    [(1e-3, 2), (5e-7, 0), (np.nan, 2), (np.inf, 2), (-np.inf, 2)],
-)
-def test_cli_energy_audit_max_principle(tmp_path, capsys, monkeypatch, overshoot, code):
-    """An excursion of c beyond the bounds plus 1e-6 after step 3 fails the
-    audit, and so does a non-finite c (1 + nan, 1 + inf, 1 - inf)."""
-    import nsac.experiments
-
+def _overshoot_at_step_3(monkeypatch, overshoot):
+    """Make the step that reaches t = 3e-3 leave c = 1 + overshoot in one cell,
+    and return a config of c = 1 everywhere at rest: the bounds are [-1, 1] and
+    nothing else moves."""
     real_step = nsac.experiments.step
 
     def overshooting_step(state, *args, **kwargs):
@@ -541,17 +566,32 @@ def test_cli_energy_audit_max_principle(tmp_path, capsys, monkeypatch, overshoot
             new.c.values[2, 5] = 1.0 + overshoot
         return new, report
 
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     monkeypatch.setattr(nsac.experiments, "step", overshooting_step)
-    # c = 1 everywhere at rest: the bounds are [-1, 1] and nothing moves
-    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.005\ntime.dt = 1e-3\n"
-                               "init.kind = vortex\ninit.amplitude = 0\n")
+    return ("grid.n = 16\ntime.t_end = 0.005\ntime.dt = 1e-3\n"
+            "init.kind = vortex\ninit.amplitude = 0\n")
+
+
+@pytest.mark.parametrize(
+    "overshoot, code",
+    [(1e-3, 2), (5e-7, 0), (np.nan, 2), (np.inf, 2), (-np.inf, 2)],
+)
+def test_cli_energy_audit_max_principle(tmp_path, capsys, monkeypatch, overshoot, code):
+    """An excursion of c beyond the bounds plus 1e-6 after step 3 fails the
+    audit, and so does a non-finite c (1 + nan, 1 + inf, 1 - inf)."""
+    cfg = _write_cfg(tmp_path, _overshoot_at_step_3(monkeypatch, overshoot))
     assert main(["energy-audit", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--quiet"]) == code
     if code:
         err = capsys.readouterr().err
         assert "maximum principle" in err
         assert "step 3," in err and "t=0.003" in err and repr(1.0 + overshoot) in err
+
+
+def test_cli_simulate_checks_the_max_principle(tmp_path, capsys, monkeypatch):
+    """simulate runs the same per-step check as energy-audit."""
+    cfg = _write_cfg(tmp_path, _overshoot_at_step_3(monkeypatch, 1e-3))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "maximum principle violated at step 3" in capsys.readouterr().err
 
 
 def _fake_wsu_report(maxima, slack, twin=True):
@@ -575,7 +615,6 @@ def _fake_wsu_report(maxima, slack, twin=True):
 
 
 def _fake_run_wsu(monkeypatch, maxima, slack):
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     monkeypatch.setattr(nsac.cli, "run_wsu",
                         lambda cfg, twin=True: _fake_wsu_report(maxima, slack, twin))
 
@@ -643,7 +682,6 @@ def test_cli_simulate_gates_the_energy_audit(tmp_path, capsys, monkeypatch):
         report.kinetic += state.t
         return report
 
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     monkeypatch.setattr(nsac.experiments, "total_energy", growing)
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
                                "init.kind = bubble\n")
@@ -699,7 +737,6 @@ def test_rei_check_skips_the_twin_rows(tmp_path, monkeypatch):
     coarse levels: the finest level is never paired with itself."""
     import nsac.experiments
 
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.01\ntime.dt = 1e-3\n"
                                "init.kind = bubble\nwsu.levels = 16,32,64\noutput.samples = 5\n")
     paired = []
@@ -727,7 +764,6 @@ def test_cli_nan_audit_violation_exit_2(tmp_path, monkeypatch):
     import nsac.cli
 
     reports = [EnergyReport(t=0.0, kinetic=1.0, interfacial=0.0, potential=0.0)]
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     monkeypatch.setattr(nsac.cli, "run_energy_audit", lambda cfg: (reports, np.nan))
     code = main(["energy-audit", "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
@@ -747,23 +783,19 @@ def test_cli_no_subcommand_usage(tmp_path):
     assert "usage" in r.stderr.lower()
 
 
-def test_cli_nsac_out_env_override(tmp_path):
+def test_cli_ignores_nsac_out(tmp_path):
+    """The output directory is ``--out``, else ``output.dir``; no environment
+    variable overrides it."""
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
                                "init.kind = vortex\n")
-    env = dict(os.environ)
-    env["NSAC_OUT"] = str(tmp_path / "envout")
-    r = subprocess.run(
-        [sys.executable, "-m", "nsac.cli", "energy-audit", "--config", cfg,
-         "--out", str(tmp_path / "flagout")],
-        capture_output=True, text=True, env=env,
-    )
+    r = _run_cli(["energy-audit", "--config", cfg], str(tmp_path / "flagout"),
+                 {"NSAC_OUT": str(tmp_path / "envout")})
     assert r.returncode == 0, r.stderr
-    assert (tmp_path / "envout" / "energy.csv").exists()
-    assert not (tmp_path / "flagout").exists()
+    assert (tmp_path / "flagout" / "energy.csv").exists()
+    assert not (tmp_path / "envout").exists()
 
 
-def test_cli_in_process_main_quiet(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("NSAC_OUT", raising=False)
+def test_cli_in_process_main_quiet(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
                                "init.kind = vortex\n")
     code = main(["energy-audit", "--config", cfg, "--out",

@@ -119,7 +119,6 @@ def test_runtime_path_does_not_import_sympy(tmp_path):
             assert name not in sys.modules, name + " was imported"
     """)
     env = dict(os.environ)
-    env.pop("NSAC_OUT", None)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                        env=env)

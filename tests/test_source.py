@@ -28,6 +28,23 @@ def test_no_imports_inside_functions():
     assert not inside, sorted(inside)
 
 
+def test_cli_imports_no_numpy_and_no_private_name():
+    """Every output format lives in ``nsac.io``: the CLI formats no numbers
+    itself, so it needs no numpy and no private helper of another module."""
+    path = SRC / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "numpy":
+                found.append(node.module)
+            elif node.level or (node.module or "").split(".")[0] == "nsac":
+                found += [a.name for a in node.names
+                          if a.name.startswith("_") and not a.name.endswith("__")]
+    assert not found, found
+
+
 def test_readme_config_table_matches_the_schema():
     """The README's table lists every config key, in schema order, with its
     default."""
