@@ -14,16 +14,12 @@ import sys
 
 from . import __version__
 from .certificates import Gate, energy_gates, gronwall_gates, mms_gates, rei_gates, wsu_gates
-from .diagnostics import energy_audit
 from .experiments import (
     ExperimentConfig,
-    energy_history,
-    initial_state,
     run_energy_audit,
     run_manufactured,
     run_perturbation,
     run_wsu,
-    step_count,
 )
 from .io import (
     RunManifest,
@@ -101,23 +97,14 @@ class _Run:
 
 
 def _cmd_simulate(run: _Run) -> list[Gate]:
-    """Energy trace plus a VTK snapshot at every sample that falls on an
-    ``output.every`` multiple, and at the last one, written as it arrives."""
-    cfg = run.cfg
-    n_steps = step_count(cfg.t_end, cfg.dt)
-    stride = max(1, n_steps // cfg.sample_count)
-    state = initial_state(cfg, cfg.grid())
-    reports = []
-    for i, (state, report) in enumerate(
-        energy_history(state, cfg.well, cfg.params, cfg.dt, n_steps)
-    ):
-        reports.append(report)
+    """The energy audit's run, plus its VTK snapshots, each written as it arrives."""
+    def snapshot(i, state):
         # named by the step index, so a last short chunk names the step it reached
-        if (i % stride == 0 and i % cfg.output_every == 0) or i == n_steps:
-            write_vtk(state, run.path(f"snapshot_{i:06d}.vtk"), f"t={state.t:.6f}")
+        write_vtk(state, run.path(f"snapshot_{i:06d}.vtk"), f"t={state.t:.6f}")
+    reports, violation = run_energy_audit(run.cfg, snapshot)
     write_energy_csv(reports, run.path("energy.csv"))
-    run.say(f"simulated {n_steps} steps to t={state.t:.6f}")
-    return energy_gates(energy_audit(reports))
+    run.say(f"simulated {len(reports) - 1} steps to t={reports[-1].t:.6f}")
+    return energy_gates(violation)
 
 
 def _cmd_energy_audit(run: _Run) -> list[Gate]:
@@ -137,7 +124,7 @@ def _cmd_wsu(run: _Run) -> list[Gate]:
 
 
 def _cmd_perturb(run: _Run) -> list[Gate]:
-    trace, fit = run_perturbation(run.cfg, run.cfg.perturbation_delta)
+    trace, fit = run_perturbation(run.cfg)
     write_entropy_csv(trace, fit.bound_curve, run.path("entropy.csv"))
     run.say(f"fitted k: {fit.k:.6g}")
     return gronwall_gates(fit)

@@ -424,14 +424,12 @@ class GronwallFit:
     violated: bool
 
 
-def gronwall_fit(
-    trace: RelEntropyTrace, lam: float = 0.5, rel_tol: float = GRONWALL_REL_TOL
-) -> GronwallFit:
+def gronwall_fit(trace: RelEntropyTrace, lam: float = 0.5) -> GronwallFit:
     """Least k >= 0 with E(t) - E(0) + D(t) <= lam D(t) + k int_0^t omega E.
 
     D is the time-integrated dissipation difference. The bound curve is
     E(0) exp(k int_0^t omega); ``violated`` records whether E ever exceeds it
-    by more than ``rel_tol`` relative.
+    by more than ``GRONWALL_REL_TOL`` relative.
     """
     times = np.asarray(trace.times)
     if len(times) == 0:
@@ -447,5 +445,5 @@ def gronwall_fit(
     cum_omega = _cumtrapz(times, np.asarray(trace.omega))
     bound = E[0] * np.exp(np.minimum(k * cum_omega, 700.0))
     scale = np.maximum(bound, E[0] if E[0] > 0 else 1.0)
-    violated = not np.all(E <= bound + rel_tol * scale)  # a NaN E fails
+    violated = not np.all(E <= bound + GRONWALL_REL_TOL * scale)  # a NaN E fails
     return GronwallFit(k=k, lam=lam, bound_curve=bound, violated=violated)

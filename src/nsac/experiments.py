@@ -3,7 +3,8 @@ perturbation/Gronwall study, and manufactured-solution convergence."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -166,11 +167,12 @@ def perturbation_velocity(grid: Grid) -> FaceVectorField:
     return FaceVectorField(grid, [scale * c for c in v.components])
 
 
-def bubble_concentration(grid: Grid, eps: float, radius: float = 0.25) -> np.ndarray:
+def bubble_concentration(grid: Grid, eps: float) -> np.ndarray:
+    """A centred bubble of radius 0.25 with a tanh interface of width ~eps."""
     center = tuple(L / 2 for L in grid.length)
     coords = np.meshgrid(*[grid.cell_centers(a) for a in range(grid.dim)], indexing="ij")
     r = np.sqrt(sum((coords[a] - center[a]) ** 2 for a in range(grid.dim)))
-    return np.tanh((radius - r) / (np.sqrt(2.0) * eps))
+    return np.tanh((0.25 - r) / (np.sqrt(2.0) * eps))
 
 
 def initial_state(cfg: ExperimentConfig, grid: Grid | None = None) -> State:
@@ -261,14 +263,16 @@ def energy_history(
         yield state, erep
 
 
-def _sample_chunks(cfg: ExperimentConfig, n: int) -> list[int]:
-    """Steps at level n between consecutive samples.
+def _stride(cfg: ExperimentConfig, n_steps: int) -> int:
+    """Steps between two samples of an ``n_steps`` run."""
+    return max(1, n_steps // cfg.sample_count)
 
-    Whole strides of ``max(1, steps // sample_count)`` steps, then the
-    remainder, if any, as one shorter last chunk.
-    """
+
+def _sample_chunks(cfg: ExperimentConfig, n: int) -> list[int]:
+    """Steps at level n between consecutive samples: whole strides, then
+    the remainder, if any, as one shorter last chunk."""
     n_steps = step_count(cfg.t_end, cfg.dt_for(n))
-    stride = max(1, n_steps // cfg.sample_count)
+    stride = _stride(cfg, n_steps)
     full, rest = divmod(n_steps, stride)
     return [stride] * full + ([rest] if rest else [])
 
@@ -458,13 +462,10 @@ def run_wsu(cfg: ExperimentConfig, twin: bool = True) -> WSUReport:
     return WSUReport(levels=results, twin_entropy_max=results[-1].max_entropy if twin else None)
 
 
-def run_perturbation(
-    cfg: ExperimentConfig, delta: float
-) -> tuple[RelEntropyTrace, GronwallFit]:
-    """Twin runs differing by delta times a fixed unit-energy solenoidal field."""
-    if not (delta >= 0):
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    well, params = cfg.well, cfg.params
+def run_perturbation(cfg: ExperimentConfig) -> tuple[RelEntropyTrace, GronwallFit]:
+    """Twin runs differing by ``perturbation.delta`` times a fixed unit-energy
+    solenoidal field."""
+    well, params, delta = cfg.well, cfg.params, cfg.perturbation_delta
     grid = cfg.grid()
     chunks = _sample_chunks(cfg, cfg.grid_n)
 
@@ -485,15 +486,26 @@ def run_perturbation(
     return trace, gronwall_fit(trace)
 
 
-def run_energy_audit(cfg: ExperimentConfig) -> tuple[list[EnergyReport], float]:
+def run_energy_audit(
+    cfg: ExperimentConfig, snapshot: Callable[[int, State], None] | None = None
+) -> tuple[list[EnergyReport], float]:
     """Full unforced run, checked against the maximum principle at every step
-    (see ``energy_history``); returns the energy trace and the audit violation."""
+    (see ``energy_history``); returns the energy trace and the audit violation.
+
+    ``snapshot(i, state)``, if given, sees the state after step i at step 0,
+    at every sample step that is a multiple of ``output.every``, and at the
+    last step.
+    """
     if cfg.init_kind == "manufactured":
         raise ValueError("energy audit applies to unforced runs only")
     n_steps = step_count(cfg.t_end, cfg.dt)
-    state = initial_state(cfg, cfg.grid())
-    history = energy_history(state, cfg.well, cfg.params, cfg.dt, n_steps)
-    reports = [report for _, report in history]
+    shots = {*range(0, n_steps, math.lcm(_stride(cfg, n_steps), cfg.output_every)), n_steps}
+    history = energy_history(initial_state(cfg), cfg.well, cfg.params, cfg.dt, n_steps)
+    reports = []
+    for i, (state, report) in enumerate(history):
+        reports.append(report)
+        if snapshot is not None and i in shots:
+            snapshot(i, state)
     return reports, energy_audit(reports)
 
 

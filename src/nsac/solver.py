@@ -92,7 +92,6 @@ class State:
 class StepReport:
     """Per-step bookkeeping; carries the discrete material derivative."""
 
-    dt: float
     material_derivative: ScalarField
     cfl: float
 
@@ -424,5 +423,5 @@ def step(
         if not np.isfinite(values).all():
             index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
             raise NumericalError(f"non-finite {name} at t={new_state.t:.6g}, index {index}")
-    report = StepReport(dt=dt, material_derivative=material, cfl=cfl)
+    report = StepReport(material_derivative=material, cfl=cfl)
     return new_state, report

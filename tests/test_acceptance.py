@@ -4,6 +4,7 @@ Each test prints a single summary line with the measured quantity and its
 tolerance (visible with pytest -v -s or in captured output on failure).
 """
 
+import dataclasses
 import subprocess
 import sys
 import time
@@ -289,7 +290,7 @@ def test_criterion_8_gronwall_bound():
     fits = {}
     curves = {}
     for delta in (1e-3, 1e-2):
-        trace, fit = run_perturbation(cfg, delta)
+        trace, fit = run_perturbation(dataclasses.replace(cfg, perturbation_delta=delta))
         fits[delta] = fit
         curves[delta] = trace.E / trace.E[0]
     not_violated = not any(f.violated for f in fits.values())

@@ -71,11 +71,10 @@ CARRY_SPANS = {
 }
 
 
-def test_traced_simulate_calls_each_step_span_once_per_step(tmp_path, monkeypatch):
+def test_traced_simulate_calls_each_step_span_once_per_step(tmp_path):
     spans = _load_spans()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.n = 16\ntime.dt = 1e-3\ntime.t_end = 0.004\ninit.kind = bubble\n")
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     recorder = spans.Recorder()
     recorder.install()
     try:
@@ -96,14 +95,13 @@ def test_traced_simulate_calls_each_step_span_once_per_step(tmp_path, monkeypatc
     assert abs(sum(recorder.self_s.values()) / recorder.root_s - 1.0) <= 1e-6
 
 
-def test_traced_wsu_reuses_the_carried_gradient(tmp_path, monkeypatch):
+def test_traced_wsu_reuses_the_carried_gradient(tmp_path):
     """A pair row takes grad C from a strong state that carries it: the twin
     rows after t = 0. A restricted strong state carries nothing."""
     spans = _load_spans()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.n = 8\ntime.dt = 1e-3\ntime.t_end = 0.004\n"
                    "init.kind = bubble\nwsu.levels = 8,16,32\n")
-    monkeypatch.delenv("NSAC_OUT", raising=False)
     recorder = spans.Recorder()
     recorder.install()
     try:

@@ -420,6 +420,7 @@ def _fault(command, text, fragment, out="out", label=None):
     _fault("rei-check", "init.kind = bubble\nwsu.levels = 12,16,32",
            "not a multiple of the coarsest level"),
     _fault("energy-audit", "init.kind = manufactured", "unforced runs only"),
+    _fault("simulate", "init.kind = manufactured", "unforced runs only"),
     _fault("mms", "init.kind = manufactured\nwsu.levels = 8,16\ngrid.length = 2", "grid.length"),
     _fault("simulate", "init.kind = bubble\ntime.dt = 2.5e-4\ntime.t_end = 0.0003",
            "not a whole number of steps"),

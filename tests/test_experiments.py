@@ -390,16 +390,16 @@ def test_run_wsu_needs_three_levels_and_bubble():
 
 def test_run_perturbation_zero_delta():
     cfg = small_cfg(init_kind="bubble", t_end=0.01)
-    trace, fit = run_perturbation(cfg, 0.0)
+    trace, fit = run_perturbation(dataclasses.replace(cfg, perturbation_delta=0.0))
     assert np.all(trace.E == 0.0)
     assert fit.k == 0.0
     with pytest.raises(ValueError):
-        run_perturbation(cfg, -1.0)
+        dataclasses.replace(cfg, perturbation_delta=-1.0)
 
 
 def test_run_perturbation_initial_entropy_matches_delta():
     cfg = small_cfg(init_kind="bubble", t_end=0.01)
-    trace, fit = run_perturbation(cfg, 1e-3)
+    trace, fit = run_perturbation(dataclasses.replace(cfg, perturbation_delta=1e-3))
     assert trace.E[0] == pytest.approx(1e-6, rel=1e-10)
     assert not fit.violated
 

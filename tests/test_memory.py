@@ -6,6 +6,7 @@ the edge-weight tables already cached. A stepped state is 2 dim + 4 of
 them (u, c, p, the carried grad c and lap c, and the material).
 """
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -103,7 +104,7 @@ def test_lockstep_pairs_hold_no_earlier_sample(monkeypatch, study):
     if study == "wsu":
         run_wsu(cfg)
     else:
-        run_perturbation(cfg, 1e-3)
+        run_perturbation(dataclasses.replace(cfg, perturbation_delta=1e-3))
     assert len(initial) == 1
     first = [alive for t, alive, _ in alive_at if t == 0.0]
     later = [alive for t, alive, _ in alive_at if t > 0.0]

@@ -45,6 +45,28 @@ def test_cli_imports_no_numpy_and_no_private_name():
     assert not found, found
 
 
+def test_cli_takes_only_configs_and_studies_from_the_drivers():
+    """Every run lives in ``nsac.experiments``: the CLI imports from it only
+    ``ExperimentConfig`` and the ``run_*`` studies, and nothing from
+    ``nsac.diagnostics``, so it holds no step loop and no schedule."""
+    path = SRC / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("nsac.")
+            names = [a.name for a in node.names]
+            if module in ("", "nsac"):  # the modules themselves
+                found += [n for n in names if n in ("diagnostics", "experiments")]
+            elif module == "diagnostics":
+                found += names
+            elif module == "experiments":
+                found += [n for n in names if n != "ExperimentConfig" and not n.startswith("run_")]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name in ("nsac.diagnostics", "nsac.experiments")]
+    assert not found, found
+
+
 def test_readme_config_table_matches_the_schema():
     """The README's table lists every config key, in schema order, with its
     default."""
