@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -214,14 +215,18 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def simulate(
-    state: State, well: DoubleWell, params: FluidParams, dt: float, n_steps: int
+    state: State, well: DoubleWell, params: FluidParams, dt: float, n_steps: int,
+    sources: Callable[[float], tuple[ScalarField, FaceVectorField]] | None = None,
 ) -> Iterator[tuple[State, StepReport]]:
     """Take ``n_steps`` steps, yielding each new state with its step report.
 
-    Nothing is stored; the input state is left unchanged.
+    Every run steps here. ``sources(t)``, if given, returns ``(source_c,
+    source_u)`` for the step that starts at t. Nothing is stored; the input
+    state is left unchanged.
     """
     for _ in range(n_steps):
-        state, report = step(state, well, params, dt)
+        forcing = () if sources is None else sources(state.t)
+        state, report = step(state, well, params, dt, *forcing)
         yield state, report
 
 
@@ -298,8 +303,9 @@ def _lockstep(
     for k, chunk in enumerate(chunks):
         stepped, materials = [], []
         for state, (dt, m) in zip(states, steps):
-            for _ in range(m * chunk):
-                state, report = step(state, well, params, dt)
+            # rebinding ``state`` keeps no reference to an earlier sample
+            for state, report in simulate(state, well, params, dt, m * chunk):
+                pass
             stepped.append(state)
             materials.append(report.material_derivative)
         if k == 0:
@@ -539,13 +545,20 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     well, params = cfg.well, cfg.params
     ms = ManufacturedSolution(params, well)
 
+    def forced_final(grid: Grid, dt: float, n_steps: int) -> State:
+        """The state after ``n_steps`` forced steps; only the run holds the exact start."""
+        for state, _ in simulate(ms.state_at(grid, 0.0), well, params, dt, n_steps,
+                                 partial(ms.sources_at, grid)):
+            pass
+        return state
+
     t_end = 6.4e-3
     base_n = levels[0]
     base_dt = 3.2e-4
     spatial_dts = [base_dt * (base_n / n) ** 2 for n in levels]
     spatial_steps = [step_count(t_end, dt) for dt in spatial_dts]
     # one final state alive at a time, none after the spatial study
-    spatial_finals = (ms.run_final_state(cfg.grid(n), dt, k)
+    spatial_finals = (forced_final(cfg.grid(n), dt, k)
                       for n, dt, k in zip(levels, spatial_dts, spatial_steps))
     spatial_errors = [_state_distance(f, ms.state_at(f.grid, f.t)) for f in spatial_finals]
     spatial_orders = [
@@ -558,9 +571,7 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     grid = cfg.grid(n_fine)
     t_end_t = 0.05
     dts = [5e-4, 2.5e-4, 1.25e-4]
-    finals = []
-    for dt in dts:
-        finals.append(ms.run_final_state(grid, dt, step_count(t_end_t, dt)))
+    finals = [forced_final(grid, dt, step_count(t_end_t, dt)) for dt in dts]
     diffs = [_state_distance(finals[i], finals[i + 1]) for i in range(len(finals) - 1)]
     temporal_orders = [
         float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import FaceVectorField, Grid, ScalarField, cell_field, enforce_dirichlet, face_field
 from .potential import DoubleWell
-from .solver import FluidParams, State, make_state, step
+from .solver import FluidParams, State, make_state
 
 PI = np.pi
 
@@ -120,8 +120,6 @@ class ManufacturedSolution:
         self.params = params
         self.well = well
 
-    # -- sampling -----------------------------------------------------------
-
     def state_at(self, grid: Grid, t: float) -> State:
         tab = _tables(grid, self.params)
         g = _g(t)
@@ -144,12 +142,3 @@ class ManufacturedSolution:
         su += g2 * tab.nonlin
         su += g * tab.visc
         return cell_field(grid, sc), face_field(grid, su)
-
-    # -- forced runs --------------------------------------------------------
-
-    def run_final_state(self, grid: Grid, dt: float, n_steps: int) -> State:
-        state = self.state_at(grid, 0.0)
-        for _ in range(n_steps):
-            sc, su = self.sources_at(grid, state.t)
-            state, _ = step(state, self.well, self.params, dt, source_c=sc, source_u=su)
-        return state

@@ -1,18 +1,17 @@
 """The names the benchmark's span tracer wraps from outside the program.
 
 ``perfbench/spans.py`` replaces functions by module attribute; a refactor
-that renames one silently turns its span into "absent", and one that stops
-calling ``solver.step`` through ``experiments``/``manufactured`` blinds the
+that renames one silently turns its span into "absent", and a study that
+stops stepping through ``solver.step`` as ``nsac`` binds it blinds the
 set-up marker. The tracer is loaded by path and only read.
 """
 
 import importlib.util
 from pathlib import Path
 
-import nsac.cli  # noqa: F401  (loads every module a study uses)
-import nsac.experiments
-import nsac.manufactured
-import nsac.solver
+import pytest
+
+import nsac.cli  # loads every module a study uses
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,9 +46,22 @@ def test_every_span_resolves():
     assert absent <= ALREADY_ABSENT
 
 
-def test_studies_step_through_solver_step():
-    assert nsac.experiments.step is nsac.solver.step
-    assert nsac.manufactured.step is nsac.solver.step
+def test_every_study_stops_at_the_first_step_marker(tmp_path):
+    """The benchmark's set-up probe ends each command at its first step."""
+    spans = _load_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 16\ntime.dt = 1e-3\ntime.t_end = 0.004\n"
+                   "init.kind = bubble\nwsu.levels = 8,16,32\n")
+    for command in ("simulate", "energy-audit", "wsu", "rei-check", "perturb", "mms"):
+        marker = spans.FirstStepMarker(stop=True)
+        marker.install()
+        try:
+            with pytest.raises(spans.StopAtFirstStep):
+                nsac.cli.main([command, "--config", str(cfg),
+                               "--out", str(tmp_path / command), "--quiet"])
+        finally:
+            marker._patches.restore()  # the marker has no public uninstall
+        assert marker.time is not None, command
 
 
 # the per-step spans of a study; one that a refactor inlines reads 0 calls

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -244,11 +245,46 @@ def test_simulate_without_energy_matches_with_energy():
     without = list(simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6))
     assert len(with_e) == 7 and len(without) == 6
     for (a, _), (b, _) in zip(with_e[1:], without):
-        assert a.t == b.t
-        assert np.array_equal(a.c.values, b.c.values)
-        assert np.array_equal(a.p.values, b.p.values)
-        for ua, ub in zip(a.u.components, b.u.components):
-            assert np.array_equal(ua, ub)
+        _assert_same_state(a, b)
+
+
+def _assert_same_state(a, b):
+    """a and b hold bitwise the same t, u, c and p."""
+    assert a.t == b.t
+    assert np.array_equal(a.c.values, b.c.values)
+    assert np.array_equal(a.p.values, b.p.values)
+    for ua, ub in zip(a.u.components, b.u.components):
+        assert np.array_equal(ua, ub)
+
+
+def test_sourced_simulate_forces_each_step_at_its_start():
+    """``sources(t)`` is sampled at the time a step starts: a sourced run is
+    bitwise a hand loop of ``step`` forced by the sources at ``state.t``."""
+    params, well = FluidParams(nu=0.01, eps=0.05), DoubleWell()
+    ms = ManufacturedSolution(params, well)
+    grid = make_grid(2, (16, 16), (1, 1))
+    state = ms.state_at(grid, 0.0)
+    run = simulate(state, well, params, 1e-3, 4, sources=partial(ms.sources_at, grid))
+    for got, _ in run:
+        state, _ = step(state, well, params, 1e-3, *ms.sources_at(grid, state.t))
+        _assert_same_state(got, state)
+    assert state.t == 4e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.integers(1, 4), b=st.integers(1, 4), forced=st.booleans())
+def test_simulate_in_two_chunks_equals_one_run(a, b, forced):
+    """A run of a steps continued for b steps is bitwise one run of a + b
+    steps, with or without sources: the lockstep studies run in chunks."""
+    params, well = FluidParams(nu=0.01, eps=0.05), DoubleWell()
+    ms = ManufacturedSolution(params, well)
+    grid = make_grid(2, (8, 8), (1, 1))
+    sources = partial(ms.sources_at, grid) if forced else None
+    start = ms.state_at(grid, 0.0)
+    *_, (mid, _) = simulate(start, well, params, 1e-3, a, sources)
+    *_, (chunked, _) = simulate(mid, well, params, 1e-3, b, sources)
+    *_, (whole, _) = simulate(start, well, params, 1e-3, a + b, sources)
+    _assert_same_state(chunked, whole)
 
 
 def test_step_count_needs_a_whole_number_of_steps():
@@ -434,11 +470,12 @@ def test_manufactured_zero_forcing_equilibrium_exact():
 
 
 def test_manufactured_error_decreases_with_resolution():
-    params = FluidParams(nu=0.01, eps=0.05)
-    ms = ManufacturedSolution(params, DoubleWell())
+    params, well = FluidParams(nu=0.01, eps=0.05), DoubleWell()
+    ms = ManufacturedSolution(params, well)
     errs = []
     for n, dt in ((16, 1.28e-3), (32, 3.2e-4)):
         grid = make_grid(2, (n, n), (1, 1))
-        final = ms.run_final_state(grid, dt, int(round(6.4e-3 / dt)))
+        *_, (final, _) = simulate(ms.state_at(grid, 0.0), well, params, dt,
+                                  int(round(6.4e-3 / dt)), sources=partial(ms.sources_at, grid))
         errs.append(_state_distance(final, ms.state_at(grid, final.t)))
     assert errs[1] < 0.4 * errs[0]

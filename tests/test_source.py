@@ -67,6 +67,50 @@ def test_cli_takes_only_configs_and_studies_from_the_drivers():
     assert not found, found
 
 
+class _StepCalls(ast.NodeVisitor):
+    """The dotted scope of every call to a function named ``step``."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found = []
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "step":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_loop_calls_step():
+    """``experiments.simulate`` is the one caller of ``solver.step`` and
+    ``experiments`` the one module that imports it: every run, forced or not,
+    takes its steps from that loop, so a fold over it sees every step."""
+    calls, imports = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        visitor = _StepCalls(path.stem)
+        visitor.visit(tree)
+        calls += visitor.found
+        imports += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "solver"
+            and "step" in [a.name for a in node.names]
+        ]
+    assert calls == ["experiments.simulate"], calls
+    # the package also re-exports it as a public name, and calls nothing
+    assert imports == ["__init__.py", "experiments.py"], imports
+
+
 def test_readme_config_table_matches_the_schema():
     """The README's table lists every config key, in schema order, with its
     default."""
