@@ -1,5 +1,5 @@
-"""Diagnostics of discrete runs: energy budget, maximum-principle bounds,
-relative entropy, the itemized relative-entropy inequality, and the
+"""Diagnostics of discrete runs: energy budget, maximum-principle bounds and
+check, relative entropy, the itemized relative-entropy inequality, and the
 Gronwall-type bound fit. A weak/strong pair is reduced to one row of scalars
 per sample time, so no run's states need to be stored.
 
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificates import GRONWALL_REL_TOL
+from .certificates import GRONWALL_REL_TOL, MAX_PRINCIPLE_TOL
 from .grid import (
     FaceVectorField,
     Grid,
@@ -43,7 +43,7 @@ from .grid import (
     gradient,
 )
 from .potential import DoubleWell
-from .solver import FluidParams, State, StepReport
+from .solver import FluidParams, NumericalError, State, StepReport
 
 # ---------------------------------------------------------------------------
 # energy
@@ -211,6 +211,18 @@ def max_principle_bounds(c0: ScalarField, well: DoubleWell) -> MaxPrincipleBound
             f"initial range [{lo}, {hi}] is not within admissible [{well.f1}, {well.f2}]"
         )
     return MaxPrincipleBounds(m=min(lo, well.y1), M=max(hi, well.y2))
+
+
+def check_max_principle(state: State, bounds: MaxPrincipleBounds, i: int):
+    """Raise ``NumericalError`` naming step ``i``, the time and the worst value
+    if ``c`` strays beyond ``bounds`` by more than ``MAX_PRINCIPLE_TOL``."""
+    # np.min and np.max propagate a NaN, which fails both comparisons
+    lo, hi = float(np.min(state.c.values)), float(np.max(state.c.values))
+    if not (bounds.m - lo <= MAX_PRINCIPLE_TOL and hi - bounds.M <= MAX_PRINCIPLE_TOL):
+        worst = lo if bounds.m - lo >= hi - bounds.M else hi
+        raise NumericalError(f"maximum principle violated at step {i}, t={state.t:.6g}: "
+                             f"c = {worst!r} outside [{bounds.m!r}, {bounds.M!r}] "
+                             f"beyond tolerance {MAX_PRINCIPLE_TOL:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +428,19 @@ def pair_traces(rows: list[PairRow]) -> tuple[RelEntropyTrace, REITrace]:
 # Gronwall fit
 
 
+GRONWALL_LAMBDA = 0.5  # the share of the dissipation the bound counts on its right
+
+
 @dataclass
 class GronwallFit:
     k: float
-    lam: float
     bound_curve: np.ndarray
     violated: bool
 
 
-def gronwall_fit(trace: RelEntropyTrace, lam: float = 0.5) -> GronwallFit:
-    """Least k >= 0 with E(t) - E(0) + D(t) <= lam D(t) + k int_0^t omega E.
+def gronwall_fit(trace: RelEntropyTrace) -> GronwallFit:
+    """Least k >= 0 with E(t) - E(0) + D(t) <= lambda D(t) + k int_0^t omega E,
+    lambda = ``GRONWALL_LAMBDA``.
 
     D is the time-integrated dissipation difference. The bound curve is
     E(0) exp(k int_0^t omega); ``violated`` records whether E ever exceeds it
@@ -437,7 +452,7 @@ def gronwall_fit(trace: RelEntropyTrace, lam: float = 0.5) -> GronwallFit:
     E = np.asarray(trace.E)
     D = _cumtrapz(times, np.asarray(trace.D))
     omegaE = _cumtrapz(times, np.asarray(trace.omega) * E)
-    numer = E - E[0] + (1.0 - lam) * D
+    numer = E - E[0] + (1.0 - GRONWALL_LAMBDA) * D
     k = 0.0
     for j in range(1, len(times)):
         if omegaE[j] > 0 and numer[j] > 0:
@@ -446,4 +461,4 @@ def gronwall_fit(trace: RelEntropyTrace, lam: float = 0.5) -> GronwallFit:
     bound = E[0] * np.exp(np.minimum(k * cum_omega, 700.0))
     scale = np.maximum(bound, E[0] if E[0] > 0 else 1.0)
     violated = not np.all(E <= bound + GRONWALL_REL_TOL * scale)  # a NaN E fails
-    return GronwallFit(k=k, lam=lam, bound_curve=bound, violated=violated)
+    return GronwallFit(k=k, bound_curve=bound, violated=violated)

@@ -5,18 +5,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .certificates import MAX_PRINCIPLE_TOL
 from .diagnostics import (
     EnergyReport,
     GronwallFit,
-    MaxPrincipleBounds,
     REITrace,
     RelEntropyTrace,
+    check_max_principle,
     dissipation_rates,
     energy_audit,
     gronwall_fit,
@@ -29,7 +28,7 @@ from .diagnostics import (
 from .grid import FaceVectorField, Grid, ScalarField, _axslice, enforce_dirichlet, make_grid
 from .manufactured import ManufacturedSolution
 from .potential import DoubleWell
-from .solver import FluidParams, NumericalError, State, StepReport, make_state, step
+from .solver import FluidParams, State, StepReport, make_state, step
 
 INIT_KINDS = ("bubble", "spinodal", "vortex", "manufactured")
 
@@ -222,50 +221,12 @@ def simulate(
 
     Every run steps here. ``sources(t)``, if given, returns ``(source_c,
     source_u)`` for the step that starts at t. Nothing is stored; the input
-    state is left unchanged.
+    state keeps its values, and its carry is released by the first step.
     """
     for _ in range(n_steps):
         forcing = () if sources is None else sources(state.t)
         state, report = step(state, well, params, dt, *forcing)
         yield state, report
-
-
-def _check_max_principle(state: State, bounds: MaxPrincipleBounds, i: int):
-    """Raise ``NumericalError`` naming step ``i``, the time and the worst value
-    if ``c`` strays beyond ``bounds`` by more than ``MAX_PRINCIPLE_TOL``."""
-    # np.min and np.max propagate a NaN, which fails both comparisons
-    lo, hi = float(np.min(state.c.values)), float(np.max(state.c.values))
-    if not (bounds.m - lo <= MAX_PRINCIPLE_TOL and hi - bounds.M <= MAX_PRINCIPLE_TOL):
-        worst = lo if bounds.m - lo >= hi - bounds.M else hi
-        raise NumericalError(f"maximum principle violated at step {i}, t={state.t:.6g}: "
-                             f"c = {worst!r} outside [{bounds.m!r}, {bounds.M!r}] "
-                             f"beyond tolerance {MAX_PRINCIPLE_TOL:.0e}")
-
-
-def energy_history(
-    state: State, well: DoubleWell, params: FluidParams, dt: float, n_steps: int
-) -> Iterator[tuple[State, EnergyReport]]:
-    """Yield the initial state, then each stepped state, with its energy.
-
-    Cumulative dissipation uses the per-step rates measured after each step
-    (the quadrature consistent with the implicit character of the scheme).
-    Each state's ``c`` is checked against the maximum-principle bounds of the
-    initial data before it is yielded; an initial range outside the well
-    raises ``ValueError``.
-    """
-    bounds = max_principle_bounds(state.c, well)
-    _check_max_principle(state, bounds, 0)
-    yield state, total_energy(state, well, params)
-    cum = 0.0
-    for i, (state, srep) in enumerate(simulate(state, well, params, dt, n_steps), start=1):
-        _check_max_principle(state, bounds, i)
-        visc, ac = dissipation_rates(state, srep, params)
-        cum += dt * (visc + ac)
-        erep = total_energy(state, well, params)
-        erep.viscous_diss = visc
-        erep.ac_diss = ac
-        erep.cumulative_diss = cum
-        yield state, erep
 
 
 def _stride(cfg: ExperimentConfig, n_steps: int) -> int:
@@ -495,23 +456,38 @@ def run_perturbation(cfg: ExperimentConfig) -> tuple[RelEntropyTrace, GronwallFi
 def run_energy_audit(
     cfg: ExperimentConfig, snapshot: Callable[[int, State], None] | None = None
 ) -> tuple[list[EnergyReport], float]:
-    """Full unforced run, checked against the maximum principle at every step
-    (see ``energy_history``); returns the energy trace and the audit violation.
+    """Full unforced run; returns the energy trace and the audit violation.
 
-    ``snapshot(i, state)``, if given, sees the state after step i at step 0,
-    at every sample step that is a multiple of ``output.every``, and at the
-    last step.
+    One loop over ``simulate``. At step 0 and after each step it checks ``c``
+    against the maximum-principle bounds of the initial data (an initial
+    range outside the well raises ``ValueError``) and adds the dissipation
+    rates measured after the step (the quadrature of the implicit scheme) to
+    the running sum. ``snapshot(i, state)``, if given, sees the state after
+    step i at step 0, at every sample step that is a multiple of
+    ``output.every``, and at the last step.
     """
     if cfg.init_kind == "manufactured":
         raise ValueError("energy audit applies to unforced runs only")
-    n_steps = step_count(cfg.t_end, cfg.dt)
+    well, params, dt = cfg.well, cfg.params, cfg.dt
+    n_steps = step_count(cfg.t_end, dt)
     shots = {*range(0, n_steps, math.lcm(_stride(cfg, n_steps), cfg.output_every)), n_steps}
-    history = energy_history(initial_state(cfg), cfg.well, cfg.params, cfg.dt, n_steps)
-    reports = []
-    for i, (state, report) in enumerate(history):
-        reports.append(report)
+    state = initial_state(cfg)
+    bounds = max_principle_bounds(state.c, well)
+    reports, cum = [], 0.0
+
+    def record(i: int, state: State, visc: float = 0.0, ac: float = 0.0):
+        nonlocal cum
+        check_max_principle(state, bounds, i)
+        cum += dt * (visc + ac)
+        reports.append(replace(total_energy(state, well, params), viscous_diss=visc,
+                               ac_diss=ac, cumulative_diss=cum))
         if snapshot is not None and i in shots:
             snapshot(i, state)
+
+    record(0, state)
+    # rebinding ``state`` leaves the initial state to the loop, which drops it at step 1
+    for i, (state, report) in enumerate(simulate(state, well, params, dt, n_steps), start=1):
+        record(i, state, *dissipation_rates(state, report, params))
     return reports, energy_audit(reports)
 
 
@@ -537,11 +513,6 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     levels = list(cfg.wsu_levels)
     if len(levels) < 2:
         raise ValueError(f"need at least 2 refinement levels, got {len(levels)}")
-    if cfg.length != 1.0:
-        raise ValueError(
-            "the manufactured solution is defined on the unit box, "
-            f"got grid.length = {cfg.length!r}"
-        )
     well, params = cfg.well, cfg.params
     ms = ManufacturedSolution(params, well)
 

@@ -80,7 +80,14 @@ class _GridTables:
 # one table set per grid and parameters; convergence studies keep every level's live.
 @lru_cache(maxsize=64)
 def _tables(grid: Grid, params: FluidParams) -> _GridTables:
-    """The ``_GridTables`` of ``grid``, with read-only buffers."""
+    """The ``_GridTables`` of ``grid``, with read-only buffers.
+
+    Raises ``ValueError`` unless every extent of ``grid`` is 1.
+    """
+    off = [L for L in grid.length if L != 1.0]
+    if off:
+        raise ValueError("the manufactured solution is defined on the unit box, "
+                         f"got grid.length = {off[0]!r}")
     centers = [grid.cell_centers(b) for b in range(2)]
     cell = _point_fields(*np.meshgrid(*centers, indexing="ij", sparse=True))
     V, nonlin, visc = [], [], []

@@ -422,6 +422,7 @@ def _fault(command, text, fragment, out="out", label=None):
     _fault("energy-audit", "init.kind = manufactured", "unforced runs only"),
     _fault("simulate", "init.kind = manufactured", "unforced runs only"),
     _fault("mms", "init.kind = manufactured\nwsu.levels = 8,16\ngrid.length = 2", "grid.length"),
+    _fault("perturb", "init.kind = manufactured\ngrid.length = 1.5", "grid.length"),
     _fault("simulate", "init.kind = bubble\ntime.dt = 2.5e-4\ntime.t_end = 0.0003",
            "not a whole number of steps"),
     _fault("simulate", _SMALL_RUN + "init.kind = bubble", "Not a directory",

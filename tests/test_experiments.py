@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsac.experiments
 import nsac.grid
 from nsac.diagnostics import _edge_weights, kinetic_energy, pair_row, pair_traces
 from nsac.experiments import (
@@ -16,7 +17,6 @@ from nsac.experiments import (
     _block_mean,
     _state_distance,
     bubble_concentration,
-    energy_history,
     initial_state,
     perturbation_velocity,
     restrict_scalar,
@@ -226,12 +226,25 @@ def test_restrict_incompatible_grids():
 # simulate driver
 
 
-def test_simulate_samples_and_cumulative_dissipation():
+def _audit_every_step(cfg):
+    """``run_energy_audit`` of ``cfg`` with a snapshot at every step: the
+    state and energy row of step 0 and of each step."""
+    n_steps = step_count(cfg.t_end, cfg.dt)
+    cfg = dataclasses.replace(cfg, output_every=1, sample_count=n_steps)
+    shots = []
+    reports, _ = run_energy_audit(cfg, lambda i, state: shots.append((i, state)))
+    assert [i for i, _ in shots] == list(range(n_steps + 1))
+    return [(state, report) for (_, state), report in zip(shots, reports, strict=True)]
+
+
+def test_simulate_samples_and_cumulative_dissipation(monkeypatch):
     cfg = small_cfg(init_kind="bubble")
-    state = initial_state(cfg)
-    history = list(energy_history(state, cfg.well, cfg.params, cfg.dt, 20))
+    made = []
+    monkeypatch.setattr(nsac.experiments, "initial_state",
+                        lambda cfg: made.append(initial_state(cfg)) or made[-1])
+    history = _audit_every_step(cfg)
     assert len(history) == 21  # t=0 plus 20 steps
-    assert history[0][0] is state and history[0][1].t == 0.0
+    assert history[0][0] is made[0] and history[0][1].t == 0.0
     assert history[-1][0].t == pytest.approx(0.02, rel=1e-12)
     assert [r.t for _, r in history] == [s.t for s, _ in history]
     cums = [r.cumulative_diss for _, r in history]
@@ -240,8 +253,8 @@ def test_simulate_samples_and_cumulative_dissipation():
 
 
 def test_simulate_without_energy_matches_with_energy():
-    cfg = small_cfg(init_kind="bubble")
-    with_e = list(energy_history(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6))
+    cfg = small_cfg(init_kind="bubble", t_end=0.006)
+    with_e = _audit_every_step(cfg)
     without = list(simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6))
     assert len(with_e) == 7 and len(without) == 6
     for (a, _), (b, _) in zip(with_e[1:], without):

@@ -15,7 +15,13 @@ import pytest
 
 import nsac.experiments
 from nsac.diagnostics import pair_row
-from nsac.experiments import ExperimentConfig, bubble_concentration, run_perturbation, run_wsu
+from nsac.experiments import (
+    ExperimentConfig,
+    bubble_concentration,
+    run_energy_audit,
+    run_perturbation,
+    run_wsu,
+)
 from nsac.grid import FaceVectorField, enforce_dirichlet, make_grid
 from nsac.potential import DoubleWell
 from nsac.solver import FluidParams, make_state, step
@@ -111,3 +117,20 @@ def test_lockstep_pairs_hold_no_earlier_sample(monkeypatch, study):
     assert first and all(first)
     assert len(later) >= 3 and not any(later), alive_at
     assert all(count == 0 for _, _, count in alive_at), alive_at
+
+
+def test_energy_run_holds_no_earlier_state():
+    """At each snapshot from step 2 on, the initial state and every state
+    before the previous one are gone: the energy run keeps no state older
+    than the input of the step it is taking."""
+    refs, alive_at = [], []  # alive_at: (step, states older than the previous alive)
+
+    def snapshot(i, state):
+        refs.append(weakref.ref(state))
+        alive_at.append((i, sum(ref() is not None for ref in refs[:-2])))
+
+    cfg = ExperimentConfig(grid_n=16, dt=1e-3, t_end=0.006, sample_count=6, output_every=1,
+                           init_kind="bubble")
+    run_energy_audit(cfg, snapshot)
+    assert [i for i, _ in alive_at] == list(range(7))
+    assert all(count == 0 for _, count in alive_at), alive_at

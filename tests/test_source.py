@@ -67,11 +67,12 @@ def test_cli_takes_only_configs_and_studies_from_the_drivers():
     assert not found, found
 
 
-class _StepCalls(ast.NodeVisitor):
-    """The dotted scope of every call to a function named ``step``."""
+class _Calls(ast.NodeVisitor):
+    """The dotted scope of every call to a function named ``name``."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, name: str):
         self.scope = [module]
+        self.name = name
         self.found = []
 
     def visit_scope(self, node):
@@ -84,31 +85,47 @@ class _StepCalls(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "step":
+        if name == self.name:
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
+
+
+def _call_scopes(name: str) -> list[str]:
+    """The dotted scope of every call to a function named ``name`` in the package."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _Calls(path.stem, name)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found += visitor.found
+    return found
 
 
 def test_one_loop_calls_step():
     """``experiments.simulate`` is the one caller of ``solver.step`` and
     ``experiments`` the one module that imports it: every run, forced or not,
     takes its steps from that loop, so a fold over it sees every step."""
-    calls, imports = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        visitor = _StepCalls(path.stem)
-        visitor.visit(tree)
-        calls += visitor.found
-        imports += [
-            path.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and (node.module or "").split(".")[-1] == "solver"
-            and "step" in [a.name for a in node.names]
-        ]
+    imports = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] == "solver"
+        and "step" in [a.name for a in node.names]
+    ]
+    calls = _call_scopes("step")
     assert calls == ["experiments.simulate"], calls
     # the package also re-exports it as a public name, and calls nothing
     assert imports == ["__init__.py", "experiments.py"], imports
+
+
+def test_only_the_runs_call_simulate():
+    """``simulate`` is called only inside the three runs that fold over it,
+    ``run_energy_audit``, ``_lockstep`` and ``run_manufactured``: no driver is
+    layered on the loop, so a per-step certificate is written once per run."""
+    calls = _call_scopes("simulate")
+    runs = {"experiments.run_energy_audit", "experiments._lockstep",
+            "experiments.run_manufactured"}
+    assert {".".join(scope.split(".")[:2]) for scope in calls} == runs, calls
 
 
 def test_readme_config_table_matches_the_schema():
