@@ -98,9 +98,9 @@ class _Run:
 
 def _cmd_simulate(run: _Run) -> list[Gate]:
     """The energy audit's run, plus its VTK snapshots, each written as it arrives."""
-    def snapshot(i, state):
+    def snapshot(i, state, pressure):
         # named by the step index, so a last short chunk names the step it reached
-        write_vtk(state, run.path(f"snapshot_{i:06d}.vtk"), f"t={state.t:.6f}")
+        write_vtk(state, pressure, run.path(f"snapshot_{i:06d}.vtk"), f"t={state.t:.6f}")
     reports, violation = run_energy_audit(run.cfg, snapshot)
     write_energy_csv(reports, run.path("energy.csv"))
     run.say(f"simulated {len(reports) - 1} steps to t={reports[-1].t:.6f}")

@@ -220,13 +220,15 @@ def simulate(
     """Take ``n_steps`` steps, yielding each new state with its step report.
 
     Every run steps here. ``sources(t)``, if given, returns ``(source_c,
-    source_u)`` for the step that starts at t. Nothing is stored; the input
-    state keeps its values, and its carry is released by the first step.
+    source_u)`` for the step that starts at t. Nothing is stored: the input
+    state keeps its values, its carry is released by the first step, and no
+    report is held while the next step runs.
     """
     for _ in range(n_steps):
         forcing = () if sources is None else sources(state.t)
         state, report = step(state, well, params, dt, *forcing)
         yield state, report
+        del report
 
 
 def _stride(cfg: ExperimentConfig, n_steps: int) -> int:
@@ -260,15 +262,20 @@ def _lockstep(
     extrapolation, consistent with first-order stepping). Only the current
     states are held: a caller that hands over its only reference to
     ``states`` lets the initial states go once the first sample is paired.
+    Of a level's reports only the material of its last step outlives the
+    step, for the sample to pair.
     """
     for k, chunk in enumerate(chunks):
         stepped, materials = [], []
         for state, (dt, m) in zip(states, steps):
             # rebinding ``state`` keeps no reference to an earlier sample
-            for state, report in simulate(state, well, params, dt, m * chunk):
-                pass
+            left = m * chunk
+            for state, report in simulate(state, well, params, dt, left):
+                left -= 1
+                if not left:
+                    materials.append(report.material_derivative)
+                del report
             stepped.append(state)
-            materials.append(report.material_derivative)
         if k == 0:
             yield states, materials
         states = stepped
@@ -319,17 +326,9 @@ def restrict_velocity(fine: FaceVectorField, coarse_grid: Grid) -> FaceVectorFie
 
 
 def restrict_state(fine: State, coarse_grid: Grid) -> State:
-    """u and c restricted onto a coarser grid, with p = 0.
-
-    Nothing reads a restricted pressure: a step computes p afresh from u
-    and c, and a pair row reads none.
-    """
-    return make_state(
-        coarse_grid,
-        t=fine.t,
-        u=restrict_velocity(fine.u, coarse_grid),
-        c=restrict_scalar(fine.c, coarse_grid),
-    )
+    """u and c restricted onto a coarser grid."""
+    return make_state(coarse_grid, t=fine.t, u=restrict_velocity(fine.u, coarse_grid),
+                      c=restrict_scalar(fine.c, coarse_grid))
 
 
 def _ratios(fine: Grid, coarse: Grid) -> list[int]:
@@ -437,11 +436,9 @@ def run_perturbation(cfg: ExperimentConfig) -> tuple[RelEntropyTrace, GronwallFi
     chunks = _sample_chunks(cfg, cfg.grid_n)
 
     strong0 = initial_state(cfg, grid)
-    weak0 = strong0.copy()
-    weak0.u = FaceVectorField(
-        grid,
-        [u + delta * v for u, v in zip(weak0.u.components, perturbation_velocity(grid).components)],
-    )
+    v = perturbation_velocity(grid).components
+    weak_u = FaceVectorField(grid, [u + delta * w for u, w in zip(strong0.u.components, v)])
+    weak0 = make_state(grid, u=weak_u, c=strong0.c.copy())
     samples = _lockstep([weak0, strong0], [(cfg.dt, 1)] * 2, chunks, well, params)
     # the generator holds the only references to the initial states now
     del weak0, strong0
@@ -454,7 +451,7 @@ def run_perturbation(cfg: ExperimentConfig) -> tuple[RelEntropyTrace, GronwallFi
 
 
 def run_energy_audit(
-    cfg: ExperimentConfig, snapshot: Callable[[int, State], None] | None = None
+    cfg: ExperimentConfig, snapshot: Callable[[int, State, ScalarField], None] | None = None
 ) -> tuple[list[EnergyReport], float]:
     """Full unforced run; returns the energy trace and the audit violation.
 
@@ -462,9 +459,10 @@ def run_energy_audit(
     against the maximum-principle bounds of the initial data (an initial
     range outside the well raises ``ValueError``) and adds the dissipation
     rates measured after the step (the quadrature of the implicit scheme) to
-    the running sum. ``snapshot(i, state)``, if given, sees the state after
-    step i at step 0, at every sample step that is a multiple of
-    ``output.every``, and at the last step.
+    the running sum. ``snapshot(i, state, pressure)``, if given, sees the
+    state and pressure after step i (p = 0 at step 0, before any projection)
+    at step 0, at every sample step that is a multiple of ``output.every``,
+    and at the last step.
     """
     if cfg.init_kind == "manufactured":
         raise ValueError("energy audit applies to unforced runs only")
@@ -475,19 +473,23 @@ def run_energy_audit(
     bounds = max_principle_bounds(state.c, well)
     reports, cum = [], 0.0
 
-    def record(i: int, state: State, visc: float = 0.0, ac: float = 0.0):
+    def record(i: int, state: State, pressure: ScalarField, visc: float = 0.0, ac: float = 0.0):
         nonlocal cum
         check_max_principle(state, bounds, i)
         cum += dt * (visc + ac)
         reports.append(replace(total_energy(state, well, params), viscous_diss=visc,
                                ac_diss=ac, cumulative_diss=cum))
         if snapshot is not None and i in shots:
-            snapshot(i, state)
+            snapshot(i, state, pressure)
 
-    record(0, state)
-    # rebinding ``state`` leaves the initial state to the loop, which drops it at step 1
-    for i, (state, report) in enumerate(simulate(state, well, params, dt, n_steps), start=1):
-        record(i, state, *dissipation_rates(state, report, params))
+    record(0, state, ScalarField(state.grid, np.zeros(state.grid.n)))
+    # rebinding ``state`` leaves the initial state to the loop, which drops it at step 1;
+    # no enumerate, whose reused result tuple would hold (state, report) a step longer
+    i = 0
+    for state, report in simulate(state, well, params, dt, n_steps):
+        i += 1
+        record(i, state, report.pressure, *dissipation_rates(state, report, params))
+        del report
     return reports, energy_audit(reports)
 
 
@@ -518,9 +520,9 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
 
     def forced_final(grid: Grid, dt: float, n_steps: int) -> State:
         """The state after ``n_steps`` forced steps; only the run holds the exact start."""
-        for state, _ in simulate(ms.state_at(grid, 0.0), well, params, dt, n_steps,
-                                 partial(ms.sources_at, grid)):
-            pass
+        for state, report in simulate(ms.state_at(grid, 0.0), well, params, dt, n_steps,
+                                      partial(ms.sources_at, grid)):
+            del report
         return state
 
     t_end = 6.4e-3

@@ -19,7 +19,7 @@ import numpy as np
 from .certificates import Gate
 from .diagnostics import EnergyReport, REITrace, RelEntropyTrace, audit_values
 from .experiments import ConvergenceTable, ExperimentConfig
-from .grid import avg_to_cells
+from .grid import ScalarField, avg_to_cells
 from .solver import State
 
 FLOAT_FMT = "%.17g"
@@ -143,7 +143,7 @@ def write_mms_csv(table: ConvergenceTable, spatial_path: str, temporal_path: str
 # VTK snapshots
 
 
-def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
+def write_vtk(state: State, pressure: ScalarField, path: str, comment: str = "nsac snapshot"):
     """Legacy ASCII STRUCTURED_POINTS file with cell data c, p, u (averaged)."""
     grid = state.grid
     n = list(grid.n) + [1] * (3 - grid.dim)
@@ -170,7 +170,7 @@ def write_vtk(state: State, path: str, comment: str = "nsac snapshot"):
         fh.write(f"SPACING {FLOAT_FMT % h[0]} {FLOAT_FMT % h[1]} {FLOAT_FMT % h[2]}\n")
         fh.write(f"CELL_DATA {ncells}\n")
         scalars(fh, "c", state.c.values)
-        scalars(fh, "p", state.p.values)
+        scalars(fh, "p", pressure.values)
         for a in range(grid.dim):
             scalars(fh, f"u_{'xyz'[a]}", u_cells[a][grid.cell_view])
 

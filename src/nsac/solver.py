@@ -6,8 +6,8 @@ skew-symmetric advection, implicit viscosity, capillary forcing, and a
 pressure projection that restores discrete incompressibility.
 
 The capillary force uses the "lap(c) grad(c)" form; the gradient part of the
-stress tensor identity is absorbed into the pressure, so the stored p is the
-modified pressure.
+stress tensor identity is absorbed into the pressure, so a step's reported p is
+the modified pressure, which no step reads: each projection solves it afresh.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class FluidParams:
 
 @dataclass
 class State:
-    """Discrete (u, c, p) at one instant.
+    """Discrete (u, c) at one instant.
 
     A stepped state's ``carry`` is ``(c, gradient(c), divergence(gradient(c)))``,
     fields with read-only buffers, for the next step and the energy to reuse.
@@ -70,7 +70,6 @@ class State:
     t: float
     u: FaceVectorField
     c: ScalarField
-    p: ScalarField
     carry: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -85,25 +84,25 @@ class State:
         return self.carry[1], self.carry[2]
 
     def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.c.copy(), self.p.copy())
+        return State(self.t, self.u.copy(), self.c.copy())
 
 
 @dataclass
 class StepReport:
-    """Per-step bookkeeping; carries the discrete material derivative."""
+    """Per-step bookkeeping: the discrete material derivative, the pressure
+    of the projection, and the realized advective CFL number."""
 
     material_derivative: ScalarField
+    pressure: ScalarField
     cfl: float
 
 
-def make_state(grid: Grid, t: float = 0.0, u=None, c=None, p=None) -> State:
+def make_state(grid: Grid, t: float = 0.0, u=None, c=None) -> State:
     if u is None:
         u = face_field(grid, np.zeros(grid.block_shape))
     if c is None:
         c = cell_field(grid, np.zeros(grid.padded_shape))
-    if p is None:
-        p = cell_field(grid, np.zeros(grid.padded_shape))
-    return State(t=t, u=u, c=c, p=p)
+    return State(t=t, u=u, c=c)
 
 
 def advect_scalar(u: FaceVectorField, grad_c: FaceVectorField) -> ScalarField:
@@ -343,15 +342,15 @@ def momentum_step(
     params: FluidParams,
     dt: float,
     source: FaceVectorField | None = None,
-) -> tuple[State, float]:
+) -> tuple[State, ScalarField, float]:
     """Advection + implicit viscosity + capillary force, then projection.
 
-    Returns the new state (with t unchanged; ``step`` advances it) and the
-    realized advective CFL. The new state carries grad ``c_new`` and its
-    divergence lap ``c_new``, and the buffers of all three become read-only
-    so that the carry cannot go stale. The viscous right-hand sides are
-    formed over the whole block of face buffers and solved on the interior
-    faces, and the projection updates u* in place.
+    Returns the new state (with t unchanged; ``step`` advances it), the
+    pressure of the projection and the realized advective CFL. The new state
+    carries grad ``c_new`` and its divergence lap ``c_new``, and the buffers
+    of all three become read-only so that the carry cannot go stale. The
+    viscous right-hand sides are formed over the whole block of face buffers
+    and solved on the interior faces, and the projection updates u* in place.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -397,8 +396,8 @@ def momentum_step(
         gp *= dt / grid.h[a]
         comp.ravel()[s:] -= gp
         comp[grid.walls[a]] = 0.0
-    new_state = State(t=state.t, u=u_star, c=c_new, p=cell_field(grid, p), carry=(c_new, grad_c, lap_c))
-    return new_state, cfl
+    new_state = State(t=state.t, u=u_star, c=c_new, carry=(c_new, grad_c, lap_c))
+    return new_state, cell_field(grid, p), cfl
 
 
 def step(
@@ -415,7 +414,7 @@ def step(
     finite.
     """
     c_new, material = allen_cahn_step(state, well, params, dt, source=source_c)
-    new_state, cfl = momentum_step(state, c_new, params, dt, source=source_u)
+    new_state, pressure, cfl = momentum_step(state, c_new, params, dt, source=source_u)
     new_state.t = state.t + dt
     fields = [("c", new_state.c.values)]
     fields += [(f"u[{a}]", comp) for a, comp in enumerate(new_state.u.components)]
@@ -423,5 +422,4 @@ def step(
         if not np.isfinite(values).all():
             index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
             raise NumericalError(f"non-finite {name} at t={new_state.t:.6g}, index {index}")
-    report = StepReport(material_derivative=material, cfl=cfl)
-    return new_state, report
+    return new_state, StepReport(material_derivative=material, pressure=pressure, cfl=cfl)

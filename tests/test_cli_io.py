@@ -46,7 +46,7 @@ from nsac.io import (
     write_vtk,
 )
 from nsac.cli import main
-from nsac.grid import make_grid
+from nsac.grid import ScalarField, make_grid
 from nsac.solver import make_state
 
 
@@ -303,7 +303,7 @@ def test_vtk_constant_field(tmp_path):
     state = make_state(grid)
     state.c.values[:] = 0.25
     path = str(tmp_path / "snap.vtk")
-    write_vtk(state, path)
+    write_vtk(state, ScalarField(grid, np.zeros(grid.n)), path)
     dims, ncells, data = _read_vtk_scalars(path)
     assert dims == [5, 5, 1]
     assert ncells == 16
@@ -319,17 +319,17 @@ def test_vtk_bytes_match_per_value_writes(tmp_path, n):
     c = state.c.values
     c[...] = np.linspace(-1.0, 1.0, c.size).reshape(n)
     c[(slice(None),) + (0,) * (len(n) - 1)] = [-0.0, 5e-324, 1.0 / 3.0, 1e16]
-    state.p.values[...] = np.arange(c.size).reshape(n) / 7.0
+    p = ScalarField(grid, np.arange(c.size).reshape(n) / 7.0)
     state.u.components[0][1:-1] = 0.1
     path = tmp_path / "snap.vtk"
-    write_vtk(state, str(path))
+    write_vtk(state, p, str(path))
     text = path.read_text()
 
     # reference writer: one formatted value per line, x fastest
     from nsac.grid import avg_to_cells
     from nsac.io import FLOAT_FMT
 
-    fields = [("c", state.c.values), ("p", state.p.values)]
+    fields = [("c", state.c.values), ("p", p.values)]
     fields += [(f"u_{'xyz'[a]}", v[grid.cell_view]) for a, v in enumerate(avg_to_cells(state.u))]
     expected = text[: text.index("SCALARS")]
     for name, values in fields:
@@ -345,7 +345,7 @@ def test_vtk_value_order_is_x_fastest(tmp_path):
     state = make_state(grid)
     state.c.values[:] = np.arange(20.0).reshape(5, 4)
     path = str(tmp_path / "snap.vtk")
-    write_vtk(state, path)
+    write_vtk(state, ScalarField(grid, np.zeros(grid.n)), path)
     _, _, data = _read_vtk_scalars(path)
     assert np.array_equal(data["c"], state.c.values.ravel(order="F"))
 

@@ -111,7 +111,8 @@ def test_energy_sums_are_taken_over_contiguous_arrays(n):
         F = np.ascontiguousarray(WELL.eval_F(state.c.values))
         assert total_energy(state, WELL, PARAMS).potential == float(F.sum() * vol) / PARAMS.eps
         m = ScalarField(grid, rng.standard_normal(grid.n))
-        report = StepReport(material_derivative=m, cfl=0.0)
+        report = StepReport(material_derivative=m, pressure=ScalarField(grid, np.zeros(grid.n)),
+                            cfl=0.0)
         m2 = np.ascontiguousarray(m.values**2)
         assert dissipation_rates(state, report, PARAMS)[1] == float(m2.sum() * vol)
 

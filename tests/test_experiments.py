@@ -193,7 +193,7 @@ def test_restriction_matches_reshape_mean_bits(dim, data, zeros, seed):
 
 def test_run_wsu_packs_two_scalars_per_sample(monkeypatch):
     """Each coarse level restricts c and the material at every sample, and c
-    of the fine initial state once: p is never restricted (it stays 0)."""
+    of the fine initial state once: a state holds no pressure to restrict."""
     calls = []
     pack = nsac.grid._pack
 
@@ -208,9 +208,6 @@ def test_run_wsu_packs_two_scalars_per_sample(monkeypatch):
     for n in cfg.wsu_levels[:-1]:
         assert calls.count((n, n)) == 1 + 2 * rows
     assert len(calls) == len(cfg.wsu_levels[:-1]) * (1 + 2 * rows)
-    fine = initial_state(cfg, cfg.grid(32))
-    fine.p.values[:] = 1.0
-    assert np.all(restrict_state(fine, cfg.grid(8)).p.values == 0.0)
 
 
 def test_restrict_incompatible_grids():
@@ -228,13 +225,13 @@ def test_restrict_incompatible_grids():
 
 def _audit_every_step(cfg):
     """``run_energy_audit`` of ``cfg`` with a snapshot at every step: the
-    state and energy row of step 0 and of each step."""
+    state, pressure and energy row of step 0 and of each step."""
     n_steps = step_count(cfg.t_end, cfg.dt)
     cfg = dataclasses.replace(cfg, output_every=1, sample_count=n_steps)
     shots = []
-    reports, _ = run_energy_audit(cfg, lambda i, state: shots.append((i, state)))
-    assert [i for i, _ in shots] == list(range(n_steps + 1))
-    return [(state, report) for (_, state), report in zip(shots, reports, strict=True)]
+    reports, _ = run_energy_audit(cfg, lambda i, state, p: shots.append((i, state, p)))
+    assert [i for i, _, _ in shots] == list(range(n_steps + 1))
+    return [(state, p, report) for (_, state, p), report in zip(shots, reports, strict=True)]
 
 
 def test_simulate_samples_and_cumulative_dissipation(monkeypatch):
@@ -244,10 +241,11 @@ def test_simulate_samples_and_cumulative_dissipation(monkeypatch):
                         lambda cfg: made.append(initial_state(cfg)) or made[-1])
     history = _audit_every_step(cfg)
     assert len(history) == 21  # t=0 plus 20 steps
-    assert history[0][0] is made[0] and history[0][1].t == 0.0
+    assert history[0][0] is made[0] and history[0][2].t == 0.0
+    assert np.all(history[0][1].values == 0.0)  # no projection has run at step 0
     assert history[-1][0].t == pytest.approx(0.02, rel=1e-12)
-    assert [r.t for _, r in history] == [s.t for s, _ in history]
-    cums = [r.cumulative_diss for _, r in history]
+    assert [r.t for _, _, r in history] == [s.t for s, _, _ in history]
+    cums = [r.cumulative_diss for _, _, r in history]
     assert cums[0] == 0.0
     assert all(b >= a for a, b in zip(cums, cums[1:]))
 
@@ -257,15 +255,15 @@ def test_simulate_without_energy_matches_with_energy():
     with_e = _audit_every_step(cfg)
     without = list(simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6))
     assert len(with_e) == 7 and len(without) == 6
-    for (a, _), (b, _) in zip(with_e[1:], without):
-        _assert_same_state(a, b)
+    for (a, pa, _), (b, rb) in zip(with_e[1:], without):
+        _assert_same_state(a, b, pa, rb.pressure)
 
 
-def _assert_same_state(a, b):
-    """a and b hold bitwise the same t, u, c and p."""
+def _assert_same_state(a, b, pa, pb):
+    """a and b hold bitwise the same t, u and c, and pa and pb the same p."""
     assert a.t == b.t
     assert np.array_equal(a.c.values, b.c.values)
-    assert np.array_equal(a.p.values, b.p.values)
+    assert np.array_equal(pa.values, pb.values)
     for ua, ub in zip(a.u.components, b.u.components):
         assert np.array_equal(ua, ub)
 
@@ -278,9 +276,9 @@ def test_sourced_simulate_forces_each_step_at_its_start():
     grid = make_grid(2, (16, 16), (1, 1))
     state = ms.state_at(grid, 0.0)
     run = simulate(state, well, params, 1e-3, 4, sources=partial(ms.sources_at, grid))
-    for got, _ in run:
-        state, _ = step(state, well, params, 1e-3, *ms.sources_at(grid, state.t))
-        _assert_same_state(got, state)
+    for got, got_report in run:
+        state, report = step(state, well, params, 1e-3, *ms.sources_at(grid, state.t))
+        _assert_same_state(got, state, got_report.pressure, report.pressure)
     assert state.t == 4e-3
 
 
@@ -295,9 +293,9 @@ def test_simulate_in_two_chunks_equals_one_run(a, b, forced):
     sources = partial(ms.sources_at, grid) if forced else None
     start = ms.state_at(grid, 0.0)
     *_, (mid, _) = simulate(start, well, params, 1e-3, a, sources)
-    *_, (chunked, _) = simulate(mid, well, params, 1e-3, b, sources)
-    *_, (whole, _) = simulate(start, well, params, 1e-3, a + b, sources)
-    _assert_same_state(chunked, whole)
+    *_, (chunked, chunked_report) = simulate(mid, well, params, 1e-3, b, sources)
+    *_, (whole, whole_report) = simulate(start, well, params, 1e-3, a + b, sources)
+    _assert_same_state(chunked, whole, chunked_report.pressure, whole_report.pressure)
 
 
 def test_step_count_needs_a_whole_number_of_steps():

@@ -2,8 +2,9 @@
 
 A budget counts the tracemalloc peak of one call above what was allocated
 before it, in buffers of ``grid.size`` doubles, with the solve plans and
-the edge-weight tables already cached. A stepped state is 2 dim + 4 of
-them (u, c, p, the carried grad c and lap c, and the material).
+the edge-weight tables already cached. A stepped state is 2 dim + 2 of
+them (u, c, the carried grad c and lap c), and its step's report 2 more
+(the material and the pressure).
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from nsac.experiments import (
     ExperimentConfig,
     bubble_concentration,
     run_energy_audit,
+    run_manufactured,
     run_perturbation,
     run_wsu,
 )
@@ -64,10 +66,10 @@ BUDGETS = {(2, 64): (13, 18), (3, 16): (17, 30)}
 
 @pytest.mark.parametrize("dim, n", BUDGETS)
 def test_step_memory_budget(dim, n):
-    """The new state (2 dim + 4 buffers) plus what the solves need; the old
-    carry is freed once the Allen-Cahn right-hand side is formed, and the
-    advection block, the capillary force and the viscous right-hand side
-    before the solves that follow them."""
+    """The new state and report (2 dim + 4 buffers) plus what the solves
+    need; the old carry is freed once the Allen-Cahn right-hand side is
+    formed, and the advection block, the capillary force and the viscous
+    right-hand side before the solves that follow them."""
     state, _ = _stepped_state(dim, n)
     used = _transient_buffers(state.grid, lambda: step(state, WELL, PARAMS, DT))
     assert used <= BUDGETS[dim, n][0], used
@@ -125,7 +127,7 @@ def test_energy_run_holds_no_earlier_state():
     than the input of the step it is taking."""
     refs, alive_at = [], []  # alive_at: (step, states older than the previous alive)
 
-    def snapshot(i, state):
+    def snapshot(i, state, pressure):
         refs.append(weakref.ref(state))
         alive_at.append((i, sum(ref() is not None for ref in refs[:-2])))
 
@@ -134,3 +136,28 @@ def test_energy_run_holds_no_earlier_state():
     run_energy_audit(cfg, snapshot)
     assert [i for i, _ in alive_at] == list(range(7))
     assert all(count == 0 for _, count in alive_at), alive_at
+
+
+@pytest.mark.parametrize("study", ["energy-audit", "mms", "wsu"])
+def test_no_run_holds_a_finished_step(monkeypatch, study):
+    """When a step starts, no earlier step's report (its material derivative
+    and pressure) is alive: a run keeps at most the material a sample pairs."""
+    refs, alive_at = [], []  # alive_at: earlier reports alive at each step call
+
+    def watching_step(*args):
+        alive_at.append(sum(ref() is not None for ref in refs))
+        state, report = step(*args)
+        refs.append(weakref.ref(report))
+        return state, report
+
+    monkeypatch.setattr(nsac.experiments, "step", watching_step)
+    cfg = ExperimentConfig(grid_n=16, dt=1e-3, t_end=0.006, sample_count=3, output_every=1,
+                           init_kind="bubble", wsu_levels=(8, 16, 32))
+    if study == "energy-audit":
+        run_energy_audit(cfg, lambda i, state, pressure: None)
+    elif study == "mms":
+        run_manufactured(dataclasses.replace(cfg, wsu_levels=(8, 16)))
+    else:
+        run_wsu(cfg)
+    assert len(alive_at) == {"energy-audit": 6, "mms": 800, "wsu": 21}[study]
+    assert max(alive_at) == 0, alive_at

@@ -1,10 +1,21 @@
 """Time stepper: capillary force, Allen-Cahn step, momentum step, coupling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsac.certificates import AUDIT_TOL
+from nsac.diagnostics import (
+    check_max_principle,
+    dissipation_rates,
+    energy_audit,
+    max_principle_bounds,
+    total_energy,
+)
+from nsac.experiments import bubble_concentration, simulate
 from nsac.grid import (
     FaceVectorField,
     ScalarField,
@@ -151,9 +162,9 @@ def test_momentum_rest_state_stays_at_rest():
     grid = make_grid(2, (16, 16), (1, 1))
     state = make_state(grid)
     state.c.values[:] = 1.0
-    new_state, _ = momentum_step(state, state.c, PARAMS, DT)
+    new_state, p, _ = momentum_step(state, state.c, PARAMS, DT)
     assert all(np.all(c == 0.0) for c in new_state.u.components)
-    assert np.allclose(new_state.p.values, 0.0, atol=1e-12)
+    assert np.allclose(p.values, 0.0, atol=1e-12)
 
 
 def test_momentum_projection_divergence():
@@ -162,7 +173,7 @@ def test_momentum_projection_divergence():
     comps = [0.3 * rng.standard_normal(grid.face_shape(a)) for a in range(2)]
     state = make_state(grid, u=enforce_dirichlet(FaceVectorField(grid, comps)))
     state.c.values[:] = 1.0
-    new_state, _ = momentum_step(state, state.c, PARAMS, DT)
+    new_state, _, _ = momentum_step(state, state.c, PARAMS, DT)
     umax = max(np.max(np.abs(c)) for c in new_state.u.components)
     tol = 1e-8 * (1.0 + umax / min(grid.h))
     assert np.max(np.abs(divergence(new_state.u).values)) <= tol
@@ -174,7 +185,7 @@ def test_momentum_projection_divergence_3d():
     comps = [0.3 * rng.standard_normal(grid.face_shape(a)) for a in range(3)]
     state = make_state(grid, u=enforce_dirichlet(FaceVectorField(grid, comps)))
     state.c.values[:] = 1.0
-    new_state, _ = momentum_step(state, state.c, PARAMS, DT)
+    new_state, _, _ = momentum_step(state, state.c, PARAMS, DT)
     umax = max(np.max(np.abs(c)) for c in new_state.u.components)
     tol = 1e-8 * (1.0 + umax / min(grid.h))
     assert np.max(np.abs(divergence(new_state.u).values)) <= tol
@@ -281,8 +292,8 @@ def test_advection_term_matches_node_grid_form(grid, seed):
 def _reference_step(state, well, params, dt, source_c=None, source_u=None):
     """One step composed the straightforward way: lap c from ``laplacian``,
     full-size viscous right-hand sides, and the projection through a
-    ``gradient(p)`` field. Returns the new state, the material derivative
-    and the CFL number."""
+    ``gradient(p)`` field. Returns the new state, the pressure, the material
+    derivative and the CFL number."""
     grid, dim, eps = state.grid, state.grid.dim, params.eps
     c = state.c
     adv = advect_scalar(state.u, gradient(c)).values
@@ -311,7 +322,7 @@ def _reference_step(state, well, params, dt, source_c=None, source_u=None):
     p = solve_neumann_poisson(grid, rhs_p - rhs_p.mean())
     gp = gradient(ScalarField(grid, p))
     u_new = FaceVectorField(grid, [star[a] - dt * gp.components[a] for a in range(dim)])
-    return State(state.t + dt, u_new, c_new, ScalarField(grid, p)), material, cfl
+    return State(state.t + dt, u_new, c_new), ScalarField(grid, p), material, cfl
 
 
 def _assert_walls_zero(v):
@@ -346,7 +357,8 @@ def test_step_matches_reference_composition(grid, seed, sources, dt):
 
     for _ in range(5):
         u_before = umax(ref.u)
-        ref, ref_material, ref_cfl = _reference_step(ref, WELL, PARAMS, dt, source_c, source_u)
+        ref, ref_p, ref_material, ref_cfl = _reference_step(ref, WELL, PARAMS, dt, source_c,
+                                                            source_u)
         state, report = step(state, WELL, PARAMS, dt, source_c, source_u)
         assert state.t == ref.t
         assert close(state.c.values, ref.c.values)
@@ -354,7 +366,7 @@ def test_step_matches_reference_composition(grid, seed, sources, dt):
         # the projection subtracts dt*grad(p), so a roundoff of 1e-12*|u| in u*
         # is a roundoff of 1e-12*|u|*h/dt in p, however small p itself is
         p_floor = max(u_before, umax(ref.u)) * min(grid.h) / dt
-        assert close(state.p.values, ref.p.values, p_floor)
+        assert close(report.pressure.values, ref_p.values, p_floor)
         assert close(report.material_derivative.values, ref_material)
         assert abs(report.cfl - ref_cfl) <= 1e-12 * ref_cfl
         grad_c, lap_c = state.carried()
@@ -396,19 +408,17 @@ def test_step_deterministic():
         state = make_state(grid, u=stream_function_velocity(grid, 0.3))
         state.c.values[:] = c0
         for _ in range(3):
-            state, _ = step(state, WELL, PARAMS, DT)
-        return state
+            state, report = step(state, WELL, PARAMS, DT)
+        return state, report
 
-    a, b = run(), run()
+    (a, ra), (b, rb) = run(), run()
     assert np.array_equal(a.c.values, b.c.values)
-    assert np.array_equal(a.p.values, b.p.values)
+    assert np.array_equal(ra.pressure.values, rb.pressure.values)
     for ca, cb in zip(a.u.components, b.u.components):
         assert np.array_equal(ca, cb)
 
 
 def test_step_energy_decreases_for_bubble():
-    from nsac.diagnostics import total_energy
-
     grid = make_grid(2, (64, 64), (1, 1))
     state = make_state(grid)
     X = grid.cell_centers(0)[:, None]
@@ -442,8 +452,8 @@ def test_pressure_zero_mean():
     grid = make_grid(2, (32, 32), (1, 1))
     state = make_state(grid, u=stream_function_velocity(grid, 0.5))
     state.c.values[:] = 1.0
-    state, _ = step(state, WELL, PARAMS, DT)
-    assert abs(state.p.values.mean()) < 1e-12
+    _, report = step(state, WELL, PARAMS, DT)
+    assert abs(report.pressure.values.mean()) < 1e-12
 
 
 def test_three_dimensional_step_runs():
@@ -456,6 +466,28 @@ def test_three_dimensional_step_runs():
     assert umax == 0.0
 
 
+def test_three_dimensional_bubble_keeps_its_certificates():
+    """A 12^3 bubble at rest, stepped through ``simulate``: the capillary force
+    sets it moving, and every step keeps the maximum principle, the energy
+    inequality, a discretely divergence-free velocity and no-slip walls."""
+    grid = make_grid(3, (12, 12, 12), (1.0, 1.0, 1.0))
+    state = make_state(grid)
+    state.c.values[:] = bubble_concentration(grid, PARAMS.eps)
+    bounds = max_principle_bounds(state.c, WELL)
+    dt, cum = 1e-3, 0.0
+    rows = [total_energy(state, WELL, PARAMS)]
+    for state, report in simulate(state, WELL, PARAMS, dt, 20):
+        check_max_principle(state, bounds, len(rows))
+        visc, ac = dissipation_rates(state, report, PARAMS)
+        cum += dt * (visc + ac)
+        rows.append(dataclasses.replace(total_energy(state, WELL, PARAMS), cumulative_diss=cum))
+        assert np.max(np.abs(divergence(state.u).values)) <= 1e-12
+        _assert_walls_zero(state.u)
+    assert len(rows) == 21
+    assert energy_audit(rows) <= AUDIT_TOL
+    assert max(np.max(np.abs(c)) for c in state.u.components) > 0.0
+
+
 def _stirred_bubble(n=24):
     grid = make_grid(2, (n, n), (1, 1))
     state = make_state(grid, u=stream_function_velocity(grid, 0.5))
@@ -466,24 +498,22 @@ def _stirred_bubble(n=24):
     return state
 
 
-def _assert_states_equal(a, b):
+def _assert_states_equal(a, b, pa, pb):
     assert a.t == b.t
     assert np.array_equal(a.c.values, b.c.values)
-    assert np.array_equal(a.p.values, b.p.values)
+    assert np.array_equal(pa.values, pb.values)
     for ca, cb in zip(a.u.components, b.u.components):
         assert np.array_equal(ca, cb)
 
 
 def test_carried_derivatives_are_bitwise_reuse():
-    from nsac.diagnostics import total_energy
-
     carried = fresh = _stirred_bubble()
     for _ in range(6):
         carried, rep = step(carried, WELL, PARAMS, DT)
         # a copy drops the carry, so this run recomputes grad c and lap c
         fresh, rep_fresh = step(fresh.copy(), WELL, PARAMS, DT)
         assert carried.carried() is not None and fresh.copy().carried() is None
-        _assert_states_equal(carried, fresh)
+        _assert_states_equal(carried, fresh, rep.pressure, rep_fresh.pressure)
         assert np.array_equal(rep.material_derivative.values,
                               rep_fresh.material_derivative.values)
         assert total_energy(carried, WELL, PARAMS) == total_energy(fresh.copy(), WELL, PARAMS)
@@ -500,9 +530,9 @@ def test_rebinding_c_makes_the_step_recompute():
     state, _ = step(_stirred_bubble(), WELL, PARAMS, DT)
     state.c = ScalarField(state.grid, 0.9 * state.c.values)
     assert state.carried() is None
-    want, _ = step(state.copy(), WELL, PARAMS, DT)
-    got, _ = step(state, WELL, PARAMS, DT)
-    _assert_states_equal(got, want)
+    want, want_report = step(state.copy(), WELL, PARAMS, DT)
+    got, got_report = step(state, WELL, PARAMS, DT)
+    _assert_states_equal(got, want, got_report.pressure, want_report.pressure)
 
 
 def test_stepped_concentration_is_read_only():
