@@ -57,7 +57,7 @@ def wsu_gates(report) -> list[Gate]:
     below 0); and the first refinement ratio of max E is at least
     ``WSU_RATIO``.
     """
-    rise = float(np.max(np.diff([lv.max_entropy for lv in report.levels])))
+    rise = float(np.max(np.diff([trace.max_entropy for trace in report.levels.values()])))
     return [
         _within("wsu.twin_zero", report.twin_entropy_max, (0.0, 0.0)),
         Gate("wsu.monotone", rise, 0.0, bool(rise < 0.0)),
@@ -65,8 +65,8 @@ def wsu_gates(report) -> list[Gate]:
     ]
 
 
-def _raw_deficit(rei) -> float:
-    return float(np.max(np.maximum(0.0, -rei.slack)))
+def _raw_deficit(trace) -> float:
+    return float(np.max(np.maximum(0.0, -trace.slack)))
 
 
 def rei_gates(report) -> list[Gate]:
@@ -76,7 +76,7 @@ def rei_gates(report) -> list[Gate]:
     every sample (the gated value is the worst excess), and the next coarser
     one's raw deficit is at least ``REI_REFINEMENT`` times the finest's.
     """
-    coarse, fine = (lv.rei for lv in report.pairs[-2:])
+    coarse, fine = report.pairs[-2:]
     lhs = fine.lhs_entropy_gap + fine.lhs_visc + fine.lhs_ac
     excess = np.maximum(0.0, -fine.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
     return [
@@ -85,9 +85,9 @@ def rei_gates(report) -> list[Gate]:
     ]
 
 
-def gronwall_gates(fit) -> list[Gate]:
-    """E stays under the fitted exponential bound of a ``GronwallFit``."""
-    return [_at_most("gronwall.violated", fit.violated, False)]
+def gronwall_gates(trace) -> list[Gate]:
+    """E stays under the fitted exponential bound of a ``PairTrace``."""
+    return [_at_most("gronwall.violated", trace.violated, False)]
 
 
 def mms_gates(table) -> list[Gate]:

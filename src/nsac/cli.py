@@ -115,25 +115,25 @@ def _cmd_energy_audit(run: _Run) -> list[Gate]:
 
 def _cmd_wsu(run: _Run) -> list[Gate]:
     report = run_wsu(run.cfg)
-    for lv in report.levels:
-        write_entropy_csv(lv.trace, lv.fit.bound_curve, run.path(f"entropy_{lv.n}.csv"))
-        write_rei_csv(lv.rei, run.path(f"rei_{lv.n}.csv"))
-        run.say(f"level {lv.n}: max entropy {lv.max_entropy:.6e}, fitted k {lv.fit.k:.4g}")
+    for n, trace in report.levels.items():
+        write_entropy_csv(trace, run.path(f"entropy_{n}.csv"))
+        write_rei_csv(trace, run.path(f"rei_{n}.csv"))
+        run.say(f"level {n}: max entropy {trace.max_entropy:.6e}, fitted k {trace.k:.4g}")
     run.say(f"refinement ratios: {[f'{r:.2f}' for r in report.refinement_ratios]}")
     return wsu_gates(report)
 
 
 def _cmd_perturb(run: _Run) -> list[Gate]:
-    trace, fit = run_perturbation(run.cfg)
-    write_entropy_csv(trace, fit.bound_curve, run.path("entropy.csv"))
-    run.say(f"fitted k: {fit.k:.6g}")
-    return gronwall_gates(fit)
+    trace = run_perturbation(run.cfg)
+    write_entropy_csv(trace, run.path("entropy.csv"))
+    run.say(f"fitted k: {trace.k:.6g}")
+    return gronwall_gates(trace)
 
 
 def _cmd_rei_check(run: _Run) -> list[Gate]:
     report = run_wsu(run.cfg, twin=False)
-    for lv in report.levels:
-        write_rei_csv(lv.rei, run.path(f"rei_{lv.n}.csv"))
+    for n, trace in report.levels.items():
+        write_rei_csv(trace, run.path(f"rei_{n}.csv"))
     return rei_gates(report)
 
 

@@ -1,7 +1,8 @@
 """Diagnostics of discrete runs: energy budget, maximum-principle bounds and
 check, relative entropy, the itemized relative-entropy inequality, and the
 Gronwall-type bound fit. A weak/strong pair is reduced to one row of scalars
-per sample time, so no run's states need to be stored.
+per sample time, so no run's states need to be stored, and its rows to one
+``PairTrace`` whose fields are its output columns.
 
 All space integrals use midpoint quadrature; velocity gradients combine
 cell-centered normal derivatives with edge-grid cross derivatives (trapezoid
@@ -254,33 +255,8 @@ def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class RelEntropyTrace:
-    times: np.ndarray
-    E: np.ndarray
-    D: np.ndarray
-    omega: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # relative entropy inequality
-
-
-@dataclass
-class REITrace:
-    """Cumulative LHS/RHS entries of the inequality at every sample time."""
-
-    times: np.ndarray
-    lhs_entropy_gap: np.ndarray
-    lhs_visc: np.ndarray
-    lhs_ac: np.ndarray
-    r_conv: np.ndarray
-    r_eps1: np.ndarray
-    r_eps2: np.ndarray
-    r_eps3: np.ndarray
-    r_eps4: np.ndarray
-    r_f: np.ndarray
-    slack: np.ndarray
 
 
 def _average_edges_to_cells(grid: Grid, grads: np.ndarray) -> None:
@@ -408,20 +384,55 @@ def pair_row(
     return PairRow(weak.t, E, visc, ac, conv, eps1, eps2, eps3, eps4, f, omega)
 
 
-def pair_traces(rows: list[PairRow]) -> tuple[RelEntropyTrace, REITrace]:
-    """Relative-entropy trace (D = visc + ac) and itemized REI of a pair.
+@dataclass
+class PairTrace:
+    """A weak/strong pair reduced over its sample times.
+
+    The fields are the output columns: the entropy file's (relative entropy
+    E, dissipation rate difference D = visc + ac, Gronwall weight omega and
+    the fitted bound), then the REI file's after t (cumulative LHS and RHS
+    entries and the slack RHS - LHS), then the fitted rate k and whether E
+    ever exceeds the bound.
+    """
+
+    t: np.ndarray
+    E: np.ndarray
+    D: np.ndarray
+    omega: np.ndarray
+    bound_curve: np.ndarray
+    lhs_entropy_gap: np.ndarray
+    lhs_visc: np.ndarray
+    lhs_ac: np.ndarray
+    r_conv: np.ndarray
+    r_eps1: np.ndarray
+    r_eps2: np.ndarray
+    r_eps3: np.ndarray
+    r_eps4: np.ndarray
+    r_f: np.ndarray
+    slack: np.ndarray
+    k: float
+    violated: bool
+
+    @property
+    def max_entropy(self) -> float:
+        return float(np.max(self.E))
+
+
+def pair_trace(rows: list[PairRow]) -> PairTrace:
+    """The trace of a pair's rows, with its Gronwall fit.
 
     Time integrals are trapezoidal on the sample times of the rows.
     """
     t, E, visc, ac, *rates, omega = np.array(rows).T.copy()
+    D = visc + ac
     cum = [_cumtrapz(t, r) for r in rates]
     lhs_gap = E - E[0]
     lhs_visc = _cumtrapz(t, visc)
     lhs_ac = _cumtrapz(t, ac)
     slack = sum(cum) - (lhs_gap + lhs_visc + lhs_ac)
-    trace = RelEntropyTrace(times=t, E=E, D=visc + ac, omega=omega)
-    rei = REITrace(t, lhs_gap, lhs_visc, lhs_ac, *cum, slack)
-    return trace, rei
+    k, bound_curve, violated = gronwall_fit(t, E, D, omega)
+    return PairTrace(t, E, D, omega, bound_curve, lhs_gap, lhs_visc, lhs_ac, *cum, slack,
+                     k, violated)
 
 
 # ---------------------------------------------------------------------------
@@ -431,34 +442,27 @@ def pair_traces(rows: list[PairRow]) -> tuple[RelEntropyTrace, REITrace]:
 GRONWALL_LAMBDA = 0.5  # the share of the dissipation the bound counts on its right
 
 
-@dataclass
-class GronwallFit:
-    k: float
-    bound_curve: np.ndarray
-    violated: bool
-
-
-def gronwall_fit(trace: RelEntropyTrace) -> GronwallFit:
+def gronwall_fit(
+    t: np.ndarray, E: np.ndarray, D: np.ndarray, omega: np.ndarray
+) -> tuple[float, np.ndarray, bool]:
     """Least k >= 0 with E(t) - E(0) + D(t) <= lambda D(t) + k int_0^t omega E,
-    lambda = ``GRONWALL_LAMBDA``.
+    lambda = ``GRONWALL_LAMBDA``, with the bound curve and whether E violates it.
 
-    D is the time-integrated dissipation difference. The bound curve is
-    E(0) exp(k int_0^t omega); ``violated`` records whether E ever exceeds it
-    by more than ``GRONWALL_REL_TOL`` relative.
+    ``D`` is the dissipation rate difference, and D(t) above its time
+    integral. The bound curve is E(0) exp(k int_0^t omega); E violates it
+    where it exceeds it by more than ``GRONWALL_REL_TOL`` relative.
     """
-    times = np.asarray(trace.times)
-    if len(times) == 0:
+    if len(t) == 0:
         raise ValueError("empty trace")
-    E = np.asarray(trace.E)
-    D = _cumtrapz(times, np.asarray(trace.D))
-    omegaE = _cumtrapz(times, np.asarray(trace.omega) * E)
+    D = _cumtrapz(t, D)
+    omegaE = _cumtrapz(t, omega * E)
     numer = E - E[0] + (1.0 - GRONWALL_LAMBDA) * D
     k = 0.0
-    for j in range(1, len(times)):
+    for j in range(1, len(t)):
         if omegaE[j] > 0 and numer[j] > 0:
             k = max(k, numer[j] / omegaE[j])
-    cum_omega = _cumtrapz(times, np.asarray(trace.omega))
+    cum_omega = _cumtrapz(t, omega)
     bound = E[0] * np.exp(np.minimum(k * cum_omega, 700.0))
     scale = np.maximum(bound, E[0] if E[0] > 0 else 1.0)
     violated = not np.all(E <= bound + GRONWALL_REL_TOL * scale)  # a NaN E fails
-    return GronwallFit(k=k, bound_curve=bound, violated=violated)
+    return k, bound, violated

@@ -12,17 +12,14 @@ import numpy as np
 
 from .diagnostics import (
     EnergyReport,
-    GronwallFit,
-    REITrace,
-    RelEntropyTrace,
+    PairTrace,
     check_max_principle,
     dissipation_rates,
     energy_audit,
-    gronwall_fit,
     kinetic_energy,
     max_principle_bounds,
     pair_row,
-    pair_traces,
+    pair_trace,
     total_energy,
 )
 from .grid import FaceVectorField, Grid, ScalarField, _axslice, enforce_dirichlet, make_grid
@@ -347,33 +344,25 @@ def _ratios(fine: Grid, coarse: Grid) -> list[int]:
 
 
 @dataclass
-class LevelResult:
-    n: int
-    trace: RelEntropyTrace
-    rei: REITrace
-    fit: GronwallFit
-    max_entropy: float
-
-
-@dataclass
 class WSUReport:
-    levels: list[LevelResult]
+    levels: dict[int, PairTrace]  # each level n's trace, coarsest first
     twin_entropy_max: float | None
 
     @property
-    def pairs(self) -> list[LevelResult]:
-        """The levels whose weak run is paired with the restricted finest run.
+    def pairs(self) -> list[PairTrace]:
+        """The traces whose weak run is paired with the restricted finest run.
 
         The finest level, when present, is its own strong proxy (entropy
         identically zero), so it is left out.
         """
-        return self.levels if self.twin_entropy_max is None else self.levels[:-1]
+        traces = list(self.levels.values())
+        return traces if self.twin_entropy_max is None else traces[:-1]
 
     @property
     def refinement_ratios(self) -> list[float]:
         """max_t E ratios between consecutive paired levels; a finer maximum
         of 0 gives inf (or NaN over 0) rather than raising."""
-        maxima = [lv.max_entropy for lv in self.pairs]
+        maxima = [trace.max_entropy for trace in self.pairs]
         with np.errstate(divide="ignore", invalid="ignore"):
             return [float(np.divide(a, b)) for a, b in zip(maxima, maxima[1:])]
 
@@ -416,19 +405,11 @@ def run_wsu(cfg: ExperimentConfig, twin: bool = True) -> WSUReport:
         if twin:
             rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
 
-    results = []
-    for n, level_rows in zip(paired, rows):
-        trace, rei = pair_traces(level_rows)
-        results.append(
-            LevelResult(
-                n=n, trace=trace, rei=rei, fit=gronwall_fit(trace),
-                max_entropy=float(np.max(trace.E)),
-            )
-        )
-    return WSUReport(levels=results, twin_entropy_max=results[-1].max_entropy if twin else None)
+    traces = {n: pair_trace(level_rows) for n, level_rows in zip(paired, rows)}
+    return WSUReport(traces, traces[paired[-1]].max_entropy if twin else None)
 
 
-def run_perturbation(cfg: ExperimentConfig) -> tuple[RelEntropyTrace, GronwallFit]:
+def run_perturbation(cfg: ExperimentConfig) -> PairTrace:
     """Twin runs differing by ``perturbation.delta`` times a fixed unit-energy
     solenoidal field."""
     well, params, delta = cfg.well, cfg.params, cfg.perturbation_delta
@@ -442,12 +423,10 @@ def run_perturbation(cfg: ExperimentConfig) -> tuple[RelEntropyTrace, GronwallFi
     samples = _lockstep([weak0, strong0], [(cfg.dt, 1)] * 2, chunks, well, params)
     # the generator holds the only references to the initial states now
     del weak0, strong0
-    rows = [
+    return pair_trace([
         pair_row(weak, strong, weak_m, strong_m, well, params)
         for (weak, strong), (weak_m, strong_m) in samples
-    ]
-    trace, _ = pair_traces(rows)
-    return trace, gronwall_fit(trace)
+    ])
 
 
 def run_energy_audit(

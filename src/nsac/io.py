@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Gate
-from .diagnostics import EnergyReport, REITrace, RelEntropyTrace, audit_values
+from .diagnostics import EnergyReport, PairTrace, audit_values
 from .experiments import ConvergenceTable, ExperimentConfig
 from .grid import ScalarField, avg_to_cells
 from .solver import State
@@ -121,14 +121,12 @@ def write_energy_csv(reports: list[EnergyReport], path: str):
     _write_table(path, ENERGY_COLUMNS, cols + [audit_values(reports)])
 
 
-def write_entropy_csv(trace: RelEntropyTrace, bound_curve: np.ndarray, path: str):
-    _write_table(path, ENTROPY_COLUMNS,
-                 [trace.times, trace.E, trace.D, trace.omega, bound_curve])
+def write_entropy_csv(trace: PairTrace, path: str):
+    _write_table(path, ENTROPY_COLUMNS, [getattr(trace, name) for name in ENTROPY_COLUMNS])
 
 
-def write_rei_csv(trace: REITrace, path: str):
-    _write_table(path, REI_COLUMNS,
-                 [getattr(trace, "times" if name == "t" else name) for name in REI_COLUMNS])
+def write_rei_csv(trace: PairTrace, path: str):
+    _write_table(path, REI_COLUMNS, [getattr(trace, name) for name in REI_COLUMNS])
 
 
 def write_mms_csv(table: ConvergenceTable, spatial_path: str, temporal_path: str):

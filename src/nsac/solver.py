@@ -83,9 +83,6 @@ class State:
             return None
         return self.carry[1], self.carry[2]
 
-    def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.c.copy())
-
 
 @dataclass
 class StepReport:

@@ -6,7 +6,7 @@ with ``n[a] + 1`` along ``a``), and each stencil slices it per axis. This is
 the arithmetic the padded layout of ``nsac.grid`` must reproduce bit for
 bit: same operations, same order, for each entry. The module also holds
 oracles that only the tests use: the midpoint integral ``integrate`` and
-the viscous operator ``_component_laplacian``.
+the viscous operator ``_component_laplacian``, and ``copy_state``.
 """
 
 from typing import NamedTuple
@@ -15,7 +15,14 @@ import numpy as np
 
 from nsac.diagnostics import PairRow, _edge_weights
 from nsac.grid import FaceVectorField, Grid, ScalarField, _axslice
-from nsac.solver import CFLError, CFL_LIMIT, _spectral_solve, advective_cfl, solve_neumann_poisson
+from nsac.solver import (
+    CFL_LIMIT,
+    CFLError,
+    _spectral_solve,
+    advective_cfl,
+    make_state,
+    solve_neumann_poisson,
+)
 
 
 class Sides(NamedTuple):
@@ -317,9 +324,14 @@ def pair_row(weak, strong, weak_material, strong_material, well, params):
 
 
 # ---------------------------------------------------------------------------
-# test-only oracles: the midpoint integral of a cell field, and the Dirichlet
-# component Laplacian that the viscous solve and the grad-norm identity are
-# checked against
+# test-only helpers: a state's copy, the midpoint integral of a cell field,
+# and the Dirichlet component Laplacian that the viscous solve and the
+# grad-norm identity are checked against
+
+
+def copy_state(s):
+    """A state with copies of ``s``'s u and c, and no carry."""
+    return make_state(s.grid, s.t, s.u.copy(), s.c.copy())
 
 
 def integrate(f: ScalarField) -> float:

@@ -22,7 +22,6 @@ from nsac.certificates import (
     WSU_RATIO,
 )
 from nsac.diagnostics import (
-    RelEntropyTrace,
     dissipation_rates,
     energy_audit,
     gronwall_fit,
@@ -50,7 +49,7 @@ from nsac.grid import (
     make_grid,
 )
 from nsac.solver import FluidParams, make_state, step
-from standard_layout import integrate
+from standard_layout import copy_state, integrate
 
 BENCH = dict(grid_n=64, dt=2.5e-4, t_end=0.5)
 
@@ -215,7 +214,7 @@ def test_criterion_5_relative_entropy_identities():
     base = kinetic_energy(dv)
     quad_ok = True
     for alpha in (2.0, 0.5, 7.0):
-        weak = strong.copy()
+        weak = copy_state(strong)
         weak.u = FaceVectorField(
             grid,
             [strong.u.components[a] + alpha * dv.components[a] for a in range(2)])
@@ -245,18 +244,18 @@ def wsu_run():
 
 def test_criterion_6_rei_check(wsu_run):
     report, _ = wsu_run
-    by_n = {lv.n: lv for lv in report.levels}
+    by_n = report.levels
 
-    def deficit(lv):
-        lhs = lv.rei.lhs_entropy_gap + lv.rei.lhs_visc + lv.rei.lhs_ac
-        return np.maximum(0.0, -lv.rei.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
+    def deficit(trace):
+        lhs = trace.lhs_entropy_gap + trace.lhs_visc + trace.lhs_ac
+        return np.maximum(0.0, -trace.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
 
     d64 = deficit(by_n[64])
     d32 = deficit(by_n[32])
     worst64 = float(np.max(d64))
     # raw (untoleranced) deficits for the refinement comparison
-    raw32 = float(np.max(np.maximum(0.0, -by_n[32].rei.slack)))
-    raw64 = float(np.max(np.maximum(0.0, -by_n[64].rei.slack)))
+    raw32 = float(np.max(np.maximum(0.0, -by_n[32].slack)))
+    raw64 = float(np.max(np.maximum(0.0, -by_n[64].slack)))
     ok = worst64 == 0.0 and raw32 >= REI_REFINEMENT * raw64
     _report(
         "6 REI check",
@@ -268,7 +267,7 @@ def test_criterion_6_rei_check(wsu_run):
 
 def test_criterion_7_weak_strong_uniqueness(wsu_run):
     report, elapsed = wsu_run
-    maxima = [lv.max_entropy for lv in report.levels]
+    maxima = [trace.max_entropy for trace in report.levels.values()]
     monotone = all(b < a for a, b in zip(maxima, maxima[1:]))
     ratio = report.refinement_ratios[0]
     twin_zero = report.twin_entropy_max == 0.0
@@ -290,8 +289,8 @@ def test_criterion_8_gronwall_bound():
     fits = {}
     curves = {}
     for delta in (1e-3, 1e-2):
-        trace, fit = run_perturbation(dataclasses.replace(cfg, perturbation_delta=delta))
-        fits[delta] = fit
+        trace = run_perturbation(dataclasses.replace(cfg, perturbation_delta=delta))
+        fits[delta] = trace
         curves[delta] = trace.E / trace.E[0]
     not_violated = not any(f.violated for f in fits.values())
     curve_dev = float(np.max(np.abs(curves[1e-3] - curves[1e-2])
@@ -301,9 +300,8 @@ def test_criterion_8_gronwall_bound():
 
     # synthetic oracle: E = E0 e^{2t}, omega = 1 must recover k = 2 within 1%
     times = np.linspace(0.0, 1.0, 2001)
-    synth = RelEntropyTrace(times=times, E=0.3 * np.exp(2 * times),
-                            D=np.zeros_like(times), omega=np.ones_like(times))
-    k_synth = gronwall_fit(synth).k
+    k_synth, _, _ = gronwall_fit(times, 0.3 * np.exp(2 * times),
+                                 np.zeros_like(times), np.ones_like(times))
     synth_ok = abs(k_synth - 2.0) <= 0.02
 
     ok = not_violated and curve_dev <= 0.2 and k_stable and synth_ok

@@ -21,12 +21,11 @@ from nsac.certificates import (
     rei_gates,
     wsu_gates,
 )
-from nsac.diagnostics import EnergyReport, REITrace, RelEntropyTrace, gronwall_fit
+from nsac.diagnostics import EnergyReport, PairTrace, gronwall_fit
 from nsac.experiments import (
     INIT_KINDS,
     ConvergenceTable,
     ExperimentConfig,
-    LevelResult,
     WSUReport,
 )
 from nsac.io import (
@@ -222,31 +221,29 @@ def test_energy_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(cols[-1], expect)
 
 
+def _random_trace(rng, n):
+    """A ``PairTrace`` whose every column holds n standard normal samples."""
+    columns = ENTROPY_COLUMNS + REI_COLUMNS[1:]
+    return PairTrace(**{name: rng.standard_normal(n) for name in columns},
+                     k=rng.standard_normal(), violated=False)
+
+
 def test_entropy_csv_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(61)
-    n = 15
-    trace = RelEntropyTrace(
-        times=rng.standard_normal(n), E=rng.standard_normal(n),
-        D=rng.standard_normal(n), omega=rng.standard_normal(n),
-    )
-    bound = rng.standard_normal(n)
+    trace = _random_trace(rng, 15)
     path = str(tmp_path / "entropy.csv")
-    write_entropy_csv(trace, bound, path)
-    cols = _load_csv(path, ENTROPY_COLUMNS)
-    for name, col in zip(("times", "E", "D", "omega"), cols):
+    write_entropy_csv(trace, path)
+    for name, col in zip(ENTROPY_COLUMNS, _load_csv(path, ENTROPY_COLUMNS)):
         assert np.array_equal(getattr(trace, name), col), name
-    assert np.array_equal(bound, cols[-1])
 
 
 def test_rei_csv_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(62)
-    n = 12
-    fields = {name: rng.standard_normal(n) for name in ("times",) + REI_COLUMNS[1:]}
-    trace = REITrace(**fields)
+    trace = _random_trace(rng, 12)
     path = str(tmp_path / "rei.csv")
     write_rei_csv(trace, path)
-    for (name, arr), col in zip(fields.items(), _load_csv(path, REI_COLUMNS)):
-        assert np.array_equal(arr, col), name
+    for name, col in zip(REI_COLUMNS, _load_csv(path, REI_COLUMNS)):
+        assert np.array_equal(getattr(trace, name), col), name
 
 
 def test_mms_csv_layouts(tmp_path):
@@ -596,23 +593,25 @@ def test_cli_simulate_checks_the_max_principle(tmp_path, capsys, monkeypatch):
     assert "maximum principle violated at step 3" in capsys.readouterr().err
 
 
+def _trace(E, slack=0.0):
+    """The ``PairTrace`` of entropy E at t = 0, 0.1, 0.2 with D = 0, omega = 1,
+    its Gronwall fit, zero REI entries and the given slack at every sample."""
+    t = np.array([0.0, 0.1, 0.2])
+    E, zero, omega = np.array(E, dtype=float), np.zeros_like(t), np.ones_like(t)
+    k, bound_curve, violated = gronwall_fit(t, E, zero, omega)
+    rei = dict.fromkeys(REI_COLUMNS[1:-1], zero)
+    return PairTrace(t=t, E=E, D=zero, omega=omega, bound_curve=bound_curve, **rei,
+                     slack=np.full_like(t, slack), k=k, violated=violated)
+
+
 def _fake_wsu_report(maxima, slack, twin=True):
     """Levels 8, 16 and 32 whose max entropies are ``maxima``; level i's REI
     slack is ``slack[i]`` at every sample. Without ``twin`` the report drops
     the finest level, as ``run_wsu`` does."""
-    times = np.array([0.0, 0.1, 0.2])
-    zero = np.zeros_like(times)
-    rei_cols = dict.fromkeys(["lhs_entropy_gap", "lhs_visc", "lhs_ac", "r_conv",
-                              "r_eps1", "r_eps2", "r_eps3", "r_eps4", "r_f"], zero)
-    levels = []
-    for n, m, s in zip((8, 16, 32), maxima, slack):
-        trace = RelEntropyTrace(times=times, E=np.full_like(times, m), D=zero,
-                                omega=np.ones_like(times))
-        rei = REITrace(times=times, slack=np.full_like(times, s), **rei_cols)
-        levels.append(LevelResult(n=n, trace=trace, rei=rei, fit=gronwall_fit(trace),
-                                  max_entropy=m))
+    levels = {n: _trace([m] * 3, slack=s) for n, m, s in zip((8, 16, 32), maxima, slack)}
     if not twin:
-        return WSUReport(levels=levels[:-1], twin_entropy_max=None)
+        del levels[32]
+        return WSUReport(levels=levels, twin_entropy_max=None)
     return WSUReport(levels=levels, twin_entropy_max=maxima[-1])
 
 
@@ -692,10 +691,7 @@ def test_cli_simulate_gates_the_energy_audit(tmp_path, capsys, monkeypatch):
 
 
 def _gronwall(x):
-    times = np.array([0.0, 0.1, 0.2])
-    trace = RelEntropyTrace(times=times, E=np.array([1.0, x, 1.0]),
-                            D=np.zeros_like(times), omega=np.ones_like(times))
-    return gronwall_gates(gronwall_fit(trace))
+    return gronwall_gates(_trace([1.0, x, 1.0]))
 
 
 def _mms(spatial, temporal):

@@ -9,14 +9,13 @@ from nsac.diagnostics import (
     _edge_weights,
     _entry_view,
     EnergyReport,
-    RelEntropyTrace,
     dissipation_rates,
     energy_audit,
     gronwall_fit,
     kinetic_energy,
     max_principle_bounds,
     pair_row,
-    pair_traces,
+    pair_trace,
     relative_entropy,
     total_energy,
     velocity_gradient,
@@ -25,7 +24,7 @@ from nsac.diagnostics import (
 from nsac.grid import FaceVectorField, ScalarField, enforce_dirichlet, make_grid
 from nsac.potential import DoubleWell
 from nsac.solver import FluidParams, StepReport, make_state
-from standard_layout import _component_laplacian
+from standard_layout import _component_laplacian, copy_state
 
 WELL = DoubleWell()
 PARAMS = FluidParams(nu=0.01, eps=0.05)
@@ -235,7 +234,7 @@ def test_relative_entropy_quadratic_scaling():
     grid = make_grid(2, (16, 16), (1, 1))
     rng = np.random.default_rng(35)
     strong = random_state(grid, rng)
-    weak = strong.copy()
+    weak = copy_state(strong)
     dv = random_velocity(grid, rng, 0.1)
     for alpha in (1.0, 2.0, 0.25):
         weak.u = FaceVectorField(
@@ -312,7 +311,7 @@ def test_rei_terms_r_f_quadratic_well_oracle():
     grid = make_grid(2, (12, 12), (1, 1))
     rng = np.random.default_rng(37)
     weak, strong = _make_pair(grid, rng)
-    _, trace = pair_traces(_rows(weak, strong, well))
+    trace = pair_trace(_rows(weak, strong, well))
     # independent accumulation of the same term
     times = np.array([s.t for s, _ in weak])
     rate = np.empty(len(times))
@@ -329,28 +328,36 @@ def test_rei_identical_pair_all_zero():
     grid = make_grid(2, (12, 12), (1, 1))
     rng = np.random.default_rng(38)
     weak, _ = _make_pair(grid, rng)
-    entropy, trace = pair_traces(_rows(weak, weak))
+    trace = pair_trace(_rows(weak, weak))
     for name in ("lhs_entropy_gap", "lhs_visc", "lhs_ac", "r_conv", "r_eps1",
                  "r_eps2", "r_eps3", "r_eps4", "r_f", "slack"):
         assert np.all(getattr(trace, name) == 0.0)
-    assert np.all(entropy.E == 0.0) and np.all(entropy.D == 0.0)
+    assert np.all(trace.E == 0.0) and np.all(trace.D == 0.0)
 
 
-def test_pair_traces_columns_match_rows():
-    """E and omega are copied, D = visc + ac, and the REI LHS integrates the rows."""
+def test_pair_trace_columns_match_rows():
+    """E and omega are copied, D = visc + ac, the REI LHS integrates the rows,
+    the slack is RHS - LHS, and the fit is that of the trace's own columns."""
     grid = make_grid(2, (12, 12), (1, 1))
     rng = np.random.default_rng(39)
     weak, strong = _make_pair(grid, rng, n_samples=4)
     rows = _rows(weak, strong)
-    entropy, rei = pair_traces(rows)
-    assert np.array_equal(entropy.times, [r.t for r in rows])
-    assert np.array_equal(entropy.E, [r.E for r in rows])
-    assert np.array_equal(entropy.omega, [r.omega for r in rows])
-    assert np.array_equal(entropy.D, [r.visc + r.ac for r in rows])
-    assert np.array_equal(rei.lhs_entropy_gap, [r.E - rows[0].E for r in rows])
+    trace = pair_trace(rows)
+    assert np.array_equal(trace.t, [r.t for r in rows])
+    assert np.array_equal(trace.E, [r.E for r in rows])
+    assert np.array_equal(trace.omega, [r.omega for r in rows])
+    assert np.array_equal(trace.D, [r.visc + r.ac for r in rows])
+    assert np.array_equal(trace.lhs_entropy_gap, [r.E - rows[0].E for r in rows])
     assert rows[1].E == relative_entropy(weak[1][0], strong[1][0], PARAMS)
     visc = [r.visc for r in rows]
-    assert rei.lhs_visc[1] == 0.5 * (visc[1] + visc[0]) * (rows[1].t - rows[0].t)
+    assert trace.lhs_visc[1] == 0.5 * (visc[1] + visc[0]) * (rows[1].t - rows[0].t)
+    rhs = (trace.r_conv + trace.r_eps1 + trace.r_eps2 + trace.r_eps3 + trace.r_eps4
+           + trace.r_f)
+    lhs = trace.lhs_entropy_gap + trace.lhs_visc + trace.lhs_ac
+    assert np.array_equal(trace.slack, rhs - lhs)
+    k, bound_curve, violated = gronwall_fit(trace.t, trace.E, trace.D, trace.omega)
+    assert trace.k == k and trace.violated == violated
+    assert np.array_equal(trace.bound_curve, bound_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -360,34 +367,31 @@ def test_pair_traces_columns_match_rows():
 def test_gronwall_synthetic_exponential_recovers_k():
     """E = E0 e^{2t}, omega = 1, D = 0 must fit k = 2 within 1%."""
     times = np.linspace(0.0, 1.0, 2001)
-    trace = RelEntropyTrace(
-        times=times,
-        E=0.5 * np.exp(2.0 * times),
-        D=np.zeros_like(times),
-        omega=np.ones_like(times),
+    k, bound_curve, violated = gronwall_fit(
+        times,
+        0.5 * np.exp(2.0 * times),
+        np.zeros_like(times),
+        np.ones_like(times),
     )
-    fit = gronwall_fit(trace)
-    assert fit.k == pytest.approx(2.0, rel=0.01)
-    assert not fit.violated
-    assert fit.bound_curve[0] == pytest.approx(0.5)
+    assert k == pytest.approx(2.0, rel=0.01)
+    assert not violated
+    assert bound_curve[0] == pytest.approx(0.5)
 
 
 def test_gronwall_zero_trace():
     times = np.linspace(0.0, 1.0, 11)
-    trace = RelEntropyTrace(times=times, E=np.zeros_like(times),
-                            D=np.zeros_like(times), omega=np.ones_like(times))
-    fit = gronwall_fit(trace)
-    assert fit.k == 0.0
-    assert not fit.violated
+    k, _, violated = gronwall_fit(times, np.zeros_like(times),
+                                  np.zeros_like(times), np.ones_like(times))
+    assert k == 0.0
+    assert not violated
 
 
 def test_gronwall_nan_entropy_is_a_violation():
     times = np.linspace(0.0, 1.0, 11)
     E = np.full_like(times, 0.1)
     E[4] = np.nan
-    trace = RelEntropyTrace(times=times, E=E, D=np.zeros_like(times),
-                            omega=np.ones_like(times))
-    assert gronwall_fit(trace).violated
+    _, _, violated = gronwall_fit(times, E, np.zeros_like(times), np.ones_like(times))
+    assert violated
 
 
 def test_gronwall_k_counts_half_the_dissipation():
@@ -396,6 +400,6 @@ def test_gronwall_k_counts_half_the_dissipation():
     0, 1.5, 2.5 and k = max(1.5 / 1.5, 2.5 / 3.5) = 1. Counting all of D on
     the left would give 4/3, and none of it 2/3."""
     times = np.array([0.0, 1.0, 2.0])
-    trace = RelEntropyTrace(times=times, E=np.array([1.0, 2.0, 2.0]),
-                            D=np.array([0.0, 2.0, 2.0]), omega=np.ones_like(times))
-    assert gronwall_fit(trace).k == 1.0
+    k, _, _ = gronwall_fit(times, np.array([1.0, 2.0, 2.0]),
+                           np.array([0.0, 2.0, 2.0]), np.ones_like(times))
+    assert k == 1.0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import nsac.experiments
 import nsac.grid
-from nsac.diagnostics import _edge_weights, kinetic_energy, pair_row, pair_traces
+from nsac.diagnostics import _edge_weights, kinetic_energy, pair_row, pair_trace
 from nsac.experiments import (
     ExperimentConfig,
     _block_mean,
@@ -33,7 +33,7 @@ from nsac.grid import FaceVectorField, ScalarField, divergence, make_grid
 from nsac.manufactured import ManufacturedSolution
 from nsac.solver import FluidParams, _basis, _plan, step
 from nsac.potential import DoubleWell
-from standard_layout import integrate
+from standard_layout import copy_state, integrate
 
 
 def small_cfg(**kw):
@@ -204,7 +204,7 @@ def test_run_wsu_packs_two_scalars_per_sample(monkeypatch):
     monkeypatch.setattr(nsac.grid, "_pack", counting_pack)
     cfg = small_cfg(init_kind="bubble", t_end=0.01)
     report = run_wsu(cfg)
-    rows = len(report.levels[0].trace.times)
+    rows = len(report.levels[cfg.wsu_levels[0]].t)
     for n in cfg.wsu_levels[:-1]:
         assert calls.count((n, n)) == 1 + 2 * rows
     assert len(calls) == len(cfg.wsu_levels[:-1]) * (1 + 2 * rows)
@@ -310,7 +310,7 @@ def test_simulate_trajectory_states_are_copies():
     """simulate yields a new state per step and leaves its input alone."""
     cfg = small_cfg(init_kind="vortex")
     state = initial_state(cfg)
-    before = state.copy()
+    before = copy_state(state)
     states = [s for s, _ in simulate(state, cfg.well, cfg.params, cfg.dt, 4)]
     assert len({id(s) for s in states + [state]}) == 5
     assert state.t == 0.0
@@ -339,9 +339,9 @@ def test_run_energy_audit_rejects_manufactured():
 def test_run_wsu_structure_and_twin():
     cfg = small_cfg(init_kind="bubble", t_end=0.01)
     rep = run_wsu(cfg)
-    assert [lv.n for lv in rep.levels] == [8, 16, 32]
+    assert list(rep.levels) == [8, 16, 32]
     assert rep.twin_entropy_max == 0.0
-    maxima = [lv.max_entropy for lv in rep.levels]
+    maxima = [trace.max_entropy for trace in rep.levels.values()]
     assert maxima[0] > maxima[1] > maxima[2] == 0.0
     assert len(rep.refinement_ratios) == 1
     assert rep.refinement_ratios[0] > 1.0
@@ -371,10 +371,10 @@ def _reference_wsu(cfg):
     for n in levels[:-1]:
         grid = cfg.grid(n)
         strong = [(restrict_state(s, grid), restrict_scalar(m, grid)) for s, m in fine]
-        weak = run(strong[0][0].copy(), n)
-        out[n] = pair_traces([pair_row(ws, ss, wm, sm, well, params)
-                              for (ws, wm), (ss, sm) in zip(weak, strong)])
-    out[levels[-1]] = pair_traces([pair_row(s, s, m, m, well, params) for s, m in fine])
+        weak = run(copy_state(strong[0][0]), n)
+        out[n] = pair_trace([pair_row(ws, ss, wm, sm, well, params)
+                             for (ws, wm), (ss, sm) in zip(weak, strong)])
+    out[levels[-1]] = pair_trace([pair_row(s, s, m, m, well, params) for s, m in fine])
     return out
 
 
@@ -388,12 +388,11 @@ def test_run_wsu_lockstep_matches_separate_runs(t_end, rows):
     cfg = small_cfg(init_kind="bubble", t_end=t_end, sample_count=10)
     report = run_wsu(cfg)
     reference = _reference_wsu(cfg)
-    for lv in report.levels:
-        assert len(lv.trace.times) == rows
-        for got, want in zip((lv.trace, lv.rei), reference[lv.n]):
-            for f in dataclasses.fields(want):
-                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (
-                    lv.n, f.name)
+    for n, got in report.levels.items():
+        assert len(got.t) == rows
+        want = reference[n]
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (n, f.name)
 
 
 def test_run_wsu_memory_does_not_grow_with_samples():
@@ -437,18 +436,18 @@ def test_run_wsu_needs_three_levels_and_bubble():
 
 def test_run_perturbation_zero_delta():
     cfg = small_cfg(init_kind="bubble", t_end=0.01)
-    trace, fit = run_perturbation(dataclasses.replace(cfg, perturbation_delta=0.0))
+    trace = run_perturbation(dataclasses.replace(cfg, perturbation_delta=0.0))
     assert np.all(trace.E == 0.0)
-    assert fit.k == 0.0
+    assert trace.k == 0.0
     with pytest.raises(ValueError):
         dataclasses.replace(cfg, perturbation_delta=-1.0)
 
 
 def test_run_perturbation_initial_entropy_matches_delta():
     cfg = small_cfg(init_kind="bubble", t_end=0.01)
-    trace, fit = run_perturbation(dataclasses.replace(cfg, perturbation_delta=1e-3))
+    trace = run_perturbation(dataclasses.replace(cfg, perturbation_delta=1e-3))
     assert trace.E[0] == pytest.approx(1e-6, rel=1e-10)
-    assert not fit.violated
+    assert not trace.violated
 
 
 # ---------------------------------------------------------------------------

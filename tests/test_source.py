@@ -3,9 +3,11 @@
 import ast
 import pathlib
 import re
+from dataclasses import fields
 
+from nsac.diagnostics import PairTrace
 from nsac.experiments import ExperimentConfig
-from nsac.io import parse_config_text, serialize_config
+from nsac.io import ENTROPY_COLUMNS, REI_COLUMNS, parse_config_text, serialize_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nsac"
@@ -137,3 +139,11 @@ def test_readme_config_table_matches_the_schema():
     assert [key for key, _ in rows] == [line.split(" = ")[0] for line in defaults.splitlines()]
     table = "".join(f"{key} = {value}\n" for key, value in rows)
     assert serialize_config(parse_config_text(table)) == defaults
+
+
+def test_pair_trace_fields_are_the_output_columns():
+    """``PairTrace`` holds the entropy file's columns, the REI file's after
+    ``t``, then the Gronwall fit, in file order: the writers pick columns by
+    name, so a column renamed in one place only fails here."""
+    names = [f.name for f in fields(PairTrace)]
+    assert names == list(ENTROPY_COLUMNS + REI_COLUMNS[1:] + ("k", "violated"))
