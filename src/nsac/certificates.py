@@ -50,16 +50,17 @@ def energy_gates(audit: float) -> list[Gate]:
 
 
 def wsu_gates(report) -> list[Gate]:
-    """Criterion 7 on a ``WSUReport`` with its twin level.
+    """Criterion 7 on a ``WSUReport``.
 
-    The finest level paired with itself has E bitwise 0; max E falls
+    The finest level, paired with itself, has E bitwise 0; max E falls
     strictly from each level to the next finer one (the largest rise is
     below 0); and the first refinement ratio of max E is at least
     ``WSU_RATIO``.
     """
-    rise = float(np.max(np.diff([trace.max_entropy for trace in report.levels.values()])))
+    maxima = [trace.max_entropy for trace in report.levels.values()]
+    rise = float(np.max(np.diff(maxima)))
     return [
-        _within("wsu.twin_zero", report.twin_entropy_max, (0.0, 0.0)),
+        _within("wsu.twin_zero", maxima[-1], (0.0, 0.0)),
         Gate("wsu.monotone", rise, 0.0, bool(rise < 0.0)),
         _at_least("wsu.ratio", report.refinement_ratios[0], WSU_RATIO),
     ]

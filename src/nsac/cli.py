@@ -120,7 +120,7 @@ def _cmd_wsu(run: _Run) -> list[Gate]:
         write_rei_csv(trace, run.path(f"rei_{n}.csv"))
         run.say(f"level {n}: max entropy {trace.max_entropy:.6e}, fitted k {trace.k:.4g}")
     run.say(f"refinement ratios: {[f'{r:.2f}' for r in report.refinement_ratios]}")
-    return wsu_gates(report)
+    return wsu_gates(report) + rei_gates(report)
 
 
 def _cmd_perturb(run: _Run) -> list[Gate]:
@@ -128,13 +128,6 @@ def _cmd_perturb(run: _Run) -> list[Gate]:
     write_entropy_csv(trace, run.path("entropy.csv"))
     run.say(f"fitted k: {trace.k:.6g}")
     return gronwall_gates(trace)
-
-
-def _cmd_rei_check(run: _Run) -> list[Gate]:
-    report = run_wsu(run.cfg, twin=False)
-    for n, trace in report.levels.items():
-        write_rei_csv(trace, run.path(f"rei_{n}.csv"))
-    return rei_gates(report)
 
 
 def _cmd_mms(run: _Run) -> list[Gate]:
@@ -148,7 +141,6 @@ _COMMANDS = {
     "energy-audit": _cmd_energy_audit,
     "wsu": _cmd_wsu,
     "perturb": _cmd_perturb,
-    "rei-check": _cmd_rei_check,
     "mms": _cmd_mms,
 }
 

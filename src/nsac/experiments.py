@@ -346,17 +346,15 @@ def _ratios(fine: Grid, coarse: Grid) -> list[int]:
 @dataclass
 class WSUReport:
     levels: dict[int, PairTrace]  # each level n's trace, coarsest first
-    twin_entropy_max: float | None
 
     @property
     def pairs(self) -> list[PairTrace]:
         """The traces whose weak run is paired with the restricted finest run.
 
-        The finest level, when present, is its own strong proxy (entropy
-        identically zero), so it is left out.
+        The finest level is its own strong proxy (entropy identically zero),
+        so it is left out.
         """
-        traces = list(self.levels.values())
-        return traces if self.twin_entropy_max is None else traces[:-1]
+        return list(self.levels.values())[:-1]
 
     @property
     def refinement_ratios(self) -> list[float]:
@@ -367,27 +365,31 @@ class WSUReport:
             return [float(np.divide(a, b)) for a, b in zip(maxima, maxima[1:])]
 
 
-def run_wsu(cfg: ExperimentConfig, twin: bool = True) -> WSUReport:
+def run_wsu(cfg: ExperimentConfig) -> WSUReport:
     """Weak-strong refinement study against the finest run as strong proxy.
 
     Every level starts from the restricted fine initial state, and all
     levels advance in lockstep. At each sample the fine state and material
     are restricted once per coarse level, and each coarse level appends one
-    row. With ``twin`` the finest level is also paired with itself, as the
-    last level of the report; without it the report holds the coarse levels
-    only and ``twin_entropy_max`` is None.
+    row. The finest level is also paired with itself, as the last level of
+    the report. The levels must nest: each is a multiple of the coarsest
+    (for the lockstep), and the finest is a multiple of each (for the
+    restriction).
     """
     levels = list(cfg.wsu_levels)
     if len(levels) < 3:
-        raise ValueError(f"need at least 3 refinement levels, got {len(levels)}")
+        raise ValueError(f"wsu.levels: need at least 3 refinement levels, got {len(levels)}")
     if cfg.init_kind != "bubble":
         raise ValueError("weak-strong study expects the smooth bubble initial data")
     well, params = cfg.well, cfg.params
-    n0 = levels[0]
+    n0, n_fine = levels[0], levels[-1]
     chunks = _sample_chunks(cfg, n0)
     for n in levels:
         if n % n0 != 0:
-            raise ValueError(f"level {n} is not a multiple of the coarsest level {n0}")
+            raise ValueError(f"wsu.levels: level {n} is not a multiple of the coarsest level {n0}")
+    for n in levels:
+        if n_fine % n != 0:
+            raise ValueError(f"wsu.levels: the finest level {n_fine} is not a multiple of level {n}")
 
     grids = [cfg.grid(n) for n in levels]
     fine0 = initial_state(cfg, grids[-1])
@@ -395,18 +397,14 @@ def run_wsu(cfg: ExperimentConfig, twin: bool = True) -> WSUReport:
     samples = _lockstep(starts, [(cfg.dt_for(n), n // n0) for n in levels], chunks, well, params)
     # the generator holds the only references to the initial states now
     del fine0, starts
-    paired = levels if twin else levels[:-1]
-    rows = [[] for _ in paired]
+    rows = [[] for _ in levels]
     for states, materials in samples:
         fine, fine_m = states[-1], materials[-1]
         for i, grid in enumerate(grids[:-1]):
             rows[i].append(pair_row(states[i], restrict_state(fine, grid), materials[i],
                                     restrict_scalar(fine_m, grid), well, params))
-        if twin:
-            rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
-
-    traces = {n: pair_trace(level_rows) for n, level_rows in zip(paired, rows)}
-    return WSUReport(traces, traces[paired[-1]].max_entropy if twin else None)
+        rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
+    return WSUReport({n: pair_trace(level_rows) for n, level_rows in zip(levels, rows)})
 
 
 def run_perturbation(cfg: ExperimentConfig) -> PairTrace:

@@ -270,12 +270,12 @@ def test_criterion_7_weak_strong_uniqueness(wsu_run):
     maxima = [trace.max_entropy for trace in report.levels.values()]
     monotone = all(b < a for a, b in zip(maxima, maxima[1:]))
     ratio = report.refinement_ratios[0]
-    twin_zero = report.twin_entropy_max == 0.0
+    twin_zero = maxima[-1] == 0.0
     ok = twin_zero and monotone and ratio >= WSU_RATIO and elapsed < 600.0
     _report(
         "7 weak-strong uniqueness",
         ok,
-        f"twin E = {report.twin_entropy_max} (bitwise 0), max E {maxima} monotone, "
+        f"twin E = {maxima[-1]} (bitwise 0), max E {maxima} monotone, "
         f"ratio 32/64 {ratio:.2f} >= {WSU_RATIO:g}, {elapsed:.0f}s < 600s",
     )
 

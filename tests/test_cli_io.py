@@ -382,7 +382,7 @@ def test_cli_validation_error_exit_1(tmp_path):
     assert "fluid.eps" in r.stderr
 
 
-@pytest.mark.parametrize("command", ["simulate", "energy-audit", "wsu", "perturb", "rei-check", "mms"])
+@pytest.mark.parametrize("command", ["simulate", "energy-audit", "wsu", "perturb", "mms"])
 def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, command):
     """A bad well kind or interval fails at config load, before any output."""
     for entry, message in [
@@ -414,8 +414,9 @@ def _fault(command, text, fragment, out="out", label=None):
     _fault("simulate", _SMALL_RUN + "fluid.nu = inf", "fluid.nu"),
     _fault("wsu", "init.kind = spinodal", "bubble initial data"),
     _fault("wsu", "init.kind = bubble\nwsu.levels = 8,16", "at least 3 refinement levels"),
-    _fault("rei-check", "init.kind = bubble\nwsu.levels = 12,16,32",
+    _fault("wsu", "init.kind = bubble\nwsu.levels = 12,16,32",
            "not a multiple of the coarsest level"),
+    _fault("wsu", "init.kind = bubble\nwsu.levels = 8,24,32", "wsu.levels"),
     _fault("energy-audit", "init.kind = manufactured", "unforced runs only"),
     _fault("simulate", "init.kind = manufactured", "unforced runs only"),
     _fault("mms", "init.kind = manufactured\nwsu.levels = 8,16\ngrid.length = 2", "grid.length"),
@@ -604,27 +605,22 @@ def _trace(E, slack=0.0):
                      slack=np.full_like(t, slack), k=k, violated=violated)
 
 
-def _fake_wsu_report(maxima, slack, twin=True):
+def _fake_wsu_report(maxima, slack):
     """Levels 8, 16 and 32 whose max entropies are ``maxima``; level i's REI
-    slack is ``slack[i]`` at every sample. Without ``twin`` the report drops
-    the finest level, as ``run_wsu`` does."""
+    slack is ``slack[i]`` at every sample. Level 32 is the twin."""
     levels = {n: _trace([m] * 3, slack=s) for n, m, s in zip((8, 16, 32), maxima, slack)}
-    if not twin:
-        del levels[32]
-        return WSUReport(levels=levels, twin_entropy_max=None)
-    return WSUReport(levels=levels, twin_entropy_max=maxima[-1])
+    return WSUReport(levels=levels)
 
 
 def _fake_run_wsu(monkeypatch, maxima, slack):
-    monkeypatch.setattr(nsac.cli, "run_wsu",
-                        lambda cfg, twin=True: _fake_wsu_report(maxima, slack, twin))
+    monkeypatch.setattr(nsac.cli, "run_wsu", lambda cfg: _fake_wsu_report(maxima, slack))
 
 
 @pytest.mark.parametrize(
     "command, maxima, slack",
     [
         ("wsu", [1e-3, np.nan, 0.0], [0.0, 0.0, 0.0]),
-        ("rei-check", [1e-3, 1e-4, 0.0], [0.0, np.nan, 0.0]),
+        ("wsu", [1e-3, 1e-4, 0.0], [0.0, np.nan, 0.0]),
     ],
 )
 def test_cli_nan_certificate_fails_exit_2(tmp_path, monkeypatch, command, maxima, slack):
@@ -641,7 +637,7 @@ def test_cli_nan_certificate_fails_exit_2(tmp_path, monkeypatch, command, maxima
         # maxima that decrease, but by 1.5 from the coarsest level
         ("wsu", [1.5e-3, 1e-3, 0.0], [0.0, 0.0, 0.0], "wsu.ratio"),
         # within tolerance at 16, but the raw deficit does not halve from 8
-        ("rei-check", [1e-2, 1e-3, 0.0], [-1e-4, -1e-4, 0.0], "rei.refinement"),
+        ("wsu", [1e-2, 1e-3, 0.0], [-1e-4, -1e-4, 0.0], "rei.refinement"),
     ],
 )
 def test_cli_failed_gate_exit_2_names_it(tmp_path, capsys, monkeypatch, command, maxima,
@@ -664,7 +660,7 @@ def test_cli_manifest_is_strict_json(tmp_path, monkeypatch):
     manifest writes it as a string, so a strict JSON reader accepts it."""
     _fake_run_wsu(monkeypatch, [1e-3, 1e-4, 0.0], [0.0, np.nan, 0.0])
     out = tmp_path / "out"
-    assert main(["rei-check", "--out", str(out), "--quiet"]) == 2
+    assert main(["wsu", "--out", str(out), "--quiet"]) == 2
 
     def no_constants(name):
         raise ValueError(f"not strict JSON: {name}")
@@ -672,6 +668,20 @@ def test_cli_manifest_is_strict_json(tmp_path, monkeypatch):
     gates = json.loads((out / "manifest.json").read_text(), parse_constant=no_constants)["gates"]
     refinement = {g["name"]: g for g in gates}["rei.refinement"]
     assert refinement["bound"] == "nan" and not refinement["passed"]
+
+
+def test_cli_wsu_gates_the_rei_on_coarse_levels(tmp_path, capsys):
+    """wsu gates criteria 6 and 7 in one run: on levels 8/16/32 weak-strong
+    uniqueness holds, but the REI tolerance at 16^2 does not."""
+    config = os.path.join(os.path.dirname(__file__), "golden", "bubble-8-32.cfg")
+    out = tmp_path / "out"
+    assert main(["wsu", "--config", config, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: certificate rei.tolerance failed: ")
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert {g["name"]: g["passed"] for g in gates} == {
+        "wsu.twin_zero": True, "wsu.monotone": True, "wsu.ratio": True,
+        "rei.tolerance": False, "rei.refinement": True}
 
 
 def test_cli_simulate_gates_the_energy_audit(tmp_path, capsys, monkeypatch):
@@ -706,10 +716,8 @@ GATE_INPUTS = {
     "wsu.twin_zero": (lambda x: wsu_gates(_fake_wsu_report([1e-2, 1e-3, x], [0.0] * 3)), 0.0),
     "wsu.monotone": (lambda x: wsu_gates(_fake_wsu_report([1e-2, x, 0.0], [0.0] * 3)), 1e-3),
     "wsu.ratio": (lambda x: wsu_gates(_fake_wsu_report([x, 1e-3, 0.0], [0.0] * 3)), 1e-2),
-    "rei.tolerance": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [0.0, x, 0.0], False)),
-                      0.0),
-    "rei.refinement": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [x, 0.0, 0.0], False)),
-                       0.0),
+    "rei.tolerance": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [0.0, x, 0.0])), 0.0),
+    "rei.refinement": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [x, 0.0, 0.0])), 0.0),
     "gronwall.violated": (_gronwall, 1.0),
     "mms.spatial.0": (lambda x: _mms(x, 1.0), 2.0),
     "mms.temporal.0": (lambda x: _mms(2.0, x), 1.0),
@@ -728,34 +736,6 @@ def test_nan_fails_each_gate(name):
     build, clean = GATE_INPUTS[name]
     assert {g.name: g.passed for g in build(clean)}[name]
     assert not {g.name: g.passed for g in build(np.nan)}[name]
-
-
-def test_rei_check_skips_the_twin_rows(tmp_path, monkeypatch):
-    """rei-check writes the same rei_<n>.csv bytes as wsu, and pairs only the
-    coarse levels: the finest level is never paired with itself."""
-    import nsac.experiments
-
-    cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.01\ntime.dt = 1e-3\n"
-                               "init.kind = bubble\nwsu.levels = 16,32,64\noutput.samples = 5\n")
-    paired = []
-    pair_row = nsac.experiments.pair_row
-
-    def counting_pair_row(weak, *args):
-        paired.append(weak.grid.n[0])
-        return pair_row(weak, *args)
-
-    monkeypatch.setattr(nsac.experiments, "pair_row", counting_pair_row)
-    counts = {}
-    for command in ("wsu", "rei-check"):
-        paired.clear()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / command), "--quiet"]) == 0
-        counts[command] = {n: paired.count(n) for n in sorted(set(paired))}
-    assert counts["wsu"] == {16: 6, 32: 6, 64: 6}
-    assert counts["rei-check"] == {16: 6, 32: 6}
-    for n in (16, 32):
-        name = f"rei_{n}.csv"
-        assert (tmp_path / "rei-check" / name).read_bytes() == (tmp_path / "wsu" / name).read_bytes()
-    assert not (tmp_path / "rei-check" / "rei_64.csv").exists()
 
 
 def test_cli_nan_audit_violation_exit_2(tmp_path, monkeypatch):

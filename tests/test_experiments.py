@@ -340,8 +340,8 @@ def test_run_wsu_structure_and_twin():
     cfg = small_cfg(init_kind="bubble", t_end=0.01)
     rep = run_wsu(cfg)
     assert list(rep.levels) == [8, 16, 32]
-    assert rep.twin_entropy_max == 0.0
     maxima = [trace.max_entropy for trace in rep.levels.values()]
+    assert rep.levels[32].max_entropy == 0.0
     assert maxima[0] > maxima[1] > maxima[2] == 0.0
     assert len(rep.refinement_ratios) == 1
     assert rep.refinement_ratios[0] > 1.0

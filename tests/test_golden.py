@@ -26,7 +26,7 @@ RUNS = (
     ("energy-audit", "spinodal-16.cfg"),
     ("perturb", "bubble-8-32.cfg"),
     ("wsu", "bubble-8-32.cfg"),
-    ("rei-check", "bubble-16-64.cfg"),
+    ("wsu", "bubble-16-64.cfg"),
     ("mms", "mms-8-16.cfg"),
 )
 

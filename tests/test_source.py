@@ -5,6 +5,7 @@ import pathlib
 import re
 from dataclasses import fields
 
+from nsac.cli import _COMMANDS
 from nsac.diagnostics import PairTrace
 from nsac.experiments import ExperimentConfig
 from nsac.io import ENTROPY_COLUMNS, REI_COLUMNS, parse_config_text, serialize_config
@@ -139,6 +140,13 @@ def test_readme_config_table_matches_the_schema():
     assert [key for key, _ in rows] == [line.split(" = ")[0] for line in defaults.splitlines()]
     table = "".join(f"{key} = {value}\n" for key, value in rows)
     assert serialize_config(parse_config_text(table)) == defaults
+
+
+def test_readme_command_list_matches_the_cli():
+    """The README's CLI block lists every command, in dispatch order."""
+    cli = (ROOT / "README.md").read_text().split("## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", cli, re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r"^nsac (\S+)", block, re.MULTILINE) == list(_COMMANDS)
 
 
 def test_pair_trace_fields_are_the_output_columns():
