@@ -44,9 +44,9 @@ def _within(name: str, value, bounds: tuple[float, float]) -> Gate:
     return Gate(name, value, bounds, bool(lo <= value <= hi))
 
 
-def energy_gates(audit: float) -> list[Gate]:
-    """The energy inequality, from the worst audit value of a run."""
-    return [_at_most("energy.audit", audit, AUDIT_TOL)]
+def energy_gates(trace) -> list[Gate]:
+    """The energy inequality, from the worst audit value of an ``EnergyTrace``."""
+    return [_at_most("energy.audit", trace.audit, AUDIT_TOL)]
 
 
 def wsu_gates(report) -> list[Gate]:

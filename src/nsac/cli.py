@@ -101,16 +101,16 @@ def _cmd_simulate(run: _Run) -> list[Gate]:
     def snapshot(i, state, pressure):
         # named by the step index, so a last short chunk names the step it reached
         write_vtk(state, pressure, run.path(f"snapshot_{i:06d}.vtk"), f"t={state.t:.6f}")
-    reports, violation = run_energy_audit(run.cfg, snapshot)
-    write_energy_csv(reports, run.path("energy.csv"))
-    run.say(f"simulated {len(reports) - 1} steps to t={reports[-1].t:.6f}")
-    return energy_gates(violation)
+    trace = run_energy_audit(run.cfg, snapshot)
+    write_energy_csv(trace, run.path("energy.csv"))
+    run.say(f"simulated {len(trace.t) - 1} steps to t={trace.t[-1]:.6f}")
+    return energy_gates(trace)
 
 
 def _cmd_energy_audit(run: _Run) -> list[Gate]:
-    reports, violation = run_energy_audit(run.cfg)
-    write_energy_csv(reports, run.path("energy.csv"))
-    return energy_gates(violation)
+    trace = run_energy_audit(run.cfg)
+    write_energy_csv(trace, run.path("energy.csv"))
+    return energy_gates(trace)
 
 
 def _cmd_wsu(run: _Run) -> list[Gate]:

@@ -1,8 +1,9 @@
 """Diagnostics of discrete runs: energy budget, maximum-principle bounds and
 check, relative entropy, the itemized relative-entropy inequality, and the
-Gronwall-type bound fit. A weak/strong pair is reduced to one row of scalars
-per sample time, so no run's states need to be stored, and its rows to one
-``PairTrace`` whose fields are its output columns.
+Gronwall-type bound fit. An unforced run or a weak/strong pair is reduced to
+one row of scalars per step or sample time, so no run's states need to be
+stored, and its rows to one ``EnergyTrace`` or ``PairTrace`` whose fields are
+its output columns.
 
 All space integrals use midpoint quadrature; velocity gradients combine
 cell-centered normal derivatives with edge-grid cross derivatives (trapezoid
@@ -50,15 +51,13 @@ from .solver import FluidParams, NumericalError, State, StepReport
 # energy
 
 
-@dataclass
-class EnergyReport:
+class EnergyRow(NamedTuple):
+    """The energies of one state; ``total`` is E = kinetic + interfacial + potential."""
+
     t: float
     kinetic: float
     interfacial: float
     potential: float
-    viscous_diss: float = 0.0
-    ac_diss: float = 0.0
-    cumulative_diss: float = 0.0
 
     @property
     def total(self) -> float:
@@ -69,19 +68,14 @@ def kinetic_energy(u: FaceVectorField) -> float:
     return 0.5 * float(np.sum(cell_speed_squared(u))) * u.grid.cell_volume
 
 
-def total_energy(state: State, well: DoubleWell, params: FluidParams) -> EnergyReport:
+def total_energy(state: State, well: DoubleWell, params: FluidParams) -> EnergyRow:
     """Kinetic, interfacial and bulk potential energy; grad c from the carry if any."""
     carried = state.carried()
     g = gradient(state.c) if carried is None else carried[0]
     interfacial = 0.5 * params.eps * face_inner(g, g)
     # F(c) is a new, contiguous array, so its sum does not depend on how c is stored
     potential = float(well.eval_F(state.c.values).sum() * state.grid.cell_volume) / params.eps
-    return EnergyReport(
-        t=state.t,
-        kinetic=kinetic_energy(state.u),
-        interfacial=interfacial,
-        potential=potential,
-    )
+    return EnergyRow(state.t, kinetic_energy(state.u), interfacial, potential)
 
 
 # one table per axis pair and grid; lockstep studies keep every level's live.
@@ -166,28 +160,37 @@ def dissipation_rates(
     return visc, ac
 
 
-def audit_values(reports: list[EnergyReport]) -> list[float]:
-    """Relative violation (E(t) + cumulative dissipation - E(0)) / E(0) of
-    each row (scaled by 1 if E(0) <= 0); negative means margin."""
-    if not reports:
-        return []
-    e0 = reports[0].total
-    scale = e0 if e0 > 0 else 1.0
-    return [(r.total + r.cumulative_diss - e0) / scale for r in reports]
+@dataclass
+class EnergyTrace:
+    """An unforced run reduced over its steps. The fields are the energy
+    file's columns; ``audit_violation`` is (E(t) + cumulative dissipation -
+    E(0)) / E(0) (scaled by 1 if E(0) <= 0), negative where the energy
+    inequality holds with margin."""
+
+    t: np.ndarray
+    kinetic: np.ndarray
+    interfacial: np.ndarray
+    potential: np.ndarray
+    viscous_diss: np.ndarray
+    ac_diss: np.ndarray
+    cumulative_diss: np.ndarray
+    audit_violation: np.ndarray
+
+    @property
+    def audit(self) -> float:
+        """Worst violation after t = 0 (np.max: a NaN row gives NaN; one row raises)."""
+        return float(np.max(self.audit_violation[1:]))
 
 
-def energy_audit(reports: list[EnergyReport]) -> float:
-    """Worst relative violation of E(t) + cumulative dissipation <= E(0).
-
-    Negative values mean the inequality holds with margin.
-    """
-    if not reports:
-        raise ValueError("empty report list")
-    if len(reports) == 1:
-        return 0.0
-    # the t = 0 row is identically zero; audit the later ones. np.max, unlike
-    # the builtin, propagates a NaN from any row.
-    return float(np.max(audit_values(reports)[1:]))
+def energy_trace(rows: list[tuple[float, ...]], dt: float) -> EnergyTrace:
+    """The trace of a run's ``(t, kinetic, interfacial, potential, visc, ac)``
+    rows, one per step from step 0; no rows raise ``ValueError``."""
+    t, kinetic, interfacial, potential, visc, ac = np.array(rows).T.copy()
+    # a sequential accumulate: the bits of ``cum += dt * (visc + ac)`` per step
+    cum = np.cumsum(dt * (visc + ac))
+    e0 = kinetic[0] + interfacial[0] + potential[0]
+    violation = (kinetic + interfacial + potential + cum - e0) / (e0 if e0 > 0 else 1.0)
+    return EnergyTrace(t, kinetic, interfacial, potential, visc, ac, cum, violation)
 
 
 # ---------------------------------------------------------------------------

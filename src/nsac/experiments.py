@@ -5,17 +5,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from .diagnostics import (
-    EnergyReport,
+    EnergyTrace,
     PairTrace,
     check_max_principle,
     dissipation_rates,
-    energy_audit,
+    energy_trace,
     kinetic_energy,
     max_principle_bounds,
     pair_row,
@@ -378,9 +378,10 @@ def run_wsu(cfg: ExperimentConfig) -> WSUReport:
     """
     levels = list(cfg.wsu_levels)
     if len(levels) < 3:
-        raise ValueError(f"wsu.levels: need at least 3 refinement levels, got {len(levels)}")
+        raise ValueError(f"wsu.levels: need at least 3 refinement levels, got {cfg.wsu_levels!r}")
     if cfg.init_kind != "bubble":
-        raise ValueError("weak-strong study expects the smooth bubble initial data")
+        raise ValueError(f"init.kind: weak-strong study expects the smooth bubble initial "
+                         f"data, got {cfg.init_kind!r}")
     well, params = cfg.well, cfg.params
     n0, n_fine = levels[0], levels[-1]
     chunks = _sample_chunks(cfg, n0)
@@ -429,33 +430,31 @@ def run_perturbation(cfg: ExperimentConfig) -> PairTrace:
 
 def run_energy_audit(
     cfg: ExperimentConfig, snapshot: Callable[[int, State, ScalarField], None] | None = None
-) -> tuple[list[EnergyReport], float]:
-    """Full unforced run; returns the energy trace and the audit violation.
+) -> EnergyTrace:
+    """Full unforced run, reduced to its energy trace.
 
     One loop over ``simulate``. At step 0 and after each step it checks ``c``
     against the maximum-principle bounds of the initial data (an initial
-    range outside the well raises ``ValueError``) and adds the dissipation
-    rates measured after the step (the quadrature of the implicit scheme) to
-    the running sum. ``snapshot(i, state, pressure)``, if given, sees the
-    state and pressure after step i (p = 0 at step 0, before any projection)
-    at step 0, at every sample step that is a multiple of ``output.every``,
-    and at the last step.
+    range outside the well raises ``ValueError``) and keeps one row: the
+    energies and the dissipation rates measured after the step (the
+    quadrature of the implicit scheme). ``snapshot(i, state, pressure)``, if
+    given, sees the state and pressure after step i (p = 0 at step 0, before
+    any projection) at step 0, at every sample step that is a multiple of
+    ``output.every``, and at the last step.
     """
     if cfg.init_kind == "manufactured":
-        raise ValueError("energy audit applies to unforced runs only")
+        raise ValueError(f"init.kind: energy audit applies to unforced runs only, "
+                         f"got {cfg.init_kind!r}")
     well, params, dt = cfg.well, cfg.params, cfg.dt
     n_steps = step_count(cfg.t_end, dt)
     shots = {*range(0, n_steps, math.lcm(_stride(cfg, n_steps), cfg.output_every)), n_steps}
     state = initial_state(cfg)
     bounds = max_principle_bounds(state.c, well)
-    reports, cum = [], 0.0
+    rows = []
 
     def record(i: int, state: State, pressure: ScalarField, visc: float = 0.0, ac: float = 0.0):
-        nonlocal cum
         check_max_principle(state, bounds, i)
-        cum += dt * (visc + ac)
-        reports.append(replace(total_energy(state, well, params), viscous_diss=visc,
-                               ac_diss=ac, cumulative_diss=cum))
+        rows.append((*total_energy(state, well, params), visc, ac))
         if snapshot is not None and i in shots:
             snapshot(i, state, pressure)
 
@@ -467,7 +466,7 @@ def run_energy_audit(
         i += 1
         record(i, state, report.pressure, *dissipation_rates(state, report, params))
         del report
-    return reports, energy_audit(reports)
+    return energy_trace(rows, dt)
 
 
 @dataclass
@@ -491,7 +490,7 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     """
     levels = list(cfg.wsu_levels)
     if len(levels) < 2:
-        raise ValueError(f"need at least 2 refinement levels, got {len(levels)}")
+        raise ValueError(f"wsu.levels: need at least 2 refinement levels, got {cfg.wsu_levels!r}")
     well, params = cfg.well, cfg.params
     ms = ManufacturedSolution(params, well)
 

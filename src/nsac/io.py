@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Gate
-from .diagnostics import EnergyReport, PairTrace, audit_values
+from .diagnostics import EnergyTrace, PairTrace
 from .experiments import ConvergenceTable, ExperimentConfig
 from .grid import ScalarField, avg_to_cells
 from .solver import State
@@ -115,10 +115,8 @@ def _write_table(path: str, header: tuple[str, ...], columns: list):
             fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
-def write_energy_csv(reports: list[EnergyReport], path: str):
-    """Energy trace with the running audit violation in the last column."""
-    cols = [[getattr(r, name) for r in reports] for name in ENERGY_COLUMNS[:-1]]
-    _write_table(path, ENERGY_COLUMNS, cols + [audit_values(reports)])
+def write_energy_csv(trace: EnergyTrace, path: str):
+    _write_table(path, ENERGY_COLUMNS, [getattr(trace, name) for name in ENERGY_COLUMNS])
 
 
 def write_entropy_csv(trace: PairTrace, path: str):

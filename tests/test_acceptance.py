@@ -23,7 +23,7 @@ from nsac.certificates import (
 )
 from nsac.diagnostics import (
     dissipation_rates,
-    energy_audit,
+    energy_trace,
     gronwall_fit,
     kinetic_energy,
     max_principle_bounds,
@@ -126,25 +126,20 @@ def spinodal_run():
     state = initial_state(cfg)
     well, params = cfg.well, cfg.params
     bounds = max_principle_bounds(state.c, well)
-    reports = [total_energy(state, well, params)]
+    rows = [(*total_energy(state, well, params), 0.0, 0.0)]
     n_steps = int(round(cfg.t_end / cfg.dt))
-    cum = 0.0
     c_lo, c_hi = float(np.min(state.c.values)), float(np.max(state.c.values))
     outside = 0
     t0 = time.time()
     for _ in range(n_steps):
         state, srep = step(state, well, params, cfg.dt)
-        visc, ac = dissipation_rates(state, srep, params)
-        cum += cfg.dt * (visc + ac)
-        rep = total_energy(state, well, params)
-        rep.viscous_diss, rep.ac_diss, rep.cumulative_diss = visc, ac, cum
-        reports.append(rep)
+        rows.append((*total_energy(state, well, params), *dissipation_rates(state, srep, params)))
         lo = float(np.min(state.c.values))
         hi = float(np.max(state.c.values))
         c_lo, c_hi = min(c_lo, lo), max(c_hi, hi)
         outside += int(np.count_nonzero(state.c.values < bounds.m - MAX_PRINCIPLE_TOL))
         outside += int(np.count_nonzero(state.c.values > bounds.M + MAX_PRINCIPLE_TOL))
-    return dict(reports=reports, c_lo=c_lo, c_hi=c_hi, outside=outside,
+    return dict(audit=energy_trace(rows, cfg.dt).audit, c_lo=c_lo, c_hi=c_hi, outside=outside,
                 bounds=bounds, elapsed=time.time() - t0)
 
 
@@ -157,10 +152,9 @@ def test_criterion_3_energy_inequality(spinodal_run):
         ("vortex", dict(init_kind="vortex")),
     ):
         t0 = time.time()
-        _, violation = run_energy_audit(ExperimentConfig(**BENCH, **kw))
-        worst[name] = violation
+        worst[name] = run_energy_audit(ExperimentConfig(**BENCH, **kw)).audit
         times[name] = time.time() - t0
-    worst["spinodal"] = energy_audit(spinodal_run["reports"])
+    worst["spinodal"] = spinodal_run["audit"]
     times["spinodal"] = spinodal_run["elapsed"]
     ok = all(v <= AUDIT_TOL for v in worst.values()) and all(
         t < 120.0 for t in times.values()

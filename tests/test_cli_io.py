@@ -21,7 +21,7 @@ from nsac.certificates import (
     rei_gates,
     wsu_gates,
 )
-from nsac.diagnostics import EnergyReport, PairTrace, gronwall_fit
+from nsac.diagnostics import EnergyTrace, PairTrace, gronwall_fit
 from nsac.experiments import (
     INIT_KINDS,
     ConvergenceTable,
@@ -186,18 +186,9 @@ def test_config_checks_types_at_construction(name, value, key):
 # CSV
 
 
-def _random_energy_reports(rng, n):
-    reports = []
-    for k in range(n):
-        reports.append(EnergyReport(
-            t=k * 1e-3, kinetic=abs(rng.standard_normal()),
-            interfacial=abs(rng.standard_normal()),
-            potential=abs(rng.standard_normal()),
-            viscous_diss=abs(rng.standard_normal()),
-            ac_diss=abs(rng.standard_normal()),
-            cumulative_diss=abs(rng.standard_normal()),
-        ))
-    return reports
+def _random_energy_trace(rng, n):
+    """An ``EnergyTrace`` whose every column holds n standard normal samples."""
+    return EnergyTrace(**{name: rng.standard_normal(n) for name in ENERGY_COLUMNS})
 
 
 def _load_csv(path, header):
@@ -210,15 +201,11 @@ def _load_csv(path, header):
 
 def test_energy_csv_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(60)
-    reports = _random_energy_reports(rng, 20)
+    trace = _random_energy_trace(rng, 20)
     path = str(tmp_path / "energy.csv")
-    write_energy_csv(reports, path)
-    cols = _load_csv(path, ENERGY_COLUMNS)
-    for name, col in zip(ENERGY_COLUMNS[:-1], cols):
-        assert np.array_equal(col, [getattr(r, name) for r in reports]), name
-    e0 = reports[0].total
-    expect = np.array([(r.total + r.cumulative_diss - e0) / e0 for r in reports])
-    assert np.array_equal(cols[-1], expect)
+    write_energy_csv(trace, path)
+    for name, col in zip(ENERGY_COLUMNS, _load_csv(path, ENERGY_COLUMNS)):
+        assert np.array_equal(getattr(trace, name), col), name
 
 
 def _random_trace(rng, n):
@@ -263,7 +250,7 @@ def test_mms_csv_layouts(tmp_path):
 
 def test_empty_trace_header_only(tmp_path):
     path = tmp_path / "energy.csv"
-    write_energy_csv([], str(path))
+    write_energy_csv(_random_energy_trace(np.random.default_rng(63), 0), str(path))
     assert path.read_text() == ",".join(ENERGY_COLUMNS) + "\n"
 
 
@@ -413,13 +400,17 @@ def _fault(command, text, fragment, out="out", label=None):
       for command in ["simulate", "wsu", "mms"]],
     _fault("simulate", _SMALL_RUN + "fluid.nu = inf", "fluid.nu"),
     _fault("wsu", "init.kind = spinodal", "bubble initial data"),
+    _fault("wsu", "init.kind = vortex", "init.kind"),
     _fault("wsu", "init.kind = bubble\nwsu.levels = 8,16", "at least 3 refinement levels"),
     _fault("wsu", "init.kind = bubble\nwsu.levels = 12,16,32",
            "not a multiple of the coarsest level"),
     _fault("wsu", "init.kind = bubble\nwsu.levels = 8,24,32", "wsu.levels"),
     _fault("energy-audit", "init.kind = manufactured", "unforced runs only"),
+    _fault("energy-audit", "init.kind = manufactured", "init.kind",
+           label="init.kind = manufactured, key named"),
     _fault("simulate", "init.kind = manufactured", "unforced runs only"),
     _fault("mms", "init.kind = manufactured\nwsu.levels = 8,16\ngrid.length = 2", "grid.length"),
+    _fault("mms", "init.kind = manufactured\nwsu.levels = 16", "wsu.levels"),
     _fault("perturb", "init.kind = manufactured\ngrid.length = 1.5", "grid.length"),
     _fault("simulate", "init.kind = bubble\ntime.dt = 2.5e-4\ntime.t_end = 0.0003",
            "not a whole number of steps"),
@@ -689,15 +680,34 @@ def test_cli_simulate_gates_the_energy_audit(tmp_path, capsys, monkeypatch):
     total_energy = nsac.experiments.total_energy
 
     def growing(state, *args):
-        report = total_energy(state, *args)
-        report.kinetic += state.t
-        return report
+        row = total_energy(state, *args)
+        return row._replace(kinetic=row.kinetic + state.t)
 
     monkeypatch.setattr(nsac.experiments, "total_energy", growing)
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
                                "init.kind = bubble\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: certificate energy.audit failed: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy-audit"])
+def test_energy_gate_reads_the_audit_column(tmp_path, command):
+    """The manifest's ``energy.audit`` value is the largest entry of
+    ``energy.csv``'s ``audit_violation`` column after t = 0."""
+    config = os.path.join(os.path.dirname(__file__), "golden", "spinodal-16.cfg")
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 0
+    col = _load_csv(out / "energy.csv", ENERGY_COLUMNS)[ENERGY_COLUMNS.index("audit_violation")]
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert [g["value"] for g in gates if g["name"] == "energy.audit"] == [
+        repr(float(np.max(col[1:])))]
+
+
+def _energy_trace(violation):
+    """An ``EnergyTrace`` of zero energies with the given audit violations."""
+    zero = np.zeros(len(violation))
+    return EnergyTrace(**dict.fromkeys(ENERGY_COLUMNS[:-1], zero),
+                       audit_violation=np.array(violation, dtype=float))
 
 
 def _gronwall(x):
@@ -712,7 +722,7 @@ def _mms(spatial, temporal):
 
 # each gate, built from a study result that holds x in the gated place
 GATE_INPUTS = {
-    "energy.audit": (energy_gates, 0.0),
+    "energy.audit": (lambda x: energy_gates(_energy_trace([0.0, x])), 0.0),
     "wsu.twin_zero": (lambda x: wsu_gates(_fake_wsu_report([1e-2, 1e-3, x], [0.0] * 3)), 0.0),
     "wsu.monotone": (lambda x: wsu_gates(_fake_wsu_report([1e-2, x, 0.0], [0.0] * 3)), 1e-3),
     "wsu.ratio": (lambda x: wsu_gates(_fake_wsu_report([x, 1e-3, 0.0], [0.0] * 3)), 1e-2),
@@ -741,8 +751,7 @@ def test_nan_fails_each_gate(name):
 def test_cli_nan_audit_violation_exit_2(tmp_path, monkeypatch):
     import nsac.cli
 
-    reports = [EnergyReport(t=0.0, kinetic=1.0, interfacial=0.0, potential=0.0)]
-    monkeypatch.setattr(nsac.cli, "run_energy_audit", lambda cfg: (reports, np.nan))
+    monkeypatch.setattr(nsac.cli, "run_energy_audit", lambda cfg: _energy_trace([0.0, np.nan]))
     code = main(["energy-audit", "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
 

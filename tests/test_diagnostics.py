@@ -4,13 +4,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsac.diagnostics import (
     _edge_weights,
     _entry_view,
-    EnergyReport,
     dissipation_rates,
-    energy_audit,
+    energy_trace,
     gronwall_fit,
     kinetic_energy,
     max_principle_bounds,
@@ -164,31 +165,67 @@ def test_viscous_dissipation_scales_quadratically():
 
 
 def test_energy_audit_synthetic():
-    reports = [
-        EnergyReport(t=0.0, kinetic=1.0, interfacial=0.5, potential=0.5),
-        EnergyReport(t=0.1, kinetic=0.7, interfacial=0.5, potential=0.5,
-                     cumulative_diss=0.2),
-        EnergyReport(t=0.2, kinetic=0.5, interfacial=0.5, potential=0.5,
-                     cumulative_diss=0.4),
+    # rows (t, kinetic, interfacial, potential, visc, ac) at dt = 0.1: a
+    # dissipation rate of 2 per step sums to 0.2 and then 0.4
+    rows = [
+        (0.0, 1.0, 0.5, 0.5, 0.0, 0.0),
+        (0.1, 0.7, 0.5, 0.5, 1.5, 0.5),
+        (0.2, 0.5, 0.5, 0.5, 1.5, 0.5),
     ]
     # worst row: 1.7 + 0.2 - 2.0 = -0.1 -> -0.05 relative
-    assert energy_audit(reports) == pytest.approx(-0.05)
-    reports[2].cumulative_diss = 1.2
-    # worst row becomes 1.5 + 1.2 - 2.0 = 0.7 -> 0.35 relative
-    assert energy_audit(reports) == pytest.approx(0.35)
+    assert energy_trace(rows, 0.1).audit == pytest.approx(-0.05)
+    rows[2] = (0.2, 0.5, 0.5, 0.5, 9.5, 0.5)
+    # the sum becomes 0.2 + 1.0 = 1.2, and the worst row 1.5 + 1.2 - 2.0 = 0.7
+    # -> 0.35 relative
+    assert energy_trace(rows, 0.1).audit == pytest.approx(0.35)
     with pytest.raises(ValueError):
-        energy_audit([])
+        energy_trace([], 0.1)
 
 
 def test_energy_audit_propagates_nan_from_any_row():
-    reports = [
-        EnergyReport(t=0.0, kinetic=1.0, interfacial=0.5, potential=0.5),
-        EnergyReport(t=0.1, kinetic=0.7, interfacial=0.5, potential=0.5,
-                     cumulative_diss=0.2),
-        EnergyReport(t=0.2, kinetic=np.nan, interfacial=0.5, potential=0.5,
-                     cumulative_diss=0.4),
+    rows = [
+        (0.0, 1.0, 0.5, 0.5, 0.0, 0.0),
+        (0.1, 0.7, 0.5, 0.5, 1.5, 0.5),
+        (0.2, np.nan, 0.5, 0.5, 1.5, 0.5),
     ]
-    assert np.isnan(energy_audit(reports))
+    assert np.isnan(energy_trace(rows, 0.1).audit)
+
+
+_ENERGY = st.floats(-1e3, 1e3)  # finite, and no sum of a run overflows
+_RATE = st.floats(0.0, 1e3)
+
+
+@pytest.mark.parametrize("e0_positive", [True, False])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(first=st.tuples(*[st.floats(0.0, 1e3)] * 3),
+       later=st.lists(st.tuples(_ENERGY, _ENERGY, _ENERGY, _RATE, _RATE), max_size=11),
+       dt=st.floats(1e-6, 1.0), nan_at=st.integers(0, 11 * 5 - 1))
+def test_energy_trace_matches_the_running_sum(e0_positive, first, later, dt, nan_at):
+    """The cumulative column is the sequential sum ``cum += dt * (visc + ac)``
+    and the audit column (E + cum - E(0)) / E(0) row by row (scaled by 1 if
+    E(0) <= 0), both bitwise; the audit is their worst value after t = 0, a
+    NaN in any later row makes it NaN, and a run of one row has none."""
+    first = first if e0_positive else tuple(-e for e in first)
+    e0 = first[0] + first[1] + first[2]
+    assume((e0 > 0) == e0_positive)  # all-zero energies give E(0) = 0 either way
+    rows = [(0.0, *first, 0.0, 0.0)] + [(k * dt, *row) for k, row in enumerate(later, 1)]
+    trace = energy_trace(rows, dt)
+    scale = e0 if e0 > 0 else 1.0
+    cum, cums, violations = 0.0, [], []
+    for _, kinetic, interfacial, potential, visc, ac in rows:
+        cum += dt * (visc + ac)
+        cums.append(cum)
+        violations.append((kinetic + interfacial + potential + cum - e0) / scale)
+    assert trace.cumulative_diss.tobytes() == np.array(cums).tobytes()
+    assert trace.audit_violation.tobytes() == np.array(violations).tobytes()
+    if len(rows) == 1:
+        with pytest.raises(ValueError):
+            trace.audit
+        return
+    assert trace.audit == max(violations[1:])
+    row, column = 1 + nan_at // 5 % len(later), 1 + nan_at % 5
+    rows[row] = rows[row][:column] + (np.nan,) + rows[row][column + 1:]
+    assert np.isnan(energy_trace(rows, dt).audit)
 
 
 # ---------------------------------------------------------------------------

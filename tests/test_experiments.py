@@ -225,13 +225,13 @@ def test_restrict_incompatible_grids():
 
 def _audit_every_step(cfg):
     """``run_energy_audit`` of ``cfg`` with a snapshot at every step: the
-    state, pressure and energy row of step 0 and of each step."""
+    state and pressure of step 0 and of each step, and the run's trace."""
     n_steps = step_count(cfg.t_end, cfg.dt)
     cfg = dataclasses.replace(cfg, output_every=1, sample_count=n_steps)
     shots = []
-    reports, _ = run_energy_audit(cfg, lambda i, state, p: shots.append((i, state, p)))
-    assert [i for i, _, _ in shots] == list(range(n_steps + 1))
-    return [(state, p, report) for (_, state, p), report in zip(shots, reports, strict=True)]
+    trace = run_energy_audit(cfg, lambda i, state, p: shots.append((i, state, p)))
+    assert [i for i, _, _ in shots] == list(range(n_steps + 1)) == list(range(len(trace.t)))
+    return [(state, p) for _, state, p in shots], trace
 
 
 def test_simulate_samples_and_cumulative_dissipation(monkeypatch):
@@ -239,23 +239,23 @@ def test_simulate_samples_and_cumulative_dissipation(monkeypatch):
     made = []
     monkeypatch.setattr(nsac.experiments, "initial_state",
                         lambda cfg: made.append(initial_state(cfg)) or made[-1])
-    history = _audit_every_step(cfg)
+    history, trace = _audit_every_step(cfg)
     assert len(history) == 21  # t=0 plus 20 steps
-    assert history[0][0] is made[0] and history[0][2].t == 0.0
+    assert history[0][0] is made[0] and trace.t[0] == 0.0
     assert np.all(history[0][1].values == 0.0)  # no projection has run at step 0
     assert history[-1][0].t == pytest.approx(0.02, rel=1e-12)
-    assert [r.t for _, _, r in history] == [s.t for s, _, _ in history]
-    cums = [r.cumulative_diss for _, _, r in history]
+    assert list(trace.t) == [s.t for s, _ in history]
+    cums = list(trace.cumulative_diss)
     assert cums[0] == 0.0
     assert all(b >= a for a, b in zip(cums, cums[1:]))
 
 
 def test_simulate_without_energy_matches_with_energy():
     cfg = small_cfg(init_kind="bubble", t_end=0.006)
-    with_e = _audit_every_step(cfg)
+    with_e, _ = _audit_every_step(cfg)
     without = list(simulate(initial_state(cfg), cfg.well, cfg.params, cfg.dt, 6))
     assert len(with_e) == 7 and len(without) == 6
-    for (a, pa, _), (b, rb) in zip(with_e[1:], without):
+    for (a, pa), (b, rb) in zip(with_e[1:], without):
         _assert_same_state(a, b, pa, rb.pressure)
 
 
@@ -326,9 +326,10 @@ def test_simulate_trajectory_states_are_copies():
 
 def test_run_energy_audit_equilibrium():
     cfg = small_cfg(init_kind="vortex", init_amplitude=0.0)
-    reports, violation = run_energy_audit(cfg)
-    assert violation <= 1e-12
-    assert reports[0].total == pytest.approx(reports[-1].total, rel=1e-12)
+    trace = run_energy_audit(cfg)
+    assert trace.audit <= 1e-12
+    total = trace.kinetic + trace.interfacial + trace.potential
+    assert total[0] == pytest.approx(total[-1], rel=1e-12)
 
 
 def test_run_energy_audit_rejects_manufactured():

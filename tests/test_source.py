@@ -6,9 +6,15 @@ import re
 from dataclasses import fields
 
 from nsac.cli import _COMMANDS
-from nsac.diagnostics import PairTrace
+from nsac.diagnostics import EnergyTrace, PairTrace
 from nsac.experiments import ExperimentConfig
-from nsac.io import ENTROPY_COLUMNS, REI_COLUMNS, parse_config_text, serialize_config
+from nsac.io import (
+    ENERGY_COLUMNS,
+    ENTROPY_COLUMNS,
+    REI_COLUMNS,
+    parse_config_text,
+    serialize_config,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nsac"
@@ -149,9 +155,24 @@ def test_readme_command_list_matches_the_cli():
     assert re.findall(r"^nsac (\S+)", block, re.MULTILINE) == list(_COMMANDS)
 
 
+def test_readme_package_layout_lists_every_module():
+    """The README's package layout lists each module of the package once,
+    ``__init__.py`` aside."""
+    layout = (ROOT / "README.md").read_text().split("## Package layout\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", layout, re.MULTILINE | re.DOTALL).group(1)
+    listed = re.findall(r"^src/nsac/(\S+\.py)", block, re.MULTILINE)
+    assert sorted(listed) == sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
 def test_pair_trace_fields_are_the_output_columns():
     """``PairTrace`` holds the entropy file's columns, the REI file's after
     ``t``, then the Gronwall fit, in file order: the writers pick columns by
     name, so a column renamed in one place only fails here."""
     names = [f.name for f in fields(PairTrace)]
     assert names == list(ENTROPY_COLUMNS + REI_COLUMNS[1:] + ("k", "violated"))
+
+
+def test_energy_trace_fields_are_the_output_columns():
+    """``EnergyTrace`` holds the energy file's columns, in file order, as
+    ``PairTrace`` holds the entropy and REI files'."""
+    assert [f.name for f in fields(EnergyTrace)] == list(ENERGY_COLUMNS)
