@@ -114,13 +114,12 @@ def _cmd_energy_audit(run: _Run) -> list[Gate]:
 
 
 def _cmd_wsu(run: _Run) -> list[Gate]:
-    report = run_wsu(run.cfg)
-    for n, trace in report.levels.items():
+    levels = run_wsu(run.cfg)
+    for n, trace in levels.items():
         write_entropy_csv(trace, run.path(f"entropy_{n}.csv"))
         write_rei_csv(trace, run.path(f"rei_{n}.csv"))
         run.say(f"level {n}: max entropy {trace.max_entropy:.6e}, fitted k {trace.k:.4g}")
-    run.say(f"refinement ratios: {[f'{r:.2f}' for r in report.refinement_ratios]}")
-    return wsu_gates(report) + rei_gates(report)
+    return wsu_gates(levels) + rei_gates(levels)
 
 
 def _cmd_perturb(run: _Run) -> list[Gate]:
@@ -131,9 +130,9 @@ def _cmd_perturb(run: _Run) -> list[Gate]:
 
 
 def _cmd_mms(run: _Run) -> list[Gate]:
-    table = run_manufactured(run.cfg)
-    write_mms_csv(table, run.path("mms_spatial.csv"), run.path("mms_temporal.csv"))
-    return mms_gates(table)
+    trace = run_manufactured(run.cfg)
+    write_mms_csv(trace, run.path("mms_spatial.csv"), run.path("mms_temporal.csv"))
+    return mms_gates(trace)
 
 
 _COMMANDS = {

@@ -3,7 +3,8 @@ check, relative entropy, the itemized relative-entropy inequality, and the
 Gronwall-type bound fit. An unforced run or a weak/strong pair is reduced to
 one row of scalars per step or sample time, so no run's states need to be
 stored, and its rows to one ``EnergyTrace`` or ``PairTrace`` whose fields are
-its output columns.
+its output columns; a manufactured-solution study is reduced to one
+``ConvergenceTrace``, whose fields are the columns of its two files.
 
 All space integrals use midpoint quadrature; velocity gradients combine
 cell-centered normal derivatives with edge-grid cross derivatives (trapezoid
@@ -469,3 +470,34 @@ def gronwall_fit(
     scale = np.maximum(bound, E[0] if E[0] > 0 else 1.0)
     violated = not np.all(E <= bound + GRONWALL_REL_TOL * scale)  # a NaN E fails
     return k, bound, violated
+
+
+# ---------------------------------------------------------------------------
+# manufactured convergence
+
+
+@dataclass
+class ConvergenceTrace:
+    """A manufactured-solution study reduced to its output columns: the
+    spatial study's error at each level ``n`` (a real), then the temporal
+    study's difference at each dt halving, keyed by the larger ``dt`` of
+    the two. The orders are read off these columns."""
+
+    n: np.ndarray
+    error: np.ndarray
+    dt: np.ndarray
+    difference: np.ndarray
+
+    @property
+    def spatial_orders(self) -> list[float]:
+        """log(e_i / e_{i+1}) / log(n_{i+1} / n_i) between consecutive levels,
+        so the levels need not double."""
+        n, e = self.n.tolist(), self.error.tolist()
+        return [float(np.log(e[i] / e[i + 1]) / np.log(n[i + 1] / n[i]))
+                for i in range(len(e) - 1)]
+
+    @property
+    def temporal_orders(self) -> list[float]:
+        """log2(d_i / d_{i+1}) between consecutive halvings."""
+        d = self.difference.tolist()
+        return [float(np.log2(d[i] / d[i + 1])) for i in range(len(d) - 1)]

@@ -11,6 +11,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import (
+    ConvergenceTrace,
     EnergyTrace,
     PairTrace,
     check_max_principle,
@@ -343,38 +344,17 @@ def _ratios(fine: Grid, coarse: Grid) -> list[int]:
 # studies
 
 
-@dataclass
-class WSUReport:
-    levels: dict[int, PairTrace]  # each level n's trace, coarsest first
-
-    @property
-    def pairs(self) -> list[PairTrace]:
-        """The traces whose weak run is paired with the restricted finest run.
-
-        The finest level is its own strong proxy (entropy identically zero),
-        so it is left out.
-        """
-        return list(self.levels.values())[:-1]
-
-    @property
-    def refinement_ratios(self) -> list[float]:
-        """max_t E ratios between consecutive paired levels; a finer maximum
-        of 0 gives inf (or NaN over 0) rather than raising."""
-        maxima = [trace.max_entropy for trace in self.pairs]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return [float(np.divide(a, b)) for a, b in zip(maxima, maxima[1:])]
-
-
-def run_wsu(cfg: ExperimentConfig) -> WSUReport:
-    """Weak-strong refinement study against the finest run as strong proxy.
+def run_wsu(cfg: ExperimentConfig) -> dict[int, PairTrace]:
+    """Weak-strong refinement study against the finest run as strong proxy:
+    each level n's trace, coarsest first.
 
     Every level starts from the restricted fine initial state, and all
     levels advance in lockstep. At each sample the fine state and material
     are restricted once per coarse level, and each coarse level appends one
-    row. The finest level is also paired with itself, as the last level of
-    the report. The levels must nest: each is a multiple of the coarsest
-    (for the lockstep), and the finest is a multiple of each (for the
-    restriction).
+    row. The finest level is also paired with itself (its twin, whose
+    entropy is identically zero), as the last trace. The levels must nest:
+    each is a multiple of the coarsest (for the lockstep), and the finest is
+    a multiple of each (for the restriction).
     """
     levels = list(cfg.wsu_levels)
     if len(levels) < 3:
@@ -405,7 +385,7 @@ def run_wsu(cfg: ExperimentConfig) -> WSUReport:
             rows[i].append(pair_row(states[i], restrict_state(fine, grid), materials[i],
                                     restrict_scalar(fine_m, grid), well, params))
         rows[-1].append(pair_row(fine, fine, fine_m, fine_m, well, params))
-    return WSUReport({n: pair_trace(level_rows) for n, level_rows in zip(levels, rows)})
+    return {n: pair_trace(level_rows) for n, level_rows in zip(levels, rows)}
 
 
 def run_perturbation(cfg: ExperimentConfig) -> PairTrace:
@@ -469,18 +449,9 @@ def run_energy_audit(
     return energy_trace(rows, dt)
 
 
-@dataclass
-class ConvergenceTable:
-    resolutions: list[int]
-    spatial_errors: list[float]
-    spatial_orders: list[float]
-    dts: list[float]
-    temporal_diffs: list[float]
-    temporal_orders: list[float]
-
-
-def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
-    """Convergence study against an analytic forced solution.
+def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTrace:
+    """Convergence study against an analytic forced solution, reduced to
+    its error and difference columns.
 
     Spatial: dt scaled with h^2 so the first-order time error refines at
     least as fast as the second-order space error. Temporal: fixed finest
@@ -510,11 +481,6 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     spatial_finals = (forced_final(cfg.grid(n), dt, k)
                       for n, dt, k in zip(levels, spatial_dts, spatial_steps))
     spatial_errors = [_state_distance(f, ms.state_at(f.grid, f.t)) for f in spatial_finals]
-    spatial_orders = [
-        float(np.log(spatial_errors[i] / spatial_errors[i + 1])
-              / np.log(levels[i + 1] / levels[i]))
-        for i in range(len(spatial_errors) - 1)
-    ]
 
     n_fine = levels[-1]
     grid = cfg.grid(n_fine)
@@ -522,17 +488,9 @@ def run_manufactured(cfg: ExperimentConfig) -> ConvergenceTable:
     dts = [5e-4, 2.5e-4, 1.25e-4]
     finals = [forced_final(grid, dt, step_count(t_end_t, dt)) for dt in dts]
     diffs = [_state_distance(finals[i], finals[i + 1]) for i in range(len(finals) - 1)]
-    temporal_orders = [
-        float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1)
-    ]
-    return ConvergenceTable(
-        resolutions=levels,
-        spatial_errors=spatial_errors,
-        spatial_orders=spatial_orders,
-        dts=dts,
-        temporal_diffs=diffs,
-        temporal_orders=temporal_orders,
-    )
+    # each difference is keyed by the larger dt of its halving
+    return ConvergenceTrace(np.array(levels, dtype=float), np.array(spatial_errors),
+                            np.array(dts[:-1]), np.array(diffs))
 
 
 def _state_distance(a: State, b: State) -> float:

@@ -33,6 +33,7 @@ data) and are never read as data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,7 +117,8 @@ class Grid:
 
 
 def make_grid(dim: int, n, length) -> Grid:
-    """Build a grid, validating counts and extents."""
+    """Build a grid, validating counts and extents: every h_a^2 and the cell
+    volume must be positive and finite, as the operators divide by them."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     n = tuple(int(v) for v in n)
@@ -132,6 +134,9 @@ def make_grid(dim: int, n, length) -> Grid:
         if not (v > 0):
             raise ValueError(f"extents must be positive, got {length}")
     h = tuple(length[i] / n[i] for i in range(dim))
+    if not all(0.0 < v * v < math.inf for v in h) or not 0.0 < math.prod(h) < math.inf:
+        raise ValueError(f"extents {length} over {n} cells give spacings {h} whose squares "
+                         f"or cell volume are not positive and finite")
     return Grid(dim=dim, n=n, length=length, h=h)
 
 

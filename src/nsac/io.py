@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Gate
-from .diagnostics import EnergyTrace, PairTrace
-from .experiments import ConvergenceTable, ExperimentConfig
+from .diagnostics import ConvergenceTrace, EnergyTrace, PairTrace
+from .experiments import ExperimentConfig
 from .grid import ScalarField, avg_to_cells
 from .solver import State
 
@@ -106,7 +106,9 @@ MMS_SPATIAL_COLUMNS = ("n", "error")
 MMS_TEMPORAL_COLUMNS = ("dt", "difference")
 
 
-def _write_table(path: str, header: tuple[str, ...], columns: list):
+def _write_table(path: str, header: tuple[str, ...], trace):
+    """The ``header`` columns of ``trace``, each picked by its name."""
+    columns = [getattr(trace, name) for name in header]
     if len({len(col) for col in columns}) != 1:
         raise ValueError("ragged columns")
     with open(path, "w") as fh:
@@ -116,23 +118,20 @@ def _write_table(path: str, header: tuple[str, ...], columns: list):
 
 
 def write_energy_csv(trace: EnergyTrace, path: str):
-    _write_table(path, ENERGY_COLUMNS, [getattr(trace, name) for name in ENERGY_COLUMNS])
+    _write_table(path, ENERGY_COLUMNS, trace)
 
 
 def write_entropy_csv(trace: PairTrace, path: str):
-    _write_table(path, ENTROPY_COLUMNS, [getattr(trace, name) for name in ENTROPY_COLUMNS])
+    _write_table(path, ENTROPY_COLUMNS, trace)
 
 
 def write_rei_csv(trace: PairTrace, path: str):
-    _write_table(path, REI_COLUMNS, [getattr(trace, name) for name in REI_COLUMNS])
+    _write_table(path, REI_COLUMNS, trace)
 
 
-def write_mms_csv(table: ConvergenceTable, spatial_path: str, temporal_path: str):
-    """The spatial study's error per resolution (``n`` as a real) and the
-    temporal study's difference per halving, keyed by the larger dt."""
-    _write_table(spatial_path, MMS_SPATIAL_COLUMNS,
-                 [[float(n) for n in table.resolutions], table.spatial_errors])
-    _write_table(temporal_path, MMS_TEMPORAL_COLUMNS, [table.dts[:-1], table.temporal_diffs])
+def write_mms_csv(trace: ConvergenceTrace, spatial_path: str, temporal_path: str):
+    _write_table(spatial_path, MMS_SPATIAL_COLUMNS, trace)
+    _write_table(temporal_path, MMS_TEMPORAL_COLUMNS, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,13 +22,8 @@ from nsac.certificates import (
     rei_gates,
     wsu_gates,
 )
-from nsac.diagnostics import EnergyTrace, PairTrace, gronwall_fit
-from nsac.experiments import (
-    INIT_KINDS,
-    ConvergenceTable,
-    ExperimentConfig,
-    WSUReport,
-)
+from nsac.diagnostics import ConvergenceTrace, EnergyTrace, PairTrace, gronwall_fit
+from nsac.experiments import INIT_KINDS, ExperimentConfig
 from nsac.io import (
     ENERGY_COLUMNS,
     ENTROPY_COLUMNS,
@@ -234,18 +230,16 @@ def test_rei_csv_round_trip_bitwise(tmp_path):
 
 
 def test_mms_csv_layouts(tmp_path):
-    """The resolutions are written as reals; the temporal table has one row
-    per halving, keyed by the larger dt of the pair."""
-    table = ConvergenceTable(resolutions=[16, 32], spatial_errors=[0.1 / 3, 5e-324],
-                             spatial_orders=[2.0], dts=[5e-4, 2.5e-4, 1.25e-4],
-                             temporal_diffs=[1.0 / 3, 1e300], temporal_orders=[1.0])
+    """Each file holds its columns of one ``ConvergenceTrace``, read back by
+    name bitwise; the levels are written as reals."""
+    trace = ConvergenceTrace(n=np.array([16.0, 32.0]), error=np.array([0.1 / 3, 5e-324]),
+                             dt=np.array([5e-4, 2.5e-4]), difference=np.array([1.0 / 3, 1e300]))
     spatial, temporal = tmp_path / "mms_spatial.csv", tmp_path / "mms_temporal.csv"
-    write_mms_csv(table, str(spatial), str(temporal))
+    write_mms_csv(trace, str(spatial), str(temporal))
     assert spatial.read_text() == "n,error\n16,0.033333333333333333\n32,4.9406564584124654e-324\n"
-    n, error = _load_csv(spatial, MMS_SPATIAL_COLUMNS)
-    assert np.array_equal(n, [16.0, 32.0]) and np.array_equal(error, table.spatial_errors)
-    dts, diffs = _load_csv(temporal, MMS_TEMPORAL_COLUMNS)
-    assert np.array_equal(dts, table.dts[:-1]) and np.array_equal(diffs, table.temporal_diffs)
+    for path, header in [(spatial, MMS_SPATIAL_COLUMNS), (temporal, MMS_TEMPORAL_COLUMNS)]:
+        for name, col in zip(header, _load_csv(path, header)):
+            assert col.tobytes() == getattr(trace, name).tobytes(), name
 
 
 def test_empty_trace_header_only(tmp_path):
@@ -389,12 +383,14 @@ def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, command):
 _SMALL_RUN = "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
 
 
-def _fault(command, text, fragment, out="out", label=None):
+def _fault(command, text, *fragments, out="out", label=None):
+    """A case whose single ``error:`` line holds every one of ``fragments``;
+    its id is ``label`` (else the last config line) and the command."""
     label = label or text.splitlines()[-1]
-    return pytest.param(command, text, fragment, out, id=f"{label}-{command}")
+    return pytest.param(command, text, fragments, out, id=f"{label}-{command}")
 
 
-@pytest.mark.parametrize("command, text, fragment, out", [
+_FAULTS = [
     *[_fault(command, f"init.kind = bubble\n{entry}", "cell counts must be >= 4")
       for entry in ["grid.n = 3", "wsu.levels = 2,8,16", "wsu.levels = -8,16,32"]
       for command in ["simulate", "wsu", "mms"]],
@@ -405,7 +401,7 @@ def _fault(command, text, fragment, out="out", label=None):
     _fault("wsu", "init.kind = bubble\nwsu.levels = 12,16,32",
            "not a multiple of the coarsest level"),
     _fault("wsu", "init.kind = bubble\nwsu.levels = 8,24,32", "wsu.levels"),
-    _fault("energy-audit", "init.kind = manufactured", "unforced runs only"),
+    _fault("energy-audit", "init.kind = manufactured", "unforced runs only", "init.kind"),
     _fault("energy-audit", "init.kind = manufactured", "init.kind",
            label="init.kind = manufactured, key named"),
     _fault("simulate", "init.kind = manufactured", "unforced runs only"),
@@ -418,9 +414,22 @@ def _fault(command, text, fragment, out="out", label=None):
            out="file/out", label="--out under a file"),
     _fault("wsu", _SMALL_RUN + "init.kind = bubble\nwsu.levels = 8,16,32", "Not a directory",
            out="file/out", label="--out under a file"),
-])
+    # h^2 overflows to inf, or underflows to 0
+    *[_fault(command, f"{init}\ngrid.length = {length}", "cell volume")
+      for command, init in [("energy-audit", "grid.n = 8"), ("wsu", "init.kind = bubble")]
+      for length in ["1e300", "1e-300"]],
+]
+
+
+def test_fault_case_ids_are_unique():
+    """pytest would silently suffix two equal ids, renaming both cases."""
+    ids = [case.id for case in _FAULTS]
+    assert len(set(ids)) == len(ids), ids
+
+
+@pytest.mark.parametrize("command, text, fragments, out", _FAULTS)
 def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, command, text,
-                                           fragment, out):
+                                           fragments, out):
     """A config fault, a fault only a command checks, or an ``--out`` that
     cannot be made exits 1 before the first step, with an error line naming
     the key or rule, and leaves no output directory."""
@@ -437,7 +446,7 @@ def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, comman
     out = tmp_path / out
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and fragment in errors[0], errors
+    assert len(errors) == 1 and all(f in errors[0] for f in fragments), errors
     assert not out.exists() and not steps
 
 
@@ -599,8 +608,7 @@ def _trace(E, slack=0.0):
 def _fake_wsu_report(maxima, slack):
     """Levels 8, 16 and 32 whose max entropies are ``maxima``; level i's REI
     slack is ``slack[i]`` at every sample. Level 32 is the twin."""
-    levels = {n: _trace([m] * 3, slack=s) for n, m, s in zip((8, 16, 32), maxima, slack)}
-    return WSUReport(levels=levels)
+    return {n: _trace([m] * 3, slack=s) for n, m, s in zip((8, 16, 32), maxima, slack)}
 
 
 def _fake_run_wsu(monkeypatch, maxima, slack):
@@ -703,6 +711,32 @@ def test_energy_gate_reads_the_audit_column(tmp_path, command):
         repr(float(np.max(col[1:])))]
 
 
+def test_mms_gates_read_the_csv_columns(tmp_path):
+    """Each manifest ``mms.*`` value is the ``repr`` of the order recomputed,
+    with the same formula, from ``mms_spatial.csv`` and ``mms_temporal.csv``."""
+    config = os.path.join(os.path.dirname(__file__), "golden", "mms-8-16.cfg")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", config, "--out", str(out), "--quiet"]) == 0
+    n, e = _load_csv(out / "mms_spatial.csv", MMS_SPATIAL_COLUMNS).tolist()
+    d = _load_csv(out / "mms_temporal.csv", MMS_TEMPORAL_COLUMNS)[1].tolist()
+    want = {f"mms.spatial.{i}": float(np.log(e[i] / e[i + 1]) / np.log(n[i + 1] / n[i]))
+            for i in range(len(e) - 1)}
+    want |= {f"mms.temporal.{i}": float(np.log2(d[i] / d[i + 1])) for i in range(len(d) - 1)}
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert {g["name"]: g["value"] for g in gates} == {k: repr(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("maxima, ratio", [([1e-2, 0.0, 0.0], np.inf), ([0.0, 0.0, 0.0], np.nan)])
+def test_wsu_ratio_of_a_zero_maximum(maxima, ratio):
+    """A finer maximum of 0 gives the ratio inf, and 0 / 0 gives NaN, which
+    fails; neither warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gate = {g.name: g for g in wsu_gates(_fake_wsu_report(maxima, [0.0] * 3))}["wsu.ratio"]
+    assert type(gate.value) is float and np.array_equal(gate.value, ratio, equal_nan=True)
+    assert gate.passed == (ratio == np.inf)
+
+
 def _energy_trace(violation):
     """An ``EnergyTrace`` of zero energies with the given audit violations."""
     zero = np.zeros(len(violation))
@@ -715,9 +749,12 @@ def _gronwall(x):
 
 
 def _mms(spatial, temporal):
-    return mms_gates(ConvergenceTable(resolutions=[8, 16], spatial_errors=[1.0, 0.25],
-                                      spatial_orders=[spatial], dts=[4e-4, 2e-4, 1e-4],
-                                      temporal_diffs=[1.0, 0.5], temporal_orders=[temporal]))
+    """The gates of a ``ConvergenceTrace`` at n = 8, 16 whose errors and
+    differences halve ``spatial`` and ``temporal`` times."""
+    return mms_gates(ConvergenceTrace(n=np.array([8.0, 16.0]),
+                                      error=np.array([1.0, 2.0 ** -spatial]),
+                                      dt=np.array([4e-4, 2e-4]),
+                                      difference=np.array([1.0, 2.0 ** -temporal])))
 
 
 # each gate, built from a study result that holds x in the gated place

@@ -4,10 +4,12 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nsac.certificates import mms_gates
 from nsac.diagnostics import (
+    ConvergenceTrace,
     _edge_weights,
     _entry_view,
     dissipation_rates,
@@ -440,3 +442,44 @@ def test_gronwall_k_counts_half_the_dissipation():
     k, _, _ = gronwall_fit(times, np.array([1.0, 2.0, 2.0]),
                            np.array([0.0, 2.0, 2.0]), np.ones_like(times))
     assert k == 1.0
+
+
+_MEASURE = st.floats(1e-150, 1e150)  # positive and finite, and no ratio overflows
+
+
+@st.composite
+def _convergence_columns(draw):
+    """Strictly increasing levels (doubling or not), an error per level and
+    at least two differences."""
+    levels = sorted(draw(st.sets(st.integers(4, 4096), min_size=2, max_size=6)))
+    error = draw(st.lists(_MEASURE, min_size=len(levels), max_size=len(levels)))
+    difference = draw(st.lists(_MEASURE, min_size=2, max_size=5))
+    return levels, error, difference
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(columns=_convergence_columns(), nan_at=st.integers(0, 10))
+@example(columns=([16, 24], [1e-3, 4e-4], [1e-2, 5e-3]), nan_at=10)
+def test_convergence_orders_match_the_per_element_formulas(columns, nan_at):
+    """Each order is the per-element formula on Python floats, bitwise, with
+    the levels as ints; a NaN error or difference gives a NaN order, which
+    fails its gate."""
+    levels, error, difference = columns
+    k = nan_at - len(error)  # nan_at indexes the errors, then the differences
+    if k < 0:
+        error[nan_at] = np.nan
+    elif k < len(difference):
+        difference[k] = np.nan
+    trace = ConvergenceTrace(np.array(levels, dtype=float), np.array(error),
+                             np.array([5e-4 / 2**i for i in range(len(difference))]),
+                             np.array(difference))
+    e, d = error, difference
+    spatial = [float(np.log(e[i] / e[i + 1]) / np.log(levels[i + 1] / levels[i]))
+               for i in range(len(e) - 1)]
+    temporal = [float(np.log2(d[i] / d[i + 1])) for i in range(len(d) - 1)]
+    for got, want in [(trace.spatial_orders, spatial), (trace.temporal_orders, temporal)]:
+        assert all(type(o) is float for o in got)
+        assert [repr(o) for o in got] == [repr(o) for o in want]
+    gates = mms_gates(trace)
+    assert any(np.isnan(g.value) for g in gates) == (k < len(difference))
+    assert not any(np.isnan(g.value) and g.passed for g in gates)

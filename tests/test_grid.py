@@ -32,6 +32,7 @@ def test_make_grid_spacings():
     assert make_grid(2, (4, 4), (1, 1)).h == (0.25, 0.25)
     assert make_grid(2, (8, 4), (2, 1)).h == (0.25, 0.25)
     assert make_grid(3, (4, 4, 4), (1, 1, 1)).h == (0.25, 0.25, 0.25)
+    assert make_grid(2, (8, 8), (1e150, 1e150)).h == (1.25e149, 1.25e149)
 
 
 def test_make_grid_rejects_bad_input():
@@ -45,6 +46,19 @@ def test_make_grid_rejects_bad_input():
         make_grid(2, (8, 8), (0.0, 1.0))
     with pytest.raises(ValueError):
         make_grid(2, (8, 8), (1.0, -2.0))
+
+
+@pytest.mark.parametrize("dim, length", [
+    (2, 1e300),  # h^2 overflows to inf
+    (2, 1e-300),  # h^2 underflows to 0
+    (3, 1e110),  # each h^2 is finite, the cell volume is not
+    (3, 1e-110),  # each h^2 is positive, the cell volume is 0
+])
+def test_make_grid_rejects_spacings_out_of_range(dim, length):
+    """Every h_a^2 and the cell volume must be positive and finite: the
+    operators divide by them."""
+    with pytest.raises(ValueError, match="cell volume"):
+        make_grid(dim, (8,) * dim, (length,) * dim)
 
 
 def test_gradient_constant_is_zero():

@@ -6,11 +6,13 @@ import re
 from dataclasses import fields
 
 from nsac.cli import _COMMANDS
-from nsac.diagnostics import EnergyTrace, PairTrace
+from nsac.diagnostics import ConvergenceTrace, EnergyTrace, PairTrace
 from nsac.experiments import ExperimentConfig
 from nsac.io import (
     ENERGY_COLUMNS,
     ENTROPY_COLUMNS,
+    MMS_SPATIAL_COLUMNS,
+    MMS_TEMPORAL_COLUMNS,
     REI_COLUMNS,
     parse_config_text,
     serialize_config,
@@ -54,25 +56,38 @@ def test_cli_imports_no_numpy_and_no_private_name():
     assert not found, found
 
 
+def _imported_from(source: str, module: str) -> list[str]:
+    """Every name that package module ``source`` imports from ``nsac.<module>``,
+    and the module's own name wherever the module itself is imported."""
+    path = SRC / f"{source}.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if (node.module or "").removeprefix("nsac.") in ("", "nsac"):
+                found += [n for n in names if n == module]
+            elif (node.module or "").removeprefix("nsac.") == module:
+                found += names
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == f"nsac.{module}"]
+    return found
+
+
 def test_cli_takes_only_configs_and_studies_from_the_drivers():
     """Every run lives in ``nsac.experiments``: the CLI imports from it only
     ``ExperimentConfig`` and the ``run_*`` studies, and nothing from
     ``nsac.diagnostics``, so it holds no step loop and no schedule."""
-    path = SRC / "cli.py"
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.ImportFrom):
-            module = (node.module or "").removeprefix("nsac.")
-            names = [a.name for a in node.names]
-            if module in ("", "nsac"):  # the modules themselves
-                found += [n for n in names if n in ("diagnostics", "experiments")]
-            elif module == "diagnostics":
-                found += names
-            elif module == "experiments":
-                found += [n for n in names if n != "ExperimentConfig" and not n.startswith("run_")]
-        elif isinstance(node, ast.Import):
-            found += [a.name for a in node.names
-                      if a.name in ("nsac.diagnostics", "nsac.experiments")]
+    found = _imported_from("cli", "diagnostics") + [
+        n for n in _imported_from("cli", "experiments")
+        if n != "ExperimentConfig" and not n.startswith("run_")]
+    assert not found, found
+
+
+def test_io_writes_only_records_of_the_diagnostics():
+    """``nsac.io`` imports nothing from ``nsac.experiments`` but
+    ``ExperimentConfig``, so every record it writes is defined in
+    ``nsac.diagnostics``, next to the rows it is reduced from."""
+    found = [n for n in _imported_from("io", "experiments") if n != "ExperimentConfig"]
     assert not found, found
 
 
@@ -176,3 +191,10 @@ def test_energy_trace_fields_are_the_output_columns():
     """``EnergyTrace`` holds the energy file's columns, in file order, as
     ``PairTrace`` holds the entropy and REI files'."""
     assert [f.name for f in fields(EnergyTrace)] == list(ENERGY_COLUMNS)
+
+
+def test_convergence_trace_fields_are_the_output_columns():
+    """``ConvergenceTrace`` holds the spatial file's columns, then the
+    temporal file's, as ``PairTrace`` holds the entropy and REI files'."""
+    names = [f.name for f in fields(ConvergenceTrace)]
+    assert names == list(MMS_SPATIAL_COLUMNS + MMS_TEMPORAL_COLUMNS)
