@@ -491,13 +491,17 @@ class ConvergenceTrace:
     @property
     def spatial_orders(self) -> list[float]:
         """log(e_i / e_{i+1}) / log(n_{i+1} / n_i) between consecutive levels,
-        so the levels need not double."""
-        n, e = self.n.tolist(), self.error.tolist()
-        return [float(np.log(e[i] / e[i + 1]) / np.log(n[i + 1] / n[i]))
-                for i in range(len(e) - 1)]
+        so the levels need not double. An error of 0 gives an infinite or
+        NaN order, which fails its gate, rather than raising."""
+        n, e = self.n, self.error
+        with np.errstate(all="ignore"):  # a 0 or an overflow gives inf or NaN
+            return [float(np.log(e[i] / e[i + 1]) / np.log(n[i + 1] / n[i]))
+                    for i in range(len(e) - 1)]
 
     @property
     def temporal_orders(self) -> list[float]:
-        """log2(d_i / d_{i+1}) between consecutive halvings."""
-        d = self.difference.tolist()
-        return [float(np.log2(d[i] / d[i + 1])) for i in range(len(d) - 1)]
+        """log2(d_i / d_{i+1}) between consecutive halvings; a difference of 0
+        gives an infinite or NaN order, as in ``spatial_orders``."""
+        d = self.difference
+        with np.errstate(all="ignore"):  # a 0 or an overflow gives inf or NaN
+            return [float(np.log2(d[i] / d[i + 1])) for i in range(len(d) - 1)]

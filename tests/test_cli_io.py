@@ -408,6 +408,7 @@ _FAULTS = [
     _fault("mms", "init.kind = manufactured\nwsu.levels = 8,16\ngrid.length = 2", "grid.length"),
     _fault("mms", "init.kind = manufactured\nwsu.levels = 16", "wsu.levels"),
     _fault("perturb", "init.kind = manufactured\ngrid.length = 1.5", "grid.length"),
+    _fault("simulate", _SMALL_RUN + "init.seed = 18446744073709551616", "init.seed"),
     _fault("simulate", "init.kind = bubble\ntime.dt = 2.5e-4\ntime.t_end = 0.0003",
            "not a whole number of steps"),
     _fault("simulate", _SMALL_RUN + "init.kind = bubble", "Not a directory",
@@ -791,6 +792,20 @@ def test_cli_nan_audit_violation_exit_2(tmp_path, monkeypatch):
     monkeypatch.setattr(nsac.cli, "run_energy_audit", lambda cfg: _energy_trace([0.0, np.nan]))
     code = main(["energy-audit", "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
+
+
+@pytest.mark.parametrize("error, difference", [([1.0, 0.0], [1.0, 0.5]),
+                                               ([1.0, 0.25], [0.0, 0.0])])
+def test_cli_mms_zero_error_fails_its_gate_exit_2(tmp_path, monkeypatch, error, difference):
+    """An error or difference of exactly 0 gives an inf or NaN order: the
+    ``mms.*`` gate fails and the command exits 2 with its manifest written."""
+    trace = ConvergenceTrace(n=np.array([8.0, 16.0]), error=np.array(error),
+                             dt=np.array([4e-4, 2e-4]), difference=np.array(difference))
+    monkeypatch.setattr(nsac.cli, "run_manufactured", lambda cfg: trace)
+    out = tmp_path / "out"
+    assert main(["mms", "--out", str(out), "--quiet"]) == 2
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert [g["passed"] for g in gates] == [error[1] != 0.0, difference[1] != 0.0]
 
 
 def test_cli_unknown_subcommand_exit_1(tmp_path):

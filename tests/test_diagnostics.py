@@ -1,6 +1,7 @@
 """Energy, maximum-principle, relative-entropy, REI, Gronwall."""
 
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -483,3 +484,22 @@ def test_convergence_orders_match_the_per_element_formulas(columns, nan_at):
     gates = mms_gates(trace)
     assert any(np.isnan(g.value) for g in gates) == (k < len(difference))
     assert not any(np.isnan(g.value) and g.passed for g in gates)
+
+
+@pytest.mark.parametrize("error, difference, spatial, temporal", [
+    ([1.0, 0.0], [0.0, 0.0], np.inf, np.nan),
+    ([0.0, 1.0], [1.0, 0.0], -np.inf, np.inf),
+    ([0.0, 0.0], [0.0, 1.0], np.nan, -np.inf),
+])
+def test_convergence_orders_of_an_exact_zero(error, difference, spatial, temporal):
+    """An error or difference of exactly 0 gives an infinite or NaN order,
+    with no warning, and every such gate fails."""
+    trace = ConvergenceTrace(np.array([8.0, 16.0]), np.array(error),
+                             np.array([4e-4, 2e-4]), np.array(difference))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orders = trace.spatial_orders + trace.temporal_orders
+        gates = mms_gates(trace)
+    assert all(type(o) is float for o in orders)
+    np.testing.assert_array_equal(orders, [spatial, temporal])
+    assert not any(g.passed for g in gates)

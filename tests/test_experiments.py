@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -26,6 +27,7 @@ from nsac.experiments import (
     run_perturbation,
     run_wsu,
     simulate,
+    splitmix64,
     step_count,
     stream_function_velocity,
 )
@@ -82,7 +84,34 @@ def test_bubble_profile_range_and_symmetry():
     assert np.allclose(c, c.T, atol=1e-14)
 
 
+def _splitmix64_reference(seed, count):
+    """SplitMix64 on Python ints: advance the state by the golden gamma,
+    then apply the finaliser, masking each step to 64 bits."""
+    mask, state, out = (1 << 64) - 1, seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def test_spinodal_seeded_and_in_range():
+    """The noise is a SplitMix64 draw, bitwise equal to a Python-int
+    reference (seed 0's first output is the published 0xE220A8397B1DCDAF),
+    one output per cell in C order, in [-0.05, 0.05), with no warning."""
+    assert int(splitmix64(0, 1)[0]) == 0xE220A8397B1DCDAF
+    for seed in (0, 42, 2**64 - 1):
+        for grid in (make_grid(2, (16, 12), (1, 1)), make_grid(3, (4, 6, 5), (1, 1, 1))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                c = initial_state(small_cfg(init_kind="spinodal", init_seed=seed), grid).c.values
+            raw = _splitmix64_reference(seed, c.size)
+            assert splitmix64(seed, c.size).tolist() == raw
+            want = [-0.05 + 0.1 * ((z >> 11) * 2.0**-53) for z in raw]
+            assert c.shape == grid.n and c.ravel().tolist() == want
+            assert np.all((-0.05 <= c) & (c < 0.05))
     cfg = small_cfg(init_kind="spinodal", init_seed=7)
     s1 = initial_state(cfg)
     s2 = initial_state(cfg)

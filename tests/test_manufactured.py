@@ -1,5 +1,5 @@
 """The closed-form manufactured solution against its symbolic derivation,
-and the runtime path kept free of sympy and scipy."""
+and the runtime path kept free of sympy, scipy and numpy.random."""
 
 import os
 import subprocess
@@ -105,6 +105,8 @@ def test_runtime_path_does_not_import_sympy(tmp_path):
     cfg.write_text("init.kind = manufactured\nwsu.levels = 8,16\n")
     audit = tmp_path / "audit.cfg"
     audit.write_text("grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\ninit.kind = vortex\n")
+    spinodal = tmp_path / "spinodal.cfg"
+    spinodal.write_text("grid.n = 8\ntime.t_end = 0.002\ntime.dt = 1e-3\ninit.kind = spinodal\n")
     script = textwrap.dedent(f"""
         import sys
         import nsac.cli
@@ -115,7 +117,10 @@ def test_runtime_path_does_not_import_sympy(tmp_path):
         code = nsac.cli.main(["energy-audit", "--config", {str(audit)!r},
                               "--out", {str(tmp_path / "audit")!r}, "--quiet"])
         assert code == 0, code
-        for name in ("sympy", "scipy"):
+        code = nsac.cli.main(["simulate", "--config", {str(spinodal)!r},
+                              "--out", {str(tmp_path / "spinodal")!r}, "--quiet"])
+        assert code == 0, code
+        for name in ("sympy", "scipy", "numpy.random"):
             assert name not in sys.modules, name + " was imported"
     """)
     env = dict(os.environ)
@@ -125,3 +130,4 @@ def test_runtime_path_does_not_import_sympy(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "out" / "mms_spatial.csv").exists()
     assert (tmp_path / "audit" / "energy.csv").exists()
+    assert (tmp_path / "spinodal" / "energy.csv").exists()
