@@ -11,7 +11,6 @@ from .grid import (
     make_grid,
     gradient,
     divergence,
-    laplacian,
 )
 from .potential import DoubleWell
 from .solver import FluidParams, State, StepReport, step
@@ -25,7 +24,6 @@ __all__ = [
     "make_grid",
     "gradient",
     "divergence",
-    "laplacian",
     "DoubleWell",
     "FluidParams",
     "State",

@@ -49,42 +49,36 @@ def energy_gates(trace) -> list[Gate]:
     return [_at_most("energy.audit", trace.audit, AUDIT_TOL)]
 
 
+def _raw_deficit(trace) -> float:
+    return float(np.max(np.maximum(0.0, -trace.slack)))
+
+
 def wsu_gates(levels) -> list[Gate]:
-    """Criterion 7 on the level traces of ``run_wsu``, coarsest first.
+    """Criteria 7 and 6 on the level traces of ``run_wsu``, coarsest first.
 
     The finest level is the twin: paired with itself, it has E bitwise 0.
     max E falls strictly from each level to the next finer one (the largest
     rise is below 0), and the ratio of max E at the coarsest level to the
     next is at least ``WSU_RATIO`` (a finer maximum of 0 gives inf, and
     0 / 0 NaN, rather than raising).
+
+    The REI is gated on the two finest genuine pairs, the two levels before
+    the twin. The finest one meets it to within ``REI_SLACK_TOL`` (1 + |LHS|)
+    at every sample (the gated value is the worst excess), and the next
+    coarser one's raw deficit is at least ``REI_REFINEMENT`` times the
+    finest's.
     """
     maxima = [trace.max_entropy for trace in levels.values()]
     rise = float(np.max(np.diff(maxima)))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = float(np.divide(maxima[0], maxima[1]))
-    return [
-        _within("wsu.twin_zero", maxima[-1], (0.0, 0.0)),
-        Gate("wsu.monotone", rise, 0.0, bool(rise < 0.0)),
-        _at_least("wsu.ratio", ratio, WSU_RATIO),
-    ]
-
-
-def _raw_deficit(trace) -> float:
-    return float(np.max(np.maximum(0.0, -trace.slack)))
-
-
-def rei_gates(levels) -> list[Gate]:
-    """Criterion 6 on the two finest genuine pairs of ``run_wsu``'s level
-    traces: the finest level is the twin, so they are the two before it.
-
-    The finest one meets the REI to within ``REI_SLACK_TOL`` (1 + |LHS|) at
-    every sample (the gated value is the worst excess), and the next coarser
-    one's raw deficit is at least ``REI_REFINEMENT`` times the finest's.
-    """
     coarse, fine = list(levels.values())[-3:-1]
     lhs = fine.lhs_entropy_gap + fine.lhs_visc + fine.lhs_ac
     excess = np.maximum(0.0, -fine.slack - REI_SLACK_TOL * (1.0 + np.abs(lhs)))
     return [
+        _within("wsu.twin_zero", maxima[-1], (0.0, 0.0)),
+        Gate("wsu.monotone", rise, 0.0, bool(rise < 0.0)),
+        _at_least("wsu.ratio", ratio, WSU_RATIO),
         _at_most("rei.tolerance", float(np.max(excess, initial=0.0)), 0.0),
         _at_least("rei.refinement", _raw_deficit(coarse), REI_REFINEMENT * _raw_deficit(fine)),
     ]

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .certificates import Gate, energy_gates, gronwall_gates, mms_gates, rei_gates, wsu_gates
+from .certificates import Gate, energy_gates, gronwall_gates, mms_gates, wsu_gates
 from .experiments import (
     ExperimentConfig,
     run_energy_audit,
@@ -63,12 +63,15 @@ def set_allocator_policy() -> None:
 class _Run:
     """Output directory plus manifest bookkeeping for one invocation."""
 
-    def __init__(self, cfg: ExperimentConfig, out: str | None, quiet: bool):
-        """Raises ``OSError`` unless the nearest existing one of the output
-        directory and its ancestors is a writable directory; makes nothing."""
+    def __init__(self, cfg: ExperimentConfig, out: str, quiet: bool):
+        """Raises ``ValueError`` for an empty ``out``, and ``OSError`` unless
+        the nearest existing one of the output directory and its ancestors
+        is a writable directory; makes nothing."""
+        if not out:
+            raise ValueError("--out: must name a directory, got ''")
         self.cfg = cfg
         self.quiet = quiet
-        self.dir = out or cfg.output_dir
+        self.dir = out
         base = os.path.abspath(self.dir)
         while not os.path.exists(base):
             base = os.path.dirname(base)
@@ -119,7 +122,7 @@ def _cmd_wsu(run: _Run) -> list[Gate]:
         write_entropy_csv(trace, run.path(f"entropy_{n}.csv"))
         write_rei_csv(trace, run.path(f"rei_{n}.csv"))
         run.say(f"level {n}: max entropy {trace.max_entropy:.6e}, fitted k {trace.k:.4g}")
-    return wsu_gates(levels) + rei_gates(levels)
+    return wsu_gates(levels)
 
 
 def _cmd_perturb(run: _Run) -> list[Gate]:
@@ -152,9 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default="default",
-                       help="config file path, or 'default' for built-in defaults")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--config", help="config file path (default: built-in configuration)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -171,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     # one policy for the whole process, before any command allocates
     set_allocator_policy()
     try:
-        cfg = ExperimentConfig() if args.config == "default" else parse_config(args.config)
+        cfg = ExperimentConfig() if args.config is None else parse_config(args.config)
         run = _Run(cfg, args.out, args.quiet)
         gates = _COMMANDS[args.command](run)
     except (ValueError, OSError) as exc:  # bad input or an unwritable output path

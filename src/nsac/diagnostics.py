@@ -461,10 +461,8 @@ def gronwall_fit(
     D = _cumtrapz(t, D)
     omegaE = _cumtrapz(t, omega * E)
     numer = E - E[0] + (1.0 - GRONWALL_LAMBDA) * D
-    k = 0.0
-    for j in range(1, len(t)):
-        if omegaE[j] > 0 and numer[j] > 0:
-            k = max(k, numer[j] / omegaE[j])
+    mask = (omegaE > 0) & (numer > 0)  # selected before dividing: no 0 / 0
+    k = float(np.fmax.reduce(numer[mask] / omegaE[mask], initial=0.0))  # inf / inf drops out
     cum_omega = _cumtrapz(t, omega)
     bound = E[0] * np.exp(np.minimum(k * cum_omega, 700.0))
     scale = np.maximum(bound, E[0] if E[0] > 0 else 1.0)

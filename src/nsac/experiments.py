@@ -92,8 +92,6 @@ class ExperimentConfig:
     eps: float = _key("fluid.eps", 0.05, _POSITIVE)
     dt: float = _key("time.dt", 2.5e-4, _POSITIVE)
     t_end: float = _key("time.t_end", 0.5, _POSITIVE)
-    potential_kind: str = _key("potential.kind", "quartic",
-                               _rule(lambda k: k == "quartic", "unknown potential kind {!r}"))
     potential_f1: float = _key("potential.f1", -2.0)
     potential_f2: float = _key("potential.f2", 2.0)
     init_kind: str = _key("init.kind", "spinodal",
@@ -102,7 +100,6 @@ class ExperimentConfig:
     init_amplitude: float = _key("init.amplitude", 0.25, _FINITE)
     perturbation_delta: float = _key("perturbation.delta", 1e-3, _NONNEGATIVE)
     wsu_levels: tuple[int, ...] = _key("wsu.levels", (32, 64, 128), _levels)
-    output_dir: str = _key("output.dir", "out")
     output_every: int = _key("output.every", 200, _POSITIVE)
     sample_count: int = _key("output.samples", 50, _POSITIVE)
 

@@ -1,10 +1,9 @@
 """The double well: the quartic F(c) = (1/4)(c^2 - 1)^2, minimizers -1 and 1.
 
-It is the only well (``potential.kind`` accepts only ``quartic``). Outside
-the admissible interval [f1, f2] it is extended quadratically (F'' frozen at
-its boundary value), so F' = c^3 - c stays globally Lipschitz; that protects
-the time stepper against transient overshoot without changing anything on
-the admissible interval.
+It is the only well. Outside the admissible interval [f1, f2] it is
+extended quadratically (F'' frozen at its boundary value), so F' = c^3 - c
+stays globally Lipschitz; that protects the time stepper against transient
+overshoot without changing anything on the admissible interval.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from nsac.certificates import (
     energy_gates,
     gronwall_gates,
     mms_gates,
-    rei_gates,
     wsu_gates,
 )
 from nsac.diagnostics import ConvergenceTrace, EnergyTrace, PairTrace, gronwall_fit
@@ -54,7 +53,7 @@ def test_empty_config_gives_defaults():
     assert cfg == ExperimentConfig()
     assert cfg.eps == 0.05 and cfg.nu == 0.01
     assert cfg.grid_n == 64 and cfg.dt == 2.5e-4 and cfg.t_end == 0.5
-    assert cfg.potential_kind == "quartic" and cfg.init_seed == 42
+    assert cfg.potential_f1 == -2.0 and cfg.init_seed == 42
 
 
 def test_config_parses_values_comments_blanks():
@@ -128,7 +127,6 @@ _positive_reals = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
             lambda s: tuple(sorted(s))
         ),
         sample_count=st.integers(1, 10**6),
-        output_dir=st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True),
         output_every=st.integers(1, 10**6),
     )
 )
@@ -165,7 +163,7 @@ _WRONG_TYPES = [
     ("output_every", True, "output.every"),
     ("nu", True, "fluid.nu"),
     ("wsu_levels", [32, 64, 128], "wsu.levels"),
-    ("output_dir", 5, "output.dir"),
+    ("init_kind", 5, "init.kind"),
 ]
 
 
@@ -365,9 +363,10 @@ def test_cli_validation_error_exit_1(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "energy-audit", "wsu", "perturb", "mms"])
 def test_cli_bad_potential_kind_writes_nothing(tmp_path, capsys, command):
-    """A bad well kind or interval fails at config load, before any output."""
+    """A well kind (there is no such key) or a bad interval fails at config
+    load, before any output."""
     for entry, message in [
-        ("potential.kind = logarithmic", "unknown potential kind 'logarithmic'"),
+        ("potential.kind = logarithmic", "line 2: unknown key 'potential.kind'"),
         ("potential.f1 = 0", "quartic well needs f1 < -1 < 1 < f2, got [0.0, 2.0]"),
         ("potential.f2 = inf", "quartic well on [-2.0, inf] has no finite"),
         ("potential.f1 = -1e200", "quartic well on [-1e+200, 2.0] has no finite"),
@@ -415,6 +414,11 @@ _FAULTS = [
            out="file/out", label="--out under a file"),
     _fault("wsu", _SMALL_RUN + "init.kind = bubble\nwsu.levels = 8,16,32", "Not a directory",
            out="file/out", label="--out under a file"),
+    _fault("simulate", _SMALL_RUN + "init.kind = bubble", "--out", out="", label="empty --out"),
+    # keys that configured nothing of their own: the well is the quartic,
+    # and --out is the one output path
+    _fault("simulate", _SMALL_RUN + "potential.kind = quartic", "unknown key 'potential.kind'"),
+    _fault("energy-audit", _SMALL_RUN + "output.dir = out", "unknown key 'output.dir'"),
     # h^2 overflows to inf, or underflows to 0
     *[_fault(command, f"{init}\ngrid.length = {length}", "cell volume")
       for command, init in [("energy-audit", "grid.n = 8"), ("wsu", "init.kind = bubble")]
@@ -432,8 +436,9 @@ def test_fault_case_ids_are_unique():
 def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, command, text,
                                            fragments, out):
     """A config fault, a fault only a command checks, or an ``--out`` that
-    cannot be made exits 1 before the first step, with an error line naming
-    the key or rule, and leaves no output directory."""
+    is empty or cannot be made exits 1 before the first step, with an error
+    line naming the key or rule, and writes nothing: no output directory,
+    here or in the working directory."""
     steps = []
     real_allen_cahn_step = nsac.solver.allen_cahn_step
 
@@ -444,11 +449,11 @@ def test_cli_bad_cell_count_writes_nothing(tmp_path, capsys, monkeypatch, comman
     monkeypatch.setattr(nsac.solver, "allen_cahn_step", counting_allen_cahn_step)
     cfg = _write_cfg(tmp_path, text + "\n")
     (tmp_path / "file").write_text("a regular file\n")
-    out = tmp_path / out
-    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg, "--out", out and str(tmp_path / out), "--quiet"]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and all(f in errors[0] for f in fragments), errors
-    assert not out.exists() and not steps
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg"] and not steps
 
 
 def test_cli_out_without_write_permission_exit_1(tmp_path, capsys, monkeypatch):
@@ -764,8 +769,8 @@ GATE_INPUTS = {
     "wsu.twin_zero": (lambda x: wsu_gates(_fake_wsu_report([1e-2, 1e-3, x], [0.0] * 3)), 0.0),
     "wsu.monotone": (lambda x: wsu_gates(_fake_wsu_report([1e-2, x, 0.0], [0.0] * 3)), 1e-3),
     "wsu.ratio": (lambda x: wsu_gates(_fake_wsu_report([x, 1e-3, 0.0], [0.0] * 3)), 1e-2),
-    "rei.tolerance": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [0.0, x, 0.0])), 0.0),
-    "rei.refinement": (lambda x: rei_gates(_fake_wsu_report([0.0] * 3, [x, 0.0, 0.0])), 0.0),
+    "rei.tolerance": (lambda x: wsu_gates(_fake_wsu_report([0.0] * 3, [0.0, x, 0.0])), 0.0),
+    "rei.refinement": (lambda x: wsu_gates(_fake_wsu_report([0.0] * 3, [x, 0.0, 0.0])), 0.0),
     "gronwall.violated": (_gronwall, 1.0),
     "mms.spatial.0": (lambda x: _mms(x, 1.0), 2.0),
     "mms.temporal.0": (lambda x: _mms(2.0, x), 1.0),
@@ -823,8 +828,7 @@ def test_cli_no_subcommand_usage(tmp_path):
 
 
 def test_cli_ignores_nsac_out(tmp_path):
-    """The output directory is ``--out``, else ``output.dir``; no environment
-    variable overrides it."""
+    """The output directory is ``--out``; no environment variable overrides it."""
     cfg = _write_cfg(tmp_path, "grid.n = 16\ntime.t_end = 0.002\ntime.dt = 1e-3\n"
                                "init.kind = vortex\n")
     r = _run_cli(["energy-audit", "--config", cfg], str(tmp_path / "flagout"),

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from nsac.certificates import mms_gates
 from nsac.diagnostics import (
+    GRONWALL_LAMBDA,
     ConvergenceTrace,
+    _cumtrapz,
     _edge_weights,
     _entry_view,
     dissipation_rates,
@@ -443,6 +445,39 @@ def test_gronwall_k_counts_half_the_dissipation():
     k, _, _ = gronwall_fit(times, np.array([1.0, 2.0, 2.0]),
                            np.array([0.0, 2.0, 2.0]), np.ones_like(times))
     assert k == 1.0
+
+
+def _loop_k(t, E, D, omega):
+    """The Gronwall k as a loop over the samples: the oracle of the masked
+    maximum in ``gronwall_fit``."""
+    D = _cumtrapz(t, D)
+    omegaE = _cumtrapz(t, omega * E)
+    numer = E - E[0] + (1.0 - GRONWALL_LAMBDA) * D
+    k = 0.0
+    for j in range(1, len(t)):
+        if omegaE[j] > 0 and numer[j] > 0:
+            k = max(k, numer[j] / omegaE[j])
+    return k
+
+
+_SAMPLES = st.lists(st.floats(allow_infinity=False), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(_SAMPLES, min_size=1, max_size=12),
+       steps=st.lists(st.floats(0.0, 1e300), min_size=12, max_size=12))
+# int omega E and E - E(0) + D / 2 both overflow: inf / inf is NaN, which the loop skips
+@example(samples=[[0.0, 1e308, 1e308], [1e308, 1e308, 1e308], [1e308, 1e308, 1e308]],
+         steps=[1.0] * 12)
+def test_gronwall_k_is_the_loops_bitwise(samples, steps):
+    """k is the per-sample loop's k, bit for bit, for any E, D and omega
+    (NaN, overflow to inf and zero steps included)."""
+    E, D, omega = np.array(samples).T
+    t = np.cumsum(steps[: len(E)]) - steps[0]
+    with np.errstate(all="ignore"):
+        want = _loop_k(t, E, D, omega)
+        k, _, _ = gronwall_fit(t, E, D, omega)
+    assert type(k) is float and np.float64(k).tobytes() == np.float64(want).tobytes()
 
 
 _MEASURE = st.floats(1e-150, 1e150)  # positive and finite, and no ratio overflows

@@ -89,8 +89,6 @@ def test_well_record_validation():
     for f1, f2 in ((1.0, -1.0), (-0.5, 2.0), (-2.0, 1.0), (-1.0, 1.0)):
         with pytest.raises(ValueError, match="f1 < -1 < 1 < f2"):
             DoubleWell(f1, f2)
-    with pytest.raises(ValueError, match="unknown potential kind 'logarithmic'"):
-        ExperimentConfig(potential_kind="logarithmic")
 
 
 def test_custom_interval():

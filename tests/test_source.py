@@ -152,6 +152,26 @@ def test_only_the_runs_call_simulate():
     assert {".".join(scope.split(".")[:2]) for scope in calls} == runs, calls
 
 
+def test_every_config_key_has_a_reader():
+    """Every ``ExperimentConfig`` field is read as an attribute somewhere in
+    the package other than ``ExperimentConfig.__post_init__``, whose reads
+    are the schema's own checks: a key that nothing reads configures nothing.
+    (The well's ends are read by the ``well`` property, a method of the class.)"""
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        checks = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "ExperimentConfig"
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                  for node in ast.walk(fn)}
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in checks}
+    unread = [f.name for f in fields(ExperimentConfig) if f.name not in reads]
+    assert not unread, unread
+
+
 def test_readme_config_table_matches_the_schema():
     """The README's table lists every config key, in schema order, with its
     default."""
